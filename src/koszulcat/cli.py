@@ -104,12 +104,7 @@ def main(argv=None) -> int:
         return _fail("file declares field %s, flag says %s"
                      % (problem.field.descriptor(), args.field), 2)
     try:
-        threads = resolve_threads(args.threads)
-        pmap = make_parallel_map(threads)
-
-        def parallel_map(fn, items):
-            return pmap(fn, items)
-
+        parallel_map = make_parallel_map(resolve_threads(args.threads))
         cap = _task_value(args, problem, "max-degree", int, default=4)
         handler = {
             "validate": cmd_validate,
@@ -234,7 +229,9 @@ def _polynomial_setup(args, problem, default_n=None):
     degree-0 subject is the base itself and the variables get default names.
     """
     main = problem.monoids[problem.main_name()]
-    n = _task_value(args, problem, "nvars", int) or _task_value(args, problem, "n", int)
+    n = _task_value(args, problem, "nvars", int)
+    if n is None:
+        n = _task_value(args, problem, "n", int)
     if main.kind == "poly":
         base = problem.build_monoid(main.over, 0)
         if n is None:

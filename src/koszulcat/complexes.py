@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import DimensionError, WindowError
+from .errors import DimensionError, StructuralError, WindowError
 from .matrix import (
     Matrix,
     Subspace,
@@ -148,7 +148,7 @@ class ChainComplex:
         return self.cap - out_shift
 
     def homology_cell(self, p: int, x, d: int):
-        """dim ker - dim im at one cell; asserts boundaries sit inside cycles."""
+        """dim ker - dim im at one cell; raises unless boundaries sit inside cycles."""
         dim = self.terms[p].dim(x, d)
         if p >= 1 and self.diffs[p] is not None:
             out = self.diffs[p].out_matrix(x, d)
@@ -158,15 +158,13 @@ class ChainComplex:
         if p + 1 < len(self.terms) and self.diffs[p + 1] is not None:
             inm = self.diffs[p + 1].in_matrix(x, d)
             bnd_rank = rank(inm)
-            if bnd_rank:
-                aug = hstack([cyc.basis, inm])
-                assert rank(aug) == cyc.dim, \
-                    "boundaries escape cycles at p=%d cell (%s,%d)" % (p, x, d)
+            if bnd_rank and rank(hstack([cyc.basis, inm])) != cyc.dim:
+                raise StructuralError("boundaries escape cycles at p=%d cell (%s,%d)"
+                                      % (p, x, d))
         else:
             bnd_rank = 0
-        h = cyc.dim - bnd_rank
-        assert h >= 0
-        return h
+        # the containment check above makes bnd_rank <= cyc.dim
+        return cyc.dim - bnd_rank
 
     def homology_dims(self, p: int, degrees, parallel_map=map):
         """Homology dimensions over a degree window, cellwise."""

@@ -17,7 +17,7 @@ from typing import Optional
 from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
 from .errors import PreconditionError, StructuralError, WindowError
 from .gtensor import GradedTensor
-from .koszul import KoszulComplex, build_koszul, subsets_lex
+from .koszul import KoszulComplex, build_koszul, koszul_faces, subsets_lex, summand_map
 from .matrix import Matrix, Subspace, kernel, rank
 from .monoid import (
     Element,
@@ -426,50 +426,26 @@ def _cochain_phi(e: EnvelopingData, m: Module, p: int):
     """Phi_p: Hom(K_p, M) -> Hom(K_{p+1}, M) under the free identification.
 
     The block from the summand of S to the summand of S + {i} is the signed
-    difference of the two one-sided multiplications by the i-th variable.
+    difference of the two one-sided multiplications by the i-th variable:
+    the faces of the (p+1)-th Koszul differential, read from target to source.
     """
     a_n, n = e.a_n, e.n
-    field = a_n.field
-    src_subs = subsets_lex(n, p)
-    tgt_subs = subsets_lex(n, p + 1)
-    src_index = {s: k for k, s in enumerate(src_subs)}
-    ops = {}
+    diffs = {}
     for i in range(1, n + 1):
         t_i = variable_element(a_n, i)
         left = mult_operator(a_n, t_i, m, side="left")
         right = mult_operator(a_n, t_i, m, side="right")
-        ops[i] = (left, right)
+        diffs[i] = (1, {cell: mat - right.cells[cell] for cell, mat in left.cells.items()})
+    src_subs = subsets_lex(n, p)
+    tgt_subs = subsets_lex(n, p + 1)
     src_term = Term("Hom(K_%d,M)" % p,
-                    {cell: len(src_subs) * dim for cell, dim in m.carrier.dims.items()})
+                    {cell: len(src_subs) * dim for cell, dim in m.carrier.dims.items()},
+                    meta={"summands": src_subs})
     tgt_term = Term("Hom(K_%d,M)" % (p + 1),
-                    {cell: len(tgt_subs) * dim for cell, dim in m.carrier.dims.items()})
-    blocks = {}
-    for t_idx, t_sub in enumerate(tgt_subs):
-        for k, i_k in enumerate(t_sub):
-            s_sub = tuple(v for v in t_sub if v != i_k)
-            s_idx = src_index[s_sub]
-            sign = field.from_int(1 if k % 2 == 0 else -1)
-            left, right = ops[i_k]
-            for (x, d), lcell in left.cells.items():
-                cell_mat = lcell - right.cells[(x, d)]
-                key = (x, d, d + 1)
-                big = blocks.get(key)
-                if big is None:
-                    big = Matrix.zeros(field, tgt_term.dim(x, d + 1), src_term.dim(x, d))
-                    blocks[key] = big
-                bs = m.carrier.dim(x, d)
-                bt = m.carrier.dim(x, d + 1)
-                for ii, row in enumerate(cell_mat.rows):
-                    for jj, v in row.items():
-                        val = field.mul(sign, v)
-                        r, cidx = t_idx * bt + ii, s_idx * bs + jj
-                        prev = big.rows[r].get(cidx)
-                        tot = field.add(prev, val) if prev is not None else val
-                        if tot:
-                            big.rows[r][cidx] = tot
-                        else:
-                            big.rows[r].pop(cidx, None)
-    return GradedMap(field, src_term, tgt_term, blocks)
+                    {cell: len(tgt_subs) * dim for cell, dim in m.carrier.dims.items()},
+                    meta={"summands": tgt_subs})
+    faces = [(t, s, sign, i) for s, t, sign, i in koszul_faces(n, p + 1)]
+    return summand_map(a_n.field, src_term, tgt_term, m.carrier, faces, diffs)
 
 
 def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
@@ -520,7 +496,9 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
             cyc = Subspace.full(a_n.field, dim)
         bnd = rank(phi_in.in_matrix(x, d)) if phi_in is not None else 0
         h = cyc.dim - bnd
-        assert h >= 0
+        if h < 0:
+            raise StructuralError("boundaries outnumber cocycles at p=%d cell (%s,%d)"
+                                  % (p, x, d))
         return h
 
     dims = list(parallel_map(cohom, cells))

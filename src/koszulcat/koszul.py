@@ -16,7 +16,7 @@ from math import comb
 
 from .complexes import ChainComplex, GradedMap, Term
 from .errors import NotCentralError, PreconditionError, WindowError
-from .matrix import Matrix, kernel_basis
+from .matrix import Matrix, block_matrix, kernel_basis
 from .monoid import (
     Monoid,
     generated_submodule,
@@ -32,6 +32,41 @@ from .report import GradedReport
 def subsets_lex(n: int, p: int):
     """p-element subsets of {1..n} as sorted tuples in lexicographic order."""
     return list(combinations(range(1, n + 1), p))
+
+
+def koszul_faces(n: int, p: int):
+    """The faces of the p-th Koszul differential, one per element of each subset.
+
+    For every p-subset S = {i_1 < ... < i_p} (summand index s) and every k,
+    yields (s, t, (-1)^(k+1), i_k) with t the summand index of S minus {i_k}
+    among the (p-1)-subsets.
+    """
+    tgt_index = {sub: t for t, sub in enumerate(subsets_lex(n, p - 1))}
+    return [(s, tgt_index[sub[:k] + sub[k + 1:]], 1 if k % 2 == 0 else -1, i)
+            for s, sub in enumerate(subsets_lex(n, p)) for k, i in enumerate(sub)]
+
+
+def summand_map(field, src_term: Term, tgt_term: Term, base, faces, cells) -> GradedMap:
+    """The map between two terms of copies of `base` given by signed faces.
+
+    Each term is one copy of `base` per entry of its `summands` meta, laid out
+    copy-major within every cell.  `cells[i]` is a pair (shift, {(x, d):
+    Matrix}) of a map on one copy raising the degree by shift; face
+    (s, t, sign, i) places sign * cells[i][(x, d)] at block (t, s) of the
+    cell map (x, d) -> (x, d + shift).  No two faces may share a block.
+    """
+    n_src = len(src_term.meta["summands"])
+    n_tgt = len(tgt_term.meta["summands"])
+    parts = {}
+    for s, t, sign, i in faces:
+        shift, per_cell = cells[i]
+        for (x, d), mat in per_cell.items():
+            parts.setdefault((x, d, d + shift), {})[(t, s)] = \
+                mat if sign == 1 else mat.scale(field.from_int(sign))
+    blocks = {(x, ds, dt): block_matrix(field, placed, [base.dim(x, dt)] * n_tgt,
+                                        [base.dim(x, ds)] * n_src)
+              for (x, ds, dt), placed in parts.items()}
+    return GradedMap(field, src_term, tgt_term, blocks)
 
 
 @dataclass
@@ -87,40 +122,10 @@ def build_koszul(a: Monoid, alphas, cap=None) -> KoszulComplex:
         summands.append(subs)
         terms.append(_term(a, subs, "K_%d" % p))
 
-    diffs = [None]
-    field = a.field
-    for p in range(1, n + 1):
-        src_subs = summands[p]
-        tgt_index = {s: k for k, s in enumerate(summands[p - 1])}
-        blocks = {}
-        for s_idx, s in enumerate(src_subs):
-            for k, i_k in enumerate(s):
-                sign = field.from_int(1 if k % 2 == 0 else -1)
-                t_idx = tgt_index[tuple(v for v in s if v != i_k)]
-                op = mult_ops[i_k]
-                for (x, d), cell in op.cells.items():
-                    key = (x, d, d + op.shift)
-                    big = blocks.get(key)
-                    if big is None:
-                        big = Matrix.zeros(field,
-                                           terms[p - 1].dim(x, d + op.shift),
-                                           terms[p].dim(x, d))
-                        blocks[key] = big
-                    base_dim_src = a.carrier.dim(x, d)
-                    base_dim_tgt = a.carrier.dim(x, d + op.shift)
-                    for i, row in enumerate(cell.rows):
-                        for j, v in row.items():
-                            r = t_idx * base_dim_tgt + i
-                            c = s_idx * base_dim_src + j
-                            prev = big.rows[r].get(c)
-                            val = field.mul(sign, v)
-                            if prev is not None:
-                                val = field.add(prev, val)
-                            if val:
-                                big.rows[r][c] = val
-                            else:
-                                big.rows[r].pop(c, None)
-        diffs.append(GradedMap(field, terms[p], terms[p - 1], blocks))
+    ops = {i: (op.shift, op.cells) for i, op in mult_ops.items()}
+    diffs = [None] + [summand_map(a.field, terms[p], terms[p - 1], a.carrier,
+                                  koszul_faces(n, p), ops)
+                      for p in range(1, n + 1)]
     cx = ChainComplex(a.cat, a.cap, terms, diffs, label="K_%s(%s)" % (a.name, n))
     return KoszulComplex(a, alphas, cx, summands, mult_ops)
 
@@ -232,33 +237,6 @@ class SplitWitness:
         return self.report.all_passed
 
 
-def _inclusion_map(field, src_term, tgt_term, col_of_summand, src_subs):
-    blocks = {}
-    for (x, d), dim_cell in src_term.dims.items():
-        if not dim_cell:
-            continue
-        base = dim_cell // max(len(src_subs), 1)
-        mat = Matrix.zeros(field, tgt_term.dim(x, d), dim_cell)
-        for s_idx in range(len(src_subs)):
-            t_idx = col_of_summand[s_idx]
-            for i in range(base):
-                mat.rows[t_idx * base + i][s_idx * base + i] = field.one()
-        blocks[(x, d, d)] = mat
-    return GradedMap(field, src_term, tgt_term, blocks)
-
-
-def _projection_map(field, src_term, tgt_term, row_of_summand, src_subs):
-    blocks = {}
-    for (x, d), dim_cell in src_term.dims.items():
-        base = dim_cell // max(len(src_subs), 1)
-        mat = Matrix.zeros(field, tgt_term.dim(x, d), dim_cell)
-        for s_idx, t_idx in row_of_summand.items():
-            for i in range(base):
-                mat.rows[t_idx * base + i][s_idx * base + i] = field.one()
-        blocks[(x, d, d)] = mat
-    return GradedMap(field, src_term, tgt_term, blocks)
-
-
 def pascal_split(kc: KoszulComplex) -> SplitWitness:
     """Certify the binomial decomposition of the complex and its ladder.
 
@@ -274,7 +252,6 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
     a = kc.monoid
     field = a.field
     small = build_koszul(a, kc.alphas[:-1])
-    alpha_n = kc.alphas[-1]
     op_n = kc.mult_ops[n]
 
     report = GradedReport(
@@ -283,27 +260,33 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
         window={"cap": kc.cap, "truncated": a.carrier.truncated},
     )
 
+    # iota: S -> S; tau: S -> S minus {n} when n is in S; sigma: its section
+    # S' -> S' + {n}.  Indices n and -1 of `small_terms` are the zero term.
+    ident = {None: (0, {cell: Matrix.identity(field, dim)
+                        for cell, dim in a.carrier.dims.items()})}
+    small_terms = small.complex.terms + [Term("0", {}, meta={"summands": []})]
     iota, tau, sigma = [], [], []
-    for p in range(n + 1):
-        big_subs = kc.summands[p]
-        big_index = {s: k for k, s in enumerate(big_subs)}
-        small_subs = small.summands[p] if p <= n - 1 else []
-        col_of = {i: big_index[s] for i, s in enumerate(small_subs)}
-        iota.append(_inclusion_map(field, small.complex.terms[p] if p <= n - 1
-                                   else Term("0", {}), kc.complex.terms[p], col_of, small_subs))
-        prev_small = small.summands[p - 1] if 1 <= p else []
-        row_of = {}
-        for s_idx, s in enumerate(big_subs):
-            if n in s:
-                reduced = tuple(v for v in s if v != n)
-                row_of[s_idx] = prev_small.index(reduced) if p >= 1 else 0
-        tau.append(_projection_map(field, kc.complex.terms[p],
-                                   small.complex.terms[p - 1] if p >= 1 else Term("0", {}),
-                                   row_of, big_subs))
-        sec_col = {i: big_index[s + (n,)] for i, s in enumerate(prev_small)} if p >= 1 else {}
-        sigma.append(_inclusion_map(field, small.complex.terms[p - 1] if p >= 1
-                                    else Term("0", {}), kc.complex.terms[p], sec_col,
-                                    prev_small))
+    for p, big in enumerate(kc.complex.terms):
+        big_index = {s: k for k, s in enumerate(kc.summands[p])}
+        below = small_terms[p - 1]
+        below_index = {s: k for k, s in enumerate(below.meta["summands"])}
+        iota.append(summand_map(field, small_terms[p], big, a.carrier,
+                                [(k, big_index[s], 1, None)
+                                 for k, s in enumerate(small_terms[p].meta["summands"])],
+                                ident))
+        tau.append(summand_map(field, big, below, a.carrier,
+                               [(k, below_index[s[:-1]], 1, None)
+                                for k, s in enumerate(kc.summands[p]) if s[-1:] == (n,)],
+                               ident))
+        sigma.append(summand_map(field, below, big, a.carrier,
+                                 [(k, big_index[s + (n,)], 1, None)
+                                  for s, k in below_index.items()],
+                                 ident))
+    # L: the last multiplication on every copy of a small term
+    l_maps = [summand_map(field, t, t, a.carrier,
+                          [(k, k, 1, n) for k in range(len(t.meta["summands"]))],
+                          {n: (op_n.shift, op_n.cells)})
+              for t in small.complex.terms]
 
     # tau o iota = 0 and tau o sigma = id
     ok_ti = all(tau[p].compose(iota[p]).is_zero() for p in range(1, n))
@@ -341,9 +324,8 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
         lhs = kc.complex.diffs[p].compose(sigma[p])
         small_d = small.complex.diffs[p - 1]
         part1 = sigma[p - 1].compose(small_d)
-        l_map = _mult_graded_map(field, small.complex.terms[p - 1], op_n)
         sign = field.from_int(1 if (p - 1) % 2 == 0 else -1)
-        part2 = iota[p - 1].compose(l_map).scale(sign)
+        part2 = iota[p - 1].compose(l_maps[p - 1]).scale(sign)
         if not _graded_maps_equal(lhs, part1.add(part2)):
             ok_restrict = False
     report.add_certificate("restriction-formula", ok_restrict)
@@ -352,8 +334,7 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
     ok_delta = True
     checked = 0
     for p in range(2, n + 1):
-        small_term = small.complex.terms[p - 1]
-        l_small = _mult_graded_map(field, small_term, op_n)
+        l_small = l_maps[p - 1]
         win = small.complex.homology_window(p - 1)
         win = min(win, kc.cap - op_n.shift)
         for x in a.cat.objects:
@@ -409,23 +390,3 @@ def _graded_maps_equal(a: GradedMap, b: GradedMap) -> bool:
         if a.block(x, ds, dt) != b.block(x, ds, dt):
             return False
     return True
-
-
-def _mult_graded_map(field, term: Term, op) -> GradedMap:
-    """Summandwise multiplication operator on a term of copies."""
-    subs = term.meta["summands"]
-    blocks = {}
-    for (x, d), dim in term.dims.items():
-        if (x, d) not in op.cells:
-            continue
-        cell = op.cells[(x, d)]
-        tgt_dim = term.dim(x, d + op.shift)
-        mat = Matrix.zeros(field, tgt_dim, dim)
-        base_src = cell.ncols
-        base_tgt = cell.nrows
-        for s_idx in range(max(len(subs), 1)):
-            for i, row in enumerate(cell.rows):
-                for j, v in row.items():
-                    mat.rows[s_idx * base_tgt + i][s_idx * base_src + j] = v
-        blocks[(x, d, d + op.shift)] = mat
-    return GradedMap(field, term, term, blocks)

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra: kernels, images, quotients, sections, Kronecker.
 
 Matrices are stored row-sparse (one dict per row, zeros omitted).  Over Q the
-forward elimination is fraction-free in the Bareiss style after clearing row
-denominators, which keeps intermediate entries as minors of the input; over
-F_p a plain Gaussian elimination is used.  Pivot rows are chosen by minimal
+forward elimination clears row denominators and then applies Bareiss-style
+row updates in exact `Fraction` arithmetic; the updates are not the full
+Bareiss scheme, so entries may leave the integers (see `_echelon`).  Over F_p
+a plain Gaussian elimination is used.  Pivot rows are chosen by minimal
 fill (fewest nonzeros, ties by position), so every reduction is deterministic
 and results are bit-reproducible regardless of thread count.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, NotSurjectiveError
+from .errors import DimensionError, NotSurjectiveError, StructuralError
 from .field import Field, Scalar, check_same_field
 
 
@@ -276,9 +277,13 @@ def _clear_denominators(row: dict) -> dict:
 def _echelon(field: Field, rows: list, ncols: int):
     """Forward-eliminate in place; returns pivot columns.
 
-    Q path: fraction-free Bareiss update (rows pre-cleared to integers), so
-    every intermediate entry is a minor of the cleared input.  F_p path:
-    plain Gaussian elimination with normalized pivots.
+    Q path: rows are first scaled to primitive integer rows; each row that
+    meets the pivot column is replaced by (pivot * row - factor * pivot row)
+    divided by the previous pivot.  Rows that miss the pivot column are not
+    rescaled, so unlike true Bareiss elimination the division need not be
+    exact and entries can become non-integer fractions.  Each update is an
+    invertible row operation over Q, so pivots, ranks and row spaces are
+    exact.  F_p path: plain Gaussian elimination with normalized pivots.
     """
     rational = field.char == 0
     if rational:
@@ -449,9 +454,12 @@ def kernel(m: Matrix) -> Subspace:
     vecs = kernel_basis(m)
     zero = tuple([m.field.zero()] * m.nrows)
     for v in vecs:
-        assert m.apply(v) == zero, "kernel vector not annihilated"
+        if m.apply(v) != zero:
+            raise StructuralError("kernel vector not annihilated")
     sub = Subspace.from_columns(m.field, m.ncols, vecs)
-    assert sub.dim == len(vecs)
+    if sub.dim != len(vecs):
+        raise DimensionError("kernel basis of %d vectors spans dimension %d"
+                             % (len(vecs), sub.dim))
     return sub
 
 
@@ -459,15 +467,18 @@ def image(m: Matrix) -> Subspace:
     """Canonical basis of the column space; dim = rank."""
     sub = Subspace.from_columns(m.field, m.nrows,
                                 [m.column(j) for j in range(m.ncols)])
-    assert sub.dim <= min(m.nrows, m.ncols)
+    if sub.dim > min(m.nrows, m.ncols):
+        raise DimensionError("image of a %dx%d matrix has dimension %d"
+                             % (m.nrows, m.ncols, sub.dim))
     return sub
 
 
 def kernel_and_image(m: Matrix):
-    """Both at once, with the rank-nullity identity asserted."""
+    """Both at once, with the rank-nullity identity checked."""
     ker = kernel(m)
     im = image(m)
-    assert ker.dim + im.dim == m.ncols, "rank-nullity violated"
+    if ker.dim + im.dim != m.ncols:
+        raise DimensionError("rank-nullity violated")
     return ker, im
 
 
@@ -503,8 +514,9 @@ def section_of_surjection(m: Matrix) -> Matrix:
         raise NotSurjectiveError("matrix %dx%d has rank < %d, no section"
                                  % (m.nrows, m.ncols, m.nrows))
     s = solve_matrix(m, Matrix.identity(m.field, m.nrows))
-    assert s is not None
-    assert m * s == Matrix.identity(m.field, m.nrows)
+    if s is None or m * s != Matrix.identity(m.field, m.nrows):
+        raise NotSurjectiveError("no right inverse found for a %dx%d matrix of full row rank"
+                                 % (m.nrows, m.ncols))
     return s
 
 
@@ -553,6 +565,8 @@ def quotient(ambient_dim: int, sub: Subspace) -> QuotientPresentation:
     sec = Matrix.zeros(f, ambient_dim, dim)
     for k, c in enumerate(comp):
         sec.rows[c][k] = f.one()
-    assert (proj * basis).is_zero(), "projection does not kill the subspace"
-    assert proj * sec == Matrix.identity(f, dim)
+    if not (proj * basis).is_zero():
+        raise StructuralError("projection does not kill the subspace")
+    if proj * sec != Matrix.identity(f, dim):
+        raise StructuralError("section does not split the projection")
     return QuotientPresentation(f, ambient_dim, dim, proj, sec, sub)

@@ -1,15 +1,15 @@
-"""Cell-level parallel map with deterministic, order-preserving results.
+"""The cell map: an order-preserving map over independent (object, degree) cells.
 
-Computations over independent (object, degree) cells may fan out across a
-thread pool; results are collected in input order, so reports are
-byte-identical regardless of the thread count.  The thread count comes from
-the --threads flag, falling back to the KOSZULCAT_THREADS variable, then 1.
+The thread count comes from the --threads flag, falling back to the
+KOSZULCAT_THREADS variable, then 1.  It is validated but does not change the
+work: the cell computations are pure Python and hold the interpreter lock, so
+a thread pool ran no faster than the plain map, and every count maps the cells
+in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import PreconditionError
 
@@ -28,15 +28,5 @@ def resolve_threads(flag_value=None) -> int:
 
 
 def make_parallel_map(threads: int):
-    """An order-preserving map; a plain map when single-threaded."""
-    if threads <= 1:
-        return lambda fn, items: list(map(fn, items))
-
-    def pmap(fn, items):
-        items = list(items)
-        if not items:
-            return []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-
-    return pmap
+    """An order-preserving map over cells, the same for every thread count."""
+    return lambda fn, items: list(map(fn, items))

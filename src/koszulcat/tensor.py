@@ -18,7 +18,7 @@ from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
 from .errors import StructuralError, WindowError
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
-from .koszul import subsets_lex
+from .koszul import koszul_faces, subsets_lex, summand_map
 from .matrix import Matrix, Subspace, quotient, rank
 from .monoid import Module, Monoid, mult_operator, regular_bimodule
 from .poly import variable_element
@@ -147,9 +147,7 @@ def tensor_over_monoid(m: Module, n: Module,
         for x in a.cat.objects:
             rels = _delta_relations(a, m, n, gt, x, d)
             sub = Subspace.from_columns(a.field, gt.dim(x, d), rels)
-            q = quotient(gt.dim(x, d), sub)
-            assert (q.projection * sub.basis).is_zero()
-            quots[(x, d)] = q
+            quots[(x, d)] = quotient(gt.dim(x, d), sub)
     coeq = CoequalizerPresentation(a, m, n, gt, quots)
     if m_outer is not None:
         coeq.outer_left = _induced_outer(coeq, m_outer, on_left_factor=True)
@@ -376,15 +374,16 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
     gt = GradedTensor(a_n.carrier, m.carrier, cap=cap)
     base_dims = dict(gt.dims)
 
-    # variable multiplication families on both factors
-    lmaps = {}
-    rmaps = {}
+    # each variable acts on a term as the difference of its multiplications
+    # on the two tensor factors
+    diff_cells = {}
     for i in range(1, n + 1):
         t_i = variable_element(a_n, i)
         op_a = mult_operator(a_n, t_i, regular_bimodule(a_n), side="left")
         op_m = mult_operator(a_n, t_i, m, side="left")
-        lmaps[i] = gt.map_factor(op_a.cells, 1, "left")
-        rmaps[i] = gt.map_factor(op_m.cells, 1, "right")
+        rmap = gt.map_factor(op_m.cells, 1, "right")
+        diff_cells[i] = (1, {cell: mat - rmap[cell]
+                             for cell, mat in gt.map_factor(op_a.cells, 1, "left").items()})
 
     terms = [Term("M", dict(m.carrier.dims), meta={"module": m.name})]
     free_meta = {"induced_from": m.name, "free_over_base": True}
@@ -405,35 +404,8 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
     diffs.append(GradedMap(field, terms[1], terms[0],
                            {(x, d, d): mat for (x, d), mat in act_cells.items()}))
 
-    for p in range(1, n + 1):
-        src_subs = subsets[p]
-        tgt_index = {s: k for k, s in enumerate(subsets[p - 1])}
-        blocks = {}
-        for s_idx, s in enumerate(src_subs):
-            for k, i_k in enumerate(s):
-                sign = field.from_int(1 if k % 2 == 0 else -1)
-                t_idx = tgt_index[tuple(v for v in s if v != i_k)]
-                for (x, d), lcell in lmaps[i_k].items():
-                    cell_mat = lcell - rmaps[i_k][(x, d)]
-                    key = (x, d, d + 1)
-                    big = blocks.get(key)
-                    if big is None:
-                        big = Matrix.zeros(field, terms[p].dim(x, d + 1),
-                                           terms[p + 1].dim(x, d))
-                        blocks[key] = big
-                    bs = base_dims.get((x, d), 0)
-                    bt = base_dims.get((x, d + 1), 0)
-                    for ii, row in enumerate(cell_mat.rows):
-                        for jj, v in row.items():
-                            val = field.mul(sign, v)
-                            r, c = t_idx * bt + ii, s_idx * bs + jj
-                            prev = big.rows[r].get(c)
-                            tot = field.add(prev, val) if prev is not None else val
-                            if tot:
-                                big.rows[r][c] = tot
-                            else:
-                                big.rows[r].pop(c, None)
-        diffs.append(GradedMap(field, terms[p + 1], terms[p], blocks))
+    diffs += [summand_map(field, terms[p + 1], terms[p], gt, koszul_faces(n, p), diff_cells)
+              for p in range(1, n + 1)]
 
     cx = ChainComplex(cat, cap, terms, diffs, label="K(x)%s" % m.name)
     report = GradedReport(

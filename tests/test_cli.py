@@ -113,6 +113,11 @@ def test_hh_window_zero_exits_two():
                  "--max-degree", "0"]) == 2
 
 
+def test_hh_zero_variables_reports_the_precondition(capsys):
+    assert main(["hh", pfile("trivial_q.kz"), "-n", "0", "-p", "0"]) == 2
+    assert "need at least one variable" in capsys.readouterr().err
+
+
 def test_syzygy_verb():
     assert main(["syzygy", pfile("trivial_q.kz"), "-n", "1", "--module", "Mt",
                  "--max-degree", "3"]) == 0

@@ -1,6 +1,10 @@
 """Koszul complexes: differentials, homology, resolution checks, Pascal split."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from math import comb
 
 import pytest
@@ -105,6 +109,36 @@ def test_zero_complex_has_zero_homology():
     cx = ChainComplex(CAT, 0, terms, [None, d1])
     assert cx.homology_cell(0, U, 0) == 0
     assert cx.homology_cell(1, U, 0) == 0
+
+
+def test_homology_check_survives_optimize():
+    # d o d != 0 must raise even when the interpreter strips assert statements
+    script = textwrap.dedent("""
+        from koszulcat.category import CategoryPresentation
+        from koszulcat.complexes import ChainComplex, GradedMap, Term
+        from koszulcat.errors import StructuralError
+        from koszulcat.field import QQ
+        from koszulcat.matrix import Matrix
+
+        cat = CategoryPresentation.trivial(QQ)
+        u = cat.unit
+        terms = [Term("C%d" % p, {(u, 0): 1}) for p in range(3)]
+        one = Matrix.identity(QQ, 1)
+        diffs = [None] + [GradedMap(QQ, terms[p], terms[p - 1], {(u, 0, 0): one})
+                          for p in (1, 2)]
+        cx = ChainComplex(cat, 0, terms, diffs)
+        try:
+            print(cx.homology_cell(1, u, 0))
+        except StructuralError:
+            print("raised")
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_empty_alpha_rejected():
