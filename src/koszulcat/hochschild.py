@@ -18,7 +18,7 @@ from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
 from .errors import PreconditionError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .koszul import KoszulComplex, build_koszul, koszul_faces, subsets_lex, summand_map
-from .matrix import Matrix, Subspace, kernel, rank
+from .matrix import Matrix, rank
 from .monoid import (
     Element,
     Module,
@@ -489,13 +489,11 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
 
     def cohom(cell):
         x, d = cell
-        dim = len(subsets_lex(n, p)) * m.carrier.dim(x, d)
+        h = len(subsets_lex(n, p)) * m.carrier.dim(x, d)
         if phi_out is not None:
-            cyc = kernel(phi_out.out_matrix(x, d))
-        else:
-            cyc = Subspace.full(a_n.field, dim)
-        bnd = rank(phi_in.in_matrix(x, d)) if phi_in is not None else 0
-        h = cyc.dim - bnd
+            h -= rank(phi_out.out_matrix(x, d))
+        if phi_in is not None:
+            h -= rank(phi_in.in_matrix(x, d))
         if h < 0:
             raise StructuralError("boundaries outnumber cocycles at p=%d cell (%s,%d)"
                                   % (p, x, d))

@@ -384,22 +384,29 @@ def kernel_basis(m: Matrix) -> list:
 
 
 class Subspace:
-    """Subspace of F^ambient given by a canonical (column-reduced) basis."""
+    """Subspace of F^ambient given by a canonical (column-reduced) basis.
 
-    __slots__ = ("field", "ambient", "basis")
+    Canonical form: basis column k is 1 at row `pivots[k]` and 0 at every
+    other pivot row (the transposed RREF of any spanning set).  Hence a vector
+    v lies in the span iff v = sum_k v[pivots[k]] * column k, which is what
+    `contains` tests and what the projection built by `quotient` encodes.
+    """
 
-    def __init__(self, field: Field, ambient: int, basis: Matrix):
+    __slots__ = ("field", "ambient", "basis", "pivots")
+
+    def __init__(self, field: Field, ambient: int, basis: Matrix, pivots: Sequence[int]):
         self.field = field
         self.ambient = ambient
         self.basis = basis  # ambient x dim, canonical form
+        self.pivots = tuple(pivots)  # pivots[k]: the pivot row of column k
 
     @staticmethod
     def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Matrix.zeros(field, ambient, 0))
+        return Subspace(field, ambient, Matrix.zeros(field, ambient, 0), ())
 
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Matrix.identity(field, ambient))
+        return Subspace(field, ambient, Matrix.identity(field, ambient), range(ambient))
 
     @staticmethod
     def from_columns(field: Field, ambient: int, cols: Iterable[Sequence[Scalar]]) -> "Subspace":
@@ -409,10 +416,12 @@ class Subspace:
                 raise DimensionError("spanning vector has length %d, ambient %d"
                                      % (len(c), ambient))
         rows = [{j: v for j, v in enumerate(c) if v} for c in cols]
-        _, red = rref(field, rows, ambient)
-        basis = Matrix.from_columns(field, ambient,
-                                    [[r.get(j, field.zero()) for j in range(ambient)] for r in red])
-        return Subspace(field, ambient, basis)
+        pivcols, red = rref(field, rows, ambient)
+        basis = Matrix.zeros(field, ambient, len(red))
+        for k, r in enumerate(red):
+            for j, v in r.items():
+                basis.rows[j][k] = v
+        return Subspace(field, ambient, basis, pivcols)
 
     @staticmethod
     def from_matrix_columns(m: Matrix) -> "Subspace":
@@ -424,10 +433,22 @@ class Subspace:
         return self.basis.ncols
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
+        """One pass over the basis: v == sum_k v[pivots[k]] * column k.
+
+        The canonical form makes the identity hold on the pivot rows for any
+        v, so only the other rows are compared.
+        """
         if len(vec) != self.ambient:
             raise DimensionError("vector length mismatch")
-        aug = hstack([self.basis, Matrix.from_columns(self.field, self.ambient, [list(vec)])])
-        return rank(aug) == self.dim
+        f = self.field
+        coef = [vec[r] for r in self.pivots]
+        pivots = set(self.pivots)
+        for i, row in enumerate(self.basis.rows):
+            # f.sub reduces the unreduced F_p sum; over Q the sum is exact
+            if i not in pivots and \
+                    f.sub(vec[i], sum(b * coef[k] for k, b in row.items() if coef[k])):
+                return False
+        return True
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
@@ -548,20 +569,15 @@ def quotient(ambient_dim: int, sub: Subspace) -> QuotientPresentation:
                              % (sub.ambient, ambient_dim))
     f = sub.field
     basis = sub.basis
-    pivot_rows = []
-    for j in range(basis.ncols):
-        col = basis.column(j)
-        lead = next(i for i, v in enumerate(col) if v)
-        pivot_rows.append(lead)
-    comp = [i for i in range(ambient_dim) if i not in set(pivot_rows)]
+    pivot_rows = sub.pivots
+    pivset = set(pivot_rows)
+    comp = [i for i in range(ambient_dim) if i not in pivset]
     dim = len(comp)
     proj = Matrix.zeros(f, dim, ambient_dim)
     for k, c in enumerate(comp):
         proj.rows[k][c] = f.one()
-        for j, r in enumerate(pivot_rows):
-            v = basis.entry(c, j)
-            if v:
-                proj.rows[k][r] = f.neg(v)
+        for j, v in basis.rows[c].items():
+            proj.rows[k][pivot_rows[j]] = f.neg(v)
     sec = Matrix.zeros(f, ambient_dim, dim)
     for k, c in enumerate(comp):
         sec.rows[c][k] = f.one()

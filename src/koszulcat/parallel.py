@@ -14,6 +14,7 @@ import os
 from .errors import PreconditionError
 
 ENV_VAR = "KOSZULCAT_THREADS"
+MAX_THREADS = 256
 
 
 def resolve_threads(flag_value=None) -> int:
@@ -24,6 +25,8 @@ def resolve_threads(flag_value=None) -> int:
         n = int(raw) if raw else 1
     if n < 1:
         raise PreconditionError("thread count must be positive, got %d" % n)
+    if n > MAX_THREADS:
+        raise PreconditionError("thread count must be at most %d, got %d" % (MAX_THREADS, n))
     return n
 
 

@@ -2,8 +2,12 @@
 
 import os
 
+import pytest
+
 from koszulcat.cli import main
+from koszulcat.errors import PreconditionError
 from koszulcat.monoid import Element
+from koszulcat.parallel import MAX_THREADS, resolve_threads
 from koszulcat.problemfile import parse_problem_file, parse_problem_text
 from koszulcat.report import GradedReport
 
@@ -178,3 +182,16 @@ main A
     assert pf.field.char == 5
     subject = pf.build_subject(0)
     assert subject.unit == (1,)
+
+
+def test_thread_count_is_bounded(monkeypatch):
+    # the bound is checked before any cell is mapped, and the map is serial,
+    # so no thread is ever started here
+    assert resolve_threads(MAX_THREADS) == MAX_THREADS
+    with pytest.raises(PreconditionError, match="at most"):
+        resolve_threads(MAX_THREADS + 1)
+    monkeypatch.setenv("KOSZULCAT_THREADS", "100000")
+    with pytest.raises(PreconditionError):
+        resolve_threads()
+    monkeypatch.delenv("KOSZULCAT_THREADS")
+    assert main(["validate", pfile("trivial_q.kz"), "--threads", "100000"]) == 2
