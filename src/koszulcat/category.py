@@ -395,19 +395,6 @@ class DayTensor:
         s = self.summand(x, y, z)
         return s.offset + (h_idx * s.dim_f + a_idx) * s.dim_g + b_idx
 
-    def pure_tensor_block(self, x, y, z) -> Matrix:
-        """Map F(y) (x) G(z) -> (F (x) G)(x) along a hom basis element h.
-
-        Only meaningful summed over h; callers embed a chosen (h, a, b) index
-        by `ambient_index` and project.  This block fixes h = the full hom
-        inclusion: columns enumerate (h, a, b) row-major.
-        """
-        s = self.summand(x, y, z)
-        incl = Matrix.zeros(self.cat.field, self.ambient_dim(x), s.size)
-        for k in range(s.size):
-            incl.rows[s.offset + k][k] = self.cat.field.one()
-        return self.quot[x].projection * incl
-
     def induced_map(self, target: Representation, beta: dict) -> dict:
         """Descend a natural bilinear family beta[(y,z)]: F(y) (x) G(z) -> H(y<>z).
 

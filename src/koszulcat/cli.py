@@ -222,7 +222,7 @@ def cmd_tensor_idem(args, problem, cap, parallel_map):
     return report, (0 if cert.passed else 1)
 
 
-def _polynomial_setup(args, problem, default_n=None):
+def _polynomial_setup(args, problem):
     """Base monoid, variable count and names for the hh and syzygy verbs.
 
     A polynomial subject contributes its base and declared variable names; a
@@ -240,8 +240,6 @@ def _polynomial_setup(args, problem, default_n=None):
             raise ParseError("-n %d conflicts with the %d declared variables"
                              % (n, len(main.var_names)))
         return base, n, main.var_names
-    if n is None:
-        n = default_n
     if n is None:
         raise ParseError("this verb needs -n (or a polynomial subject)")
     return problem.build_subject(0), n, None

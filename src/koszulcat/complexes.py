@@ -187,7 +187,7 @@ class HomotopyCertificate:
     homotopies: Optional[list] = None  # per term p: dict cell -> Matrix into term p+1
 
 
-def contracting_homotopy(cx: ChainComplex, top_degrees=None) -> HomotopyCertificate:
+def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
     """Build h with dh + hd = id chainwise; certifies the complex splits.
 
     Works when every differential has a single degree shift.  Chains are
@@ -196,12 +196,10 @@ def contracting_homotopy(cx: ChainComplex, top_degrees=None) -> HomotopyCertific
     """
     field = cx.field
     shifts = [None] + [cx.diffs[p].single_shift() for p in range(1, len(cx.terms))]
-    if top_degrees is None:
-        top_degrees = range(cx.cap + 1)
     hom = [dict() for _ in cx.terms]
     checked = 0
     for x in cx.cat.objects:
-        for d0 in top_degrees:
+        for d0 in range(cx.cap + 1):
             degs = [d0]
             for p in range(1, len(cx.terms)):
                 degs.append(degs[-1] - shifts[p])

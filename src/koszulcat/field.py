@@ -42,10 +42,6 @@ class Field:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def rationals() -> "Field":
-        return Field(0)
-
-    @staticmethod
     def prime(p: int) -> "Field":
         return Field(p)
 

@@ -67,30 +67,6 @@ class GradedTensor:
                 return b
         raise KeyError((x, d, d1))
 
-    def carrier(self, name="L(x)R") -> GradedCarrier:
-        """The tensor as a graded carrier with blockwise induced actions."""
-        actions = {}
-        for key in self.cat.all_basis_mors():
-            for d in range(self.cap + 1):
-                x, y, _ = key
-                mat = Matrix.zeros(self.field, self.dim(y, d), self.dim(x, d))
-                for bx, by in zip(self.layout[(x, d)], self.layout[(y, d)]):
-                    blk = self.day[(bx.d1, bx.d2)].rep.action_basis(key)
-                    for i, row in enumerate(blk.rows):
-                        for j, v in row.items():
-                            mat.rows[by.offset + i][bx.offset + j] = v
-                actions[(key, d)] = mat
-        names = {}
-        for d in range(self.cap + 1):
-            for x in self.cat.objects:
-                cell_names = []
-                for b in self.layout[(x, d)]:
-                    for k in range(b.dim):
-                        cell_names.append("(%d|%d)#%d" % (b.d1, b.d2, k))
-                names[(x, d)] = tuple(cell_names)
-        return GradedCarrier(self.cat, self.cap, self.left.truncated or self.right.truncated,
-                             dict(self.dims), actions, names)
-
     def pure_cell_vector(self, tgt_obj, d1, d2, y, z, vec_l, vec_r) -> list:
         """Embed a pure tensor v (x) w in L(y)_{d1} (x) R(z)_{d2} into cell (y<>z, d).
 
@@ -118,24 +94,20 @@ class GradedTensor:
             out[blk.offset + i] = v
         return out
 
-    def map_factor(self, op_cells: dict, shift: int, factor: str,
-                   target: "GradedTensor" = None) -> dict:
+    def map_factor(self, op_cells: dict, shift: int, factor: str) -> dict:
         """Apply a natural degree-raising family to one tensor factor.
 
         op_cells maps (obj, deg) to a matrix raising the factor degree by
         `shift`; returns cell blocks (x, d) -> Matrix into (x, d + shift) of
-        `target` (defaults to self, which is right when the factor carrier is
-        closed under the shift).  Naturality of the family is what makes the
-        ambient map descend through the Day quotients.
+        this tensor, which is right when the factor carrier is closed under
+        the shift.  Naturality of the family is what makes the ambient map
+        descend through the Day quotients.
         """
-        tgt = target if target is not None else self
         fld = self.field
         out = {}
-        for d in range(self.cap + 1):
-            if d + shift > tgt.cap:
-                continue
+        for d in range(self.cap + 1 - shift):
             for x in self.cat.objects:
-                mat = Matrix.zeros(fld, tgt.dim(x, d + shift), self.dim(x, d))
+                mat = Matrix.zeros(fld, self.dim(x, d + shift), self.dim(x, d))
                 for b in self.layout[(x, d)]:
                     if factor == "left":
                         tb_d1 = b.d1 + shift
@@ -143,9 +115,9 @@ class GradedTensor:
                     else:
                         tb_d1 = b.d1
                         tb_d2 = b.d2 + shift
-                    tb = tgt.block(x, d + shift, tb_d1)
+                    tb = self.block(x, d + shift, tb_d1)
                     src_day = self.day[(b.d1, b.d2)]
-                    tgt_day = tgt.day[(tb_d1, tb_d2)]
+                    tgt_day = self.day[(tb_d1, tb_d2)]
                     amb = Matrix.zeros(fld, tgt_day.quot[x].ambient,
                                        src_day.quot[x].ambient)
                     for s in src_day.layout[x]:
@@ -183,24 +155,22 @@ class GradedTensor:
                 out[(x, d)] = mat
         return out
 
-    def induced_map_cells(self, target: GradedCarrier, beta_fn, shift: int = 0) -> dict:
+    def induced_map_cells(self, target: GradedCarrier, beta_fn) -> dict:
         """Descend bilinear families degreewise: returns (x, d) -> Matrix.
 
         beta_fn(d1, d2) must give the family {(y, z): Matrix} into
-        target(y<>z)_{d1+d2+shift}.  Cells whose target degree exceeds the
-        target cap are omitted.
+        target(y<>z)_{d1+d2}.  Cells whose degree exceeds the target cap are
+        omitted.
         """
         out = {}
         betas = {}
-        for d in range(self.cap + 1):
-            if d + shift > target.cap:
-                continue
+        for d in range(min(self.cap, target.cap) + 1):
             for x in self.cat.objects:
-                mat = Matrix.zeros(self.field, target.dim(x, d + shift), self.dim(x, d))
+                mat = Matrix.zeros(self.field, target.dim(x, d), self.dim(x, d))
                 for b in self.layout[(x, d)]:
                     if (b.d1, b.d2) not in betas:
                         betas[(b.d1, b.d2)] = self.day[(b.d1, b.d2)].induced_map(
-                            target.slice_rep(b.d1 + b.d2 + shift), beta_fn(b.d1, b.d2))
+                            target.slice_rep(b.d1 + b.d2), beta_fn(b.d1, b.d2))
                     blk = betas[(b.d1, b.d2)][x]
                     for i, row in enumerate(blk.rows):
                         for j, v in row.items():

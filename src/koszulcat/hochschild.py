@@ -62,7 +62,7 @@ def _day_mu_cells(a: Monoid):
         return {(y, z): a.pairing_cell(y, d1, z, d2)
                 for y in a.cat.objects for z in a.cat.objects}
 
-    return gt, gt.induced_map_cells(a.carrier, beta, shift=0)
+    return gt, gt.induced_map_cells(a.carrier, beta)
 
 
 def certify_tensor_idempotent(a: Monoid) -> TensorIdempotentCertificate:
@@ -217,10 +217,10 @@ def build_enveloping(a: Monoid, n: int, cap: int,
     report.add_certificate("collapse-preserves-unit", unit_ok)
 
     # pi sends both variable families to the target variables
+    us = [variable_element(c, i) for i in range(1, n + 1)]
+    vs = [variable_element(c, n + i) for i in range(1, n + 1)]
     vars_ok = True
-    for i in range(1, n + 1):
-        u_i = variable_element(c, i)
-        v_i = variable_element(c, n + i)
+    for i, (u_i, v_i) in enumerate(zip(us, vs), 1):
         t_i = variable_element(a_n, i)
         if pi[(cat.unit, 1)].apply(u_i.coords) != tuple(t_i.coords):
             vars_ok = False
@@ -231,9 +231,7 @@ def build_enveloping(a: Monoid, n: int, cap: int,
     # the variable differences: central, degree one
     alphas = []
     central_ok = True
-    for i in range(1, n + 1):
-        u_i = variable_element(c, i)
-        v_i = variable_element(c, n + i)
+    for u_i, v_i in zip(us, vs):
         alpha = Element(cat.unit, 1,
                         tuple(field.sub(p, q) for p, q in zip(u_i.coords, v_i.coords)))
         if not is_central(c, alpha):
@@ -252,10 +250,10 @@ def build_enveloping(a: Monoid, n: int, cap: int,
             basis = ideal[(x, d)].basis
             if not (pi[(x, d)] * basis).is_zero():
                 contain_ok = False
-            ker_dim = c.carrier.dim(x, d) - rank(pi[(x, d)])
-            if rank(pi[(x, d)]) != a_n.carrier.dim(x, d):
+            r = rank(pi[(x, d)])
+            if r != a_n.carrier.dim(x, d):
                 surj_ok = False
-            if ideal[(x, d)].dim != ker_dim:
+            if ideal[(x, d)].dim != c.carrier.dim(x, d) - r:
                 dims_ok = False
             report.add_entry(None, x, d, ideal[(x, d)].dim)
     report.add_certificate("ideal-inside-kernel", contain_ok)
@@ -347,9 +345,7 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
         w_expo = tuple(1 if k == n + i - 1 else 0 for k in range(2 * n))
         col = mono_index(2 * n, 1)[w_expo]
         target = psi[1].column(col)
-        u_i = variable_element(e.c, i)
-        v_i = variable_element(e.c, n + i)
-        diff = [field.sub(p, q) for p, q in zip(u_i.coords, v_i.coords)]
+        diff = e.alphas[i - 1].coords
         bd = base_dim[a.cat.unit]
         for k, t in enumerate(target):
             for j in range(bd):

@@ -1,18 +1,14 @@
 """Exact sparse linear algebra: kernels, images, quotients, sections, Kronecker.
 
-Matrices are stored row-sparse (one dict per row, zeros omitted).  Over Q the
-forward elimination clears row denominators and then applies Bareiss-style
-row updates in exact `Fraction` arithmetic; the updates are not the full
-Bareiss scheme, so entries may leave the integers (see `_echelon`).  Over F_p
-a plain Gaussian elimination is used.  Pivot rows are chosen by minimal
-fill (fewest nonzeros, ties by position), so every reduction is deterministic
-and results are bit-reproducible regardless of thread count.
+Matrices are stored row-sparse (one dict per row, zeros omitted).  Every
+reduction is one Gaussian elimination in exact field arithmetic (`Fraction`
+over Q, reduced ints over F_p; see `_echelon`).  Pivot rows are chosen by
+minimal fill (fewest nonzeros, ties by position), so every reduction is
+deterministic and results are bit-reproducible regardless of thread count.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, NotSurjectiveError, StructuralError
@@ -79,10 +75,6 @@ class Matrix:
         z = self.field.zero()
         return tuple(self.rows[i].get(j, z) for i in range(self.nrows))
 
-    def to_rows(self) -> list:
-        z = self.field.zero()
-        return [[row.get(j, z) for j in range(self.ncols)] for row in self.rows]
-
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
@@ -98,9 +90,6 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%dx%d over %s, %d nnz)" % (
             self.nrows, self.ncols, self.field.descriptor(), self.nnz())
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, [dict(r) for r in self.rows])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -255,45 +244,19 @@ def block_matrix(field: Field, blocks, row_dims: Sequence[int], col_dims: Sequen
 # -- elimination core --------------------------------------------------------
 
 
-def _clear_denominators(row: dict) -> dict:
-    """Scale a Q-row to integers with gcd 1 (kernel/row space unchanged)."""
-    if not row:
-        return row
-    lcm = 1
-    for v in row.values():
-        d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    g = 0
-    scaled = {}
-    for j, v in row.items():
-        n = int(v * lcm)
-        scaled[j] = n
-        g = gcd(g, n)
-    if g > 1:
-        scaled = {j: n // g for j, n in scaled.items()}
-    return {j: Fraction(n) for j, n in scaled.items()}
-
-
 def _echelon(field: Field, rows: list, ncols: int):
-    """Forward-eliminate in place; returns pivot columns.
+    """Forward-eliminate a copy of `rows`; returns (pivot columns, pivot rows).
 
-    Q path: rows are first scaled to primitive integer rows; each row that
-    meets the pivot column is replaced by (pivot * row - factor * pivot row)
-    divided by the previous pivot.  Rows that miss the pivot column are not
-    rescaled, so unlike true Bareiss elimination the division need not be
-    exact and entries can become non-integer fractions.  Each update is an
-    invertible row operation over Q, so pivots, ranks and row spaces are
-    exact.  F_p path: plain Gaussian elimination with normalized pivots.
+    One Gaussian elimination in exact field arithmetic, the same for Q and
+    F_p.  At each column the pivot is the candidate row (an unused row that
+    meets the column) with the fewest nonzeros, ties broken by position; the
+    other candidates are the only rows that need an update.  Pivot rows are
+    returned in pivot order, not normalized.
     """
-    rational = field.char == 0
-    if rational:
-        work = [_clear_denominators(r) for r in rows]
-    else:
-        work = [dict(r) for r in rows]
+    work = [dict(r) for r in rows]
     pivcols = []
     pivrows = []
     used = [False] * len(work)
-    prev_pivot = field.one()
     for col in range(ncols):
         cand = [i for i in range(len(work)) if not used[i] and col in work[i]]
         if not cand:
@@ -303,36 +266,21 @@ def _echelon(field: Field, rows: list, ncols: int):
         pivcols.append(col)
         pivrows.append(piv)
         prow = work[piv]
-        pval = prow[col]
-        for i in range(len(work)):
-            if used[i] or col not in work[i]:
+        pinv = field.inv(prow[col])
+        for i in cand:
+            if i == piv:
                 continue
             row = work[i]
-            fac = row.pop(col)
-            if rational:
-                # row := (pval*row - fac*prow) / prev_pivot, division exact
-                keys = set(row) | set(prow)
-                keys.discard(col)
-                for j in keys:
-                    v = (pval * row.get(j, 0) - fac * prow.get(j, 0)) / prev_pivot
-                    if v:
-                        row[j] = v
-                    else:
-                        row.pop(j, None)
-            else:
-                q = field.div(fac, pval)
-                for j, pv in prow.items():
-                    if j == col:
-                        continue
-                    v = field.sub(row.get(j, 0), field.mul(q, pv))
-                    if v:
-                        row[j] = v
-                    else:
-                        row.pop(j, None)
-        if rational:
-            prev_pivot = pval
-    ordered = [work[i] for i in pivrows]
-    return pivcols, ordered
+            q = field.mul(row.pop(col), pinv)
+            for j, pv in prow.items():
+                if j == col:
+                    continue
+                v = field.sub(row.get(j, 0), field.mul(q, pv))
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+    return pivcols, [work[i] for i in pivrows]
 
 
 def rref(field: Field, rows: list, ncols: int):

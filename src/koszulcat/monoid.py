@@ -97,9 +97,6 @@ class GradedCarrier:
                 actions[(x, y, i)] = Matrix.zeros(self.field, dims[y], dims[x])
         return Representation(self.cat, dims, actions, name="%s_%d" % (name, deg))
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 @dataclass(frozen=True)
 class Element:
@@ -177,10 +174,10 @@ class Monoid:
 
 
 class Module:
-    __slots__ = ("monoid", "carrier", "side", "left", "right", "name", "tags")
+    __slots__ = ("monoid", "carrier", "side", "left", "right", "name")
 
     def __init__(self, monoid: Monoid, carrier: GradedCarrier, side: str,
-                 left: Optional[dict], right: Optional[dict], name="M", tags=None):
+                 left: Optional[dict], right: Optional[dict], name="M"):
         if side not in ("left", "right", "bi"):
             raise StructuralError("side must be left, right or bi")
         self.monoid = monoid
@@ -189,7 +186,6 @@ class Module:
         self.left = left    # (x, d1, y, d2): A(x)_{d1} (x) M(y)_{d2} -> M(x<>y)
         self.right = right  # (x, d1, y, d2): M(x)_{d1} (x) A(y)_{d2} -> M(x<>y)
         self.name = name
-        self.tags = dict(tags or {})  # structural notes, e.g. induced-from-base
 
     @property
     def cat(self):
@@ -528,7 +524,6 @@ def commutant(a: Monoid, x: str) -> dict:
         if not rows_of_blocks:
             out[d] = Subspace.full(field, dim_b)
             continue
-        from .matrix import vstack
         stacked = vstack(rows_of_blocks)
         out[d] = Subspace.from_columns(field, dim_b, kernel_basis(stacked))
     return out

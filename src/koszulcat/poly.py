@@ -193,8 +193,6 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     it is verified invertible degreewise and unit-preserving.  On the trivial
     backend the monoid-morphism property of Phi is verified cellwise as well.
     """
-    if c.poly_info is None and c.cap == 0:
-        c = polynomial_monoid(c, 0, 0)  # no-op; keeps the interface uniform
     info_c = c.poly_info
     info_d = d.poly_info
     n = info_c.nvars if info_c else 0
@@ -219,8 +217,8 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
 
     def beta(d1, d2):
         """(C_n)(y)_{d1} (x) (D_m)(z)_{d2} -> E_{n+m}(y<>z)_{d1+d2}."""
-        mons1 = multi_indices(n, d1) if n else multi_indices(0, d1)
-        mons2 = multi_indices(m, d2) if m else multi_indices(0, d2)
+        mons1 = multi_indices(n, d1)
+        mons2 = multi_indices(m, d2)
         tgt_index = mono_index(n + m, d1 + d2)
         out = {}
         for y in cat.objects:
@@ -258,7 +256,7 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
                 out[(y, z)] = mat
         return out
 
-    phi = gt.induced_map_cells(merged.carrier, beta, shift=0)
+    phi = gt.induced_map_cells(merged.carrier, beta)
     for (x, deg), mat in sorted(phi.items()):
         if mat.nrows != mat.ncols or (mat.nrows and rank(mat) != mat.nrows):
             raise IsoFailureError("Phi fails to be invertible at (%s, %d)" % (x, deg))

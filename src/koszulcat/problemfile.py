@@ -222,7 +222,12 @@ class _Parser:
             handler = getattr(self, "p_" + head.replace("-", "_"), None)
             if handler is None:
                 self.err("unknown directive %r" % head)
-            handler(toks, line)
+            try:
+                handler(toks, line)
+            except (ValueError, IndexError):
+                # a missing token or '=': self.i is the offending line, also
+                # inside a monoid block
+                self.err("malformed line %r" % self.lines[self.i].split("#", 1)[0].strip())
             self.i += 1
         if self.field is None:
             raise ParseError("missing 'field' line in %s" % self.path)
@@ -246,6 +251,8 @@ class _Parser:
         self.backend = toks[1]
 
     def p_objects(self, toks, line):
+        if len(toks) < 2:
+            self.err("expected: objects names...")
         self.objects = toks[1:]
 
     def p_unit(self, toks, line):
@@ -257,10 +264,8 @@ class _Parser:
         self.diamond[(toks[1], toks[2])] = toks[4]
 
     def p_hom(self, toks, line):
-        if "=" not in toks:
-            self.err("expected: hom x y = names...")
-        eq = toks.index("=")
-        if eq != 3:
+        # an empty hom space is declared by omitting its line
+        if len(toks) < 5 or toks[3] != "=":
             self.err("expected: hom x y = names...")
         self.hom[(toks[1], toks[2])] = tuple(toks[4:])
 
@@ -328,6 +333,7 @@ class _Parser:
             self.monoids[name] = MonoidDecl("identity")
             return
         decl = MonoidDecl("table")
+        opened = self.i + 1
         self.i += 1
         while self.i < len(self.lines):
             raw = self.lines[self.i].split("#", 1)[0].strip()
@@ -362,10 +368,12 @@ class _Parser:
                     self.err("expected: act mor basisname = lincomb")
                 decl.acts.setdefault(parts[0], {})[parts[1]] = self.lincomb(expr)
             else:
-                self.err("unknown monoid directive %r" % toks2[0])
+                self.err("unknown monoid directive %r in the block opened at line %d"
+                         % (toks2[0], opened))
             self.i += 1
         else:
-            self.err("monoid block for %r not closed with 'end'" % name)
+            self.err("monoid block for %r opened at line %d not closed with 'end'"
+                     % (name, opened))
         self.monoids[name] = decl
 
     def p_poly(self, toks, line):

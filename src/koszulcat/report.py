@@ -36,11 +36,6 @@ class ValidationReport:
     def add(self, axiom: str, instance: str):
         self.violations.append(Violation(axiom, instance))
 
-    def merge(self, other: "ValidationReport") -> "ValidationReport":
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-        return self
-
     def to_text(self) -> str:
         lines = ["validation of %s: %s (%d axiom instances checked)"
                  % (self.subject, "PASS" if self.ok else "FAIL", self.checked)]
@@ -95,8 +90,8 @@ class GradedReport:
     entries: list = dc_field(default_factory=list)
     certificates: list = dc_field(default_factory=list)
 
-    def add_entry(self, p, obj, degree, dim, certified=True):
-        self.entries.append(ReportEntry(p, obj, degree, dim, certified))
+    def add_entry(self, p, obj, degree, dim):
+        self.entries.append(ReportEntry(p, obj, degree, dim))
 
     def add_certificate(self, name, passed, detail="", witness=None):
         self.certificates.append(Certificate(name, passed, detail, witness))

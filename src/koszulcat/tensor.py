@@ -258,7 +258,7 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
     else:
         raise ValueError("side must be 'left' or 'right'")
 
-    pre = gt.induced_map_cells(target, beta, shift=0)
+    pre = gt.induced_map_cells(target, beta)
     out = {}
     for cell, mat in sorted(pre.items()):
         q = coeq.quots[cell]
@@ -399,8 +399,7 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
     act_cells = gt.induced_map_cells(
         m.carrier,
         lambda d1, d2: {(y, z): m.left_cell(y, d1, z, d2)
-                        for y in cat.objects for z in cat.objects},
-        shift=0)
+                        for y in cat.objects for z in cat.objects})
     diffs.append(GradedMap(field, terms[1], terms[0],
                            {(x, d, d): mat for (x, d), mat in act_cells.items()}))
 

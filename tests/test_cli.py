@@ -195,3 +195,12 @@ def test_thread_count_is_bounded(monkeypatch):
         resolve_threads()
     monkeypatch.delenv("KOSZULCAT_THREADS")
     assert main(["validate", pfile("trivial_q.kz"), "--threads", "100000"]) == 2
+
+
+@pytest.mark.parametrize("line", ["compose u_gg u_eg", "unit", "rep reg dims e",
+                                  "identity e", "module M", "task", "main"])
+def test_malformed_line_exits_two_with_its_number(tmp_path, capsys, line):
+    path = tmp_path / "bad.kz"
+    path.write_text("field Q\nbackend finite\nobjects e g\n%s\n" % line)
+    assert main(["validate", str(path)]) == 2
+    assert "line 4" in capsys.readouterr().err

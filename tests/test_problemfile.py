@@ -1,5 +1,8 @@
 """Problem-file grammar: scalars, blocks, finite-backend tables, errors."""
 
+import glob
+import os
+
 import pytest
 
 from koszulcat.errors import ParseError, StructuralError
@@ -144,3 +147,25 @@ main A
     assert validate_monoid(subject).ok
     # 1/4 over F_7 is 2
     assert subject.pairing_cell("1", 0, "1", 0).entry(1, 3) == 2
+
+
+SHIPPED = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "problems", "*.kz")))
+
+
+def test_truncated_directive_lines_name_their_line():
+    # cut every directive line of the shipped corpus after each of its tokens
+    # but the last: the file parses, or the error names the cut line
+    cuts = 0
+    for path in SHIPPED:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for i, raw in enumerate(lines):
+            toks = raw.split("#", 1)[0].split()
+            for k in range(1, len(toks)):
+                text = "\n".join(lines[:i] + [" ".join(toks[:k])] + lines[i + 1:])
+                cuts += 1
+                try:
+                    parse_problem_text(text, path)
+                except ParseError as exc:
+                    assert "line %d" % (i + 1) in str(exc), (path, i + 1, toks[:k], str(exc))
+    assert len(SHIPPED) == 5 and cuts > 400
