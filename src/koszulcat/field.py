@@ -1,8 +1,11 @@
 """Exact scalar arithmetic over Q or a prime field F_p.
 
-Rationals are `fractions.Fraction` (always reduced, positive denominator);
-prime-field scalars are ints in [0, p).  A `Field` value tags every matrix
-and carrier in the package; mixing fields raises `FieldError`.
+A rational is a Python `int` while it is integral and becomes a
+`fractions.Fraction` (reduced, positive denominator) only after a division
+that does not come out even; every operation turns an integral `Fraction`
+back into an `int`, so integer data never pay for boxing.  Prime-field
+scalars are ints in [0, p).  A `Field` value tags every matrix and carrier
+in the package; mixing fields raises `FieldError`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,12 @@ from fractions import Fraction
 
 from .errors import FieldError
 
-Scalar = object  # Fraction for char 0, int for char p
+Scalar = object  # char 0: int if integral, else Fraction; char p: int in [0, p)
+
+
+def _integral(x):
+    """A rational `Fraction` with denominator 1 as its `int`, else `x` itself."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _is_prime(p: int) -> bool:
@@ -65,32 +73,45 @@ class Field:
     # -- arithmetic --------------------------------------------------------
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.char == 0 else 0
+        return 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.char == 0 else 1
+        return 1
 
     def from_int(self, n: int) -> Scalar:
-        return Fraction(n) if self.char == 0 else n % self.char
+        return n % self.char if self.char else int(n)
 
     def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
+        if self.char:
+            return (a + b) % self.char
+        s = a + b
+        return s if s.__class__ is int else _integral(s)
 
     def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
+        if self.char:
+            return (a - b) % self.char
+        s = a - b
+        return s if s.__class__ is int else _integral(s)
 
     def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
+        if self.char:
+            return (a * b) % self.char
+        s = a * b
+        return s if s.__class__ is int else _integral(s)
 
     def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
+        if self.char:
+            return (-a) % self.char
+        return -a if a.__class__ is int else _integral(-a)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        if self.char == 0:
-            return 1 / Fraction(a)
-        return pow(a, self.char - 2, self.char)
+        if self.char:
+            return pow(a, self.char - 2, self.char)
+        if a.__class__ is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        return _integral(1 / a)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -106,7 +127,7 @@ class Field:
                 raise FieldError("scalar %r does not belong to %s" % (text, self.descriptor()))
             return int(val) % self.char
         if self.char == 0:
-            return Fraction(t)
+            return _integral(Fraction(t))
         if "/" in t:
             num, den = t.split("/")
             return self.div(self.from_int(int(num)), self.from_int(int(den)))

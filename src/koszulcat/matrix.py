@@ -1,8 +1,9 @@
 """Exact sparse linear algebra: kernels, images, quotients, sections, Kronecker.
 
 Matrices are stored row-sparse (one dict per row, zeros omitted).  Every
-reduction is one Gaussian elimination in exact field arithmetic (`Fraction`
-over Q, reduced ints over F_p; see `_echelon`).  Pivot rows are chosen by
+reduction is one Gaussian elimination in exact field arithmetic (over Q ints
+until a division leaves a remainder, then `Fraction`; reduced ints over F_p;
+see `koszulcat.field` and `_echelon`).  Pivot rows are chosen by
 minimal fill (fewest nonzeros, ties by position), so every reduction is
 deterministic and results are bit-reproducible regardless of thread count.
 """

@@ -334,6 +334,8 @@ class _Parser:
             return
         decl = MonoidDecl("table")
         opened = self.i + 1
+        basis_lines = []
+        uses = []  # (line, basis names the line refers to)
         self.i += 1
         while self.i < len(self.lines):
             raw = self.lines[self.i].split("#", 1)[0].strip()
@@ -344,6 +346,7 @@ class _Parser:
                 break
             toks2 = raw.split()
             if toks2[0] == "basis":
+                basis_lines.append("line %d" % (self.i + 1))
                 if ":" in toks2:
                     sep = toks2.index(":")
                     decl.basis[toks2[1]] = tuple(toks2[sep + 1:])
@@ -353,20 +356,23 @@ class _Parser:
                     decl.basis["1"] = tuple(toks2[1:])
             elif toks2[0] == "unit":
                 decl.unit = self.lincomb(raw[len("unit"):])
+                uses.append((self.i + 1, decl.unit))
             elif toks2[0] == "mul":
                 body = raw[len("mul"):]
                 left, expr = body.split("=", 1)
                 parts = left.split()
                 if len(parts) != 2:
                     self.err("expected: mul a b = lincomb")
-                decl.mul[(parts[0], parts[1])] = self.lincomb(expr)
+                combo = decl.mul[(parts[0], parts[1])] = self.lincomb(expr)
+                uses.append((self.i + 1, parts + list(combo)))
             elif toks2[0] == "act":
                 body = raw[len("act"):]
                 left, expr = body.split("=", 1)
                 parts = left.split()
                 if len(parts) != 2:
                     self.err("expected: act mor basisname = lincomb")
-                decl.acts.setdefault(parts[0], {})[parts[1]] = self.lincomb(expr)
+                combo = decl.acts.setdefault(parts[0], {})[parts[1]] = self.lincomb(expr)
+                uses.append((self.i + 1, [parts[1]] + list(combo)))
             else:
                 self.err("unknown monoid directive %r in the block opened at line %d"
                          % (toks2[0], opened))
@@ -374,6 +380,13 @@ class _Parser:
         else:
             self.err("monoid block for %r opened at line %d not closed with 'end'"
                      % (name, opened))
+        declared = {nm for names in decl.basis.values() for nm in names}
+        for ln, names in uses:
+            for nm in names:
+                if nm not in declared:
+                    raise ParseError("undeclared basis name %r in monoid %r (basis at %s)"
+                                     % (nm, name, ", ".join(basis_lines) or "no line"),
+                                     line=ln)
         self.monoids[name] = decl
 
     def p_poly(self, toks, line):

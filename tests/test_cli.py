@@ -204,3 +204,28 @@ def test_malformed_line_exits_two_with_its_number(tmp_path, capsys, line):
     path.write_text("field Q\nbackend finite\nobjects e g\n%s\n" % line)
     assert main(["validate", str(path)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+UNDECLARED = """field Q
+backend trivial
+monoid A
+  basis one
+  unit %s
+  mul %s
+end
+main A
+"""
+
+
+@pytest.mark.parametrize("unit, mul, line", [
+    ("1*one", "one one = 1*nope", 6),
+    ("1*nope", "one one = 1*one", 5),
+    ("1*one", "nope one = 1*one", 6),
+], ids=["mul-right-side", "unit", "mul-left-operand"])
+def test_undeclared_basis_name_exits_two(tmp_path, capsys, unit, mul, line):
+    path = tmp_path / "undeclared.kz"
+    path.write_text(UNDECLARED % (unit, mul))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err
+    assert "line %d" % line in err
