@@ -721,8 +721,9 @@ class RegularityCertificate:
 def is_regular(a: Monoid, elt: Element, m: Module) -> RegularityCertificate:
     """Certify that elt acts injectively on every cell of m within the window.
 
-    Requires elt central (the definition lives in the commutant); reports a
-    nonzero annihilated witness otherwise during the scan.
+    Requires elt central (the definition lives in the commutant); reports the
+    first nonzero annihilated vector as the witness.  `is_regular_sequence`
+    decides stages by dimension count and calls this only on a failing stage.
     """
     if not is_central(a, elt):
         raise NotCentralError("element at (%s, degree %d) is not in the commutant"
@@ -763,21 +764,38 @@ class SequenceCertificate:
 
 
 def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertificate:
-    """Definition-checked regular sequence: successive quotients plus A/<gens> != 0."""
-    module = regular_bimodule(a)
+    """Regular sequence by dimension count, plus A/<gens> != 0.
+
+    With I = A<g_1..g_{i-1}> and g = g_i central of degree e, g is injective on
+    (A/I)_(x,d) iff dim(I + A g)_(x,d+e) - dim I_(x,d+e) = dim A_(x,d) - dim
+    I_(x,d): the ideal of central elements is a sub-bimodule, and A g is g A up
+    to the symmetry.  Only a failing stage builds A/I, where `is_regular` finds
+    the witness.  final_dims is dim A - dim A<gens> per cell.
+    """
+    car = a.carrier
+    ideal = generated_submodule(a, [])
     stages = []
-    current = module
+    failed = None
     for i, g in enumerate(gens):
-        cert = is_regular(a, g, current)
-        stages.append(cert)
-        if not cert.regular:
-            final = quotient_module(module, generated_submodule(a, gens)).module
-            dims = dict(final.carrier.dims)
-            return SequenceCertificate(False, stages, any(dims.values()), i, dims,
-                                       a.carrier.truncated)
-        sub = generated_submodule(a, gens[:i + 1])
-        current = quotient_module(module, sub).module
-    dims = dict(current.carrier.dims) if gens else dict(a.carrier.dims)
+        if not is_central(a, g):
+            raise NotCentralError("element at (%s, degree %d) is not in the commutant"
+                                  % (g.obj, g.degree))
+        e = g.degree
+        grown = generated_submodule(a, gens[:i + 1])
+        cells = [(x, d) for (x, d) in car.cells() if d + e <= car.cap]
+        if all(grown[(x, d + e)].dim - ideal[(x, d + e)].dim == car.dim(x, d) - ideal[(x, d)].dim
+               for (x, d) in cells):
+            stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
+                                                car.truncated))
+            ideal = grown
+            continue
+        stages.append(is_regular(a, g, quotient_module(regular_bimodule(a), ideal).module))
+        if stages[-1].regular:
+            raise StructuralError("stage %d: dimension count and kernel scan disagree" % i)
+        failed, ideal = i, generated_submodule(a, gens)
+        break
+    dims = {c: car.dim(*c) - ideal[c].dim for c in car.cells()} if gens else dict(car.dims)
     nonzero = any(dims.values())
-    return SequenceCertificate(nonzero, stages, nonzero,
-                               None if nonzero else len(gens), dims, a.carrier.truncated)
+    if failed is None and not nonzero:
+        failed = len(gens)
+    return SequenceCertificate(failed is None, stages, nonzero, failed, dims, car.truncated)

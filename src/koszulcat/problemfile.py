@@ -185,6 +185,7 @@ class _Parser:
         self.reps = {}
         self.monoids = {}
         self.main = None
+        self.main_line = None
         self.modules = {}
         self.task = {}
 
@@ -233,6 +234,9 @@ class _Parser:
             raise ParseError("missing 'field' line in %s" % self.path)
         if self.backend is None:
             raise ParseError("missing 'backend' line in %s" % self.path)
+        if self.main is not None and self.main not in self.monoids:
+            raise ParseError("'main' names no declared monoid %r" % self.main,
+                             line=self.main_line)
         cat = self.build_category()
         return ProblemFile(self.path, self.field, self.backend, cat, self.monoids,
                            self.reps, self.main, self.modules, self.task)
@@ -397,7 +401,7 @@ class _Parser:
                                            var_names=tuple(toks[5:]))
 
     def p_main(self, toks, line):
-        self.main = toks[1]
+        self.main, self.main_line = toks[1], self.i + 1
 
     def p_module(self, toks, line):
         name = toks[1]

@@ -229,3 +229,18 @@ def test_undeclared_basis_name_exits_two(tmp_path, capsys, unit, mul, line):
     err = capsys.readouterr().err
     assert "'nope'" in err
     assert "line %d" % line in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "koszul", "hh", "syzygy"])
+def test_main_naming_undeclared_monoid_exits_two(tmp_path, capsys, verb):
+    with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\nmain A\n" in text
+    path = tmp_path / "main_b.kz"
+    path.write_text(text.replace("\nmain A\n", "\nmain B\n"))
+    report = tmp_path / "out.json"
+    assert main([verb, str(path), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "line 10" in err and "'B'" in err
+    assert "Traceback" not in err
+    assert not report.exists()

@@ -336,3 +336,20 @@ def test_xbar_sequence_fails_item_one():
     assert not cert.regular
     assert cert.failed_stage == 0
     assert cert.stages[0].witness is not None
+
+
+def test_failing_stage_keeps_witness_past_a_noncentral_generator():
+    # N, the sum of the group, is central and kills e - t12, so the tuple fails
+    # at stage 0; e + t12 is never certified and must not be used to build a
+    # quotient, or its unstable right ideal would hide the stage-0 witness
+    a = s3_group_algebra(QQ)
+    n = Element(U, 0, tuple(QQ.one() for _ in a.unit_element().coords))
+    e, t12 = a.basis_element("e"), a.basis_element("t12")
+    g = Element(U, 0, tuple(QQ.add(x, y) for x, y in zip(e.coords, t12.coords)))
+    with pytest.raises(StabilityError):
+        quotient_module(regular_bimodule(a), generated_submodule(a, [n, g]))
+    cert = is_regular_sequence(a, [n, g])
+    assert not cert.regular and cert.failed_stage == 0
+    assert len(cert.stages) == 1
+    assert cert.stages[0].witness == is_regular(a, n, regular_bimodule(a)).witness
+    assert cert.final_dims == {(U, 0): 3}
