@@ -34,13 +34,16 @@ from koszulcat.koszul import build_koszul, check_resolution, pascal_split
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
     Module,
+    degree_zero_carrier,
     generated_submodule,
+    identity_monoid,
     quotient_module,
     regular_bimodule,
     scalar_monoid,
 )
 from koszulcat.poly import multi_indices, polynomial_monoid, variable_element
-from koszulcat.tensor import build_syzygy_resolution
+from koszulcat.sample import c2_convolution_category, c2_regular_representation
+from koszulcat.tensor import build_syzygy_resolution, module_over_identity, tensor_over_monoid
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -60,6 +63,10 @@ CLI_CASES = [
     ("tensor_over_dual_numbers", ["tensor-over", "problems/dual_numbers.kz",
                                   "--module", "R,M"], 0),
     ("regular_check_poly_xy", ["regular-check", "problems/poly_xy.kz"], 0),
+    ("hh_c2conv", ["hh", "problems/c2conv.kz", "-n", "1", "-p", "1",
+                   "--max-degree", "3"], 0),
+    ("syzygy_c2conv", ["syzygy", "problems/c2conv.kz", "-n", "1", "--module", "R",
+                       "--max-degree", "3"], 0),
 ]
 
 F101 = Field(101)
@@ -67,6 +74,11 @@ F101 = Field(101)
 
 def _base(field):
     return scalar_monoid(CategoryPresentation.trivial(field))
+
+
+def _c2_base(field):
+    """The Day unit of the C2 convolution category: every Day quotient is proper."""
+    return identity_monoid(c2_convolution_category(field))
 
 
 def _poly(field, n, cap):
@@ -103,15 +115,15 @@ def _twisted_bimodule(a):
     return Module(a, a.carrier, "bi", dict(a.pairing), right, name="twisted")
 
 
-def _digest(gmap) -> str:
-    """SHA-256 of a graded map's nonzero blocks, in a canonical text form.
+def _digest(blocks) -> str:
+    """SHA-256 of the nonzero matrices of a dict, in a canonical text form.
 
     A zero block reads the same whether it is stored or not, so only the
     nonzero ones enter the digest.
     """
     h = hashlib.sha256()
-    for key in sorted(gmap.blocks, key=repr):
-        m = gmap.blocks[key]
+    for key in sorted(blocks, key=repr):
+        m = blocks[key]
         if m.is_zero():
             continue
         h.update(("%r %dx%d\n" % (key, m.nrows, m.ncols)).encode())
@@ -122,7 +134,7 @@ def _digest(gmap) -> str:
 
 
 def _complex_lines(cx):
-    return ["map d%d %s" % (p, _digest(d)) for p, d in enumerate(cx.diffs) if d is not None]
+    return ["map d%d %s" % (p, _digest(d.blocks)) for p, d in enumerate(cx.diffs) if d is not None]
 
 
 def _check_resolution_lines(field, n, cap, alphas_of):
@@ -139,12 +151,12 @@ def _pascal_lines(field, n, cap, alphas_of):
     lines = ["report " + sw.report.to_json_str()] + _complex_lines(kc.complex)
     for name in ("iota", "tau", "sigma"):
         for p, gmap in enumerate(getattr(sw, name)):
-            lines.append("map %s%d %s" % (name, p, _digest(gmap)))
+            lines.append("map %s%d %s" % (name, p, _digest(gmap.blocks)))
     return lines
 
 
-def _bimodule_lines(field, n, cap):
-    res = koszul_bimodule_resolution(build_enveloping(_base(field), n, cap))
+def _bimodule_lines(base, n, cap):
+    res = koszul_bimodule_resolution(build_enveloping(base, n, cap))
     return ["report " + res.report.to_json_str()] + _complex_lines(res.complex)
 
 
@@ -152,13 +164,28 @@ def _hochschild_lines(field, n, cap, coeffs_of):
     e = build_enveloping(_base(field), n, cap)
     m = coeffs_of(e.a_n)
     lines = ["report " + hochschild_cohomology(e, m, p).to_json_str() for p in range(n + 2)]
-    return lines + ["map phi%d %s" % (p, _digest(_cochain_phi(e, m, p))) for p in range(n)]
+    return lines + ["map phi%d %s" % (p, _digest(_cochain_phi(e, m, p).blocks)) for p in range(n)]
 
 
-def _syzygy_lines(field, n, cap, module_of):
-    e = build_enveloping(_base(field), n, cap)
+def _syzygy_lines(base, n, cap, module_of):
+    e = build_enveloping(base, n, cap)
     res = build_syzygy_resolution(e, module_of(e.a_n))
     return ["report " + res.report.to_json_str()] + _complex_lines(res.complex)
+
+
+def _tensor_over_identity_lines(field):
+    """M (x)_I M and M (x)_I I for the C2 regular representation M over the Day unit I."""
+    cat = c2_convolution_category(field)
+    ident = identity_monoid(cat)
+    m = module_over_identity(degree_zero_carrier(c2_regular_representation(cat), "reg"),
+                             ident)
+    lines = []
+    for label, n in (("MM", m), ("MI", regular_bimodule(ident))):
+        coeq = tensor_over_monoid(m, n)
+        lines.append("dims %s %r" % (label, sorted(coeq.dims().items())))
+        lines.append("map projection%s %s" % (label, _digest(
+            {cell: q.projection for cell, q in coeq.quots.items()})))
+    return lines
 
 
 def _square_last(a):
@@ -181,15 +208,19 @@ LIB_CASES = {
     "check_resolution_f101": lambda: _check_resolution_lines(F101, 2, 4, _repeat_first),
     "pascal_split_q": lambda: _pascal_lines(QQ, 3, 4, _variables),
     "pascal_split_f101": lambda: _pascal_lines(F101, 2, 5, _square_last),
-    "bimodule_resolution_q": lambda: _bimodule_lines(QQ, 2, 3),
-    "bimodule_resolution_f101": lambda: _bimodule_lines(F101, 1, 4),
+    "bimodule_resolution_q": lambda: _bimodule_lines(_base(QQ), 2, 3),
+    "bimodule_resolution_f101": lambda: _bimodule_lines(_base(F101), 1, 4),
+    "bimodule_resolution_c2_f101": lambda: _bimodule_lines(_c2_base(F101), 2, 3),
     "hochschild_regular_q": lambda: _hochschild_lines(QQ, 2, 3, regular_bimodule),
     "hochschild_twisted_q": lambda: _hochschild_lines(QQ, 2, 3, _twisted_bimodule),
     "hochschild_twisted_f101": lambda: _hochschild_lines(F101, 2, 3,
                                                          _twisted_bimodule),
-    "syzygy_regular_q": lambda: _syzygy_lines(QQ, 2, 3, regular_bimodule),
-    "syzygy_cyclic_f101": lambda: _syzygy_lines(F101, 2, 3,
+    "syzygy_regular_q": lambda: _syzygy_lines(_base(QQ), 2, 3, regular_bimodule),
+    "syzygy_cyclic_f101": lambda: _syzygy_lines(_base(F101), 2, 3,
                                                 _first_variable_quotient),
+    "syzygy_cyclic_c2_f101": lambda: _syzygy_lines(_c2_base(F101), 2, 3,
+                                                   _first_variable_quotient),
+    "tensor_over_identity_c2_f101": lambda: _tensor_over_identity_lines(F101),
 }
 
 
