@@ -13,6 +13,13 @@ hom basis element.  Day convolution of two representations is computed as a
 pointwise quotient of the direct sum over object pairs of
 hom(y <> z, x) (x) F(y) (x) G(z) by the naturality relations generated by the
 hom basis elements, with induced functorial actions.
+
+The basis order is decided once.  Kronecker products put the left factor
+slowest (`Matrix.kron`).  The Day ambient at x lists the summands by object
+pair, y slowest, then z; a summand's coordinates are the Kronecker ones of
+hom(y <> z, x) (x) F(y) (x) G(z), hom index slowest, then F(y), then G(z).
+Only `DaySummand` knows where a summand starts, and every map into the
+ambient is a Kronecker block that it positions for `matrix.place`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import StructuralError
 from .field import Field
-from .matrix import Matrix, Subspace, quotient, rank
+from .matrix import Matrix, Subspace, hstack, place, quotient, rank
 from .report import ValidationReport
 
 UNIT_NAME = "1"
@@ -350,8 +357,22 @@ def validate_representation(cat: CategoryPresentation, f: Representation) -> Val
 # -- Day convolution ----------------------------------------------------------
 
 
+def _columns(field: Field, nrows: int, coeffs) -> Matrix:
+    """The nrows x len(coeffs) matrix whose column j has the entries coeffs[j]."""
+    rows = [dict() for _ in range(nrows)]
+    for j, c in enumerate(coeffs):
+        for i, v in c.items():
+            rows[i][j] = v
+    return Matrix(field, nrows, len(coeffs), rows)
+
+
 @dataclass
 class DaySummand:
+    """The summand hom(y<>z, x) (x) F(y) (x) G(z) of the Day ambient at x.
+
+    Its Kronecker coordinates start at row `offset` of the ambient.
+    """
+
     y: str
     z: str
     hom_dim: int
@@ -363,12 +384,27 @@ class DaySummand:
     def size(self):
         return self.hom_dim * self.dim_f * self.dim_g
 
+    def block(self, act: Matrix, col: int = 0, hom: Matrix = None):
+        """`place` block putting hom (x) act into this summand's rows, from column col.
+
+        hom has one row per basis arrow of hom(y<>z, x), the identity when
+        None; act lands in F(y) (x) G(z).  `place` only reads the block, so
+        act passes through uncopied when hom is 1 x 1 and one.
+        """
+        if hom is None:
+            if self.hom_dim == 1:
+                return (self.offset, col, act)
+            hom = Matrix.identity(act.field, self.hom_dim)
+        elif hom.nrows == hom.ncols == 1 and hom.rows[0].get(0) == 1:
+            return (self.offset, col, act)
+        return (self.offset, col, hom.kron(act))
+
 
 class DayTensor:
     """Pointwise coend presentation of F (x) G with its induced actions.
 
-    Ambient basis at x: per object pair (y, z), triples h (x) a (x) b with the
-    hom index slowest, then F(y), then G(z).
+    layout[x] maps each object pair (y, z) to its `DaySummand` in the
+    ambient at x; quot[x] is the quotient of that ambient by the relations.
     """
 
     __slots__ = ("cat", "f", "g", "layout", "quot", "rep")
@@ -377,23 +413,22 @@ class DayTensor:
         self.cat = cat
         self.f = f
         self.g = g
-        self.layout = layout  # x -> list[DaySummand]
+        self.layout = layout  # x -> {(y, z): DaySummand}
         self.quot = quot      # x -> QuotientPresentation
         self.rep = rep
 
-    def summand(self, x, y, z) -> DaySummand:
-        for s in self.layout[x]:
-            if s.y == y and s.z == z:
-                return s
-        raise StructuralError("no summand (%s, %s) at %s" % (y, z, x))
+    def pure_map(self, x, y, z, h: Mor) -> Matrix:
+        """F(y) (x) G(z) -> (F (x) G)(x), a (x) b |-> the class of h (x) a (x) b.
 
-    def ambient_dim(self, x) -> int:
-        lay = self.layout[x]
-        return lay[-1].offset + lay[-1].size if lay else 0
-
-    def ambient_index(self, x, y, z, h_idx, a_idx, b_idx) -> int:
-        s = self.summand(x, y, z)
-        return s.offset + (h_idx * s.dim_f + a_idx) * s.dim_g + b_idx
+        h is a morphism y<>z -> x; the identity of y<>z gives the universal
+        pure-tensor map into (F (x) G)(y<>z).
+        """
+        fld = self.cat.field
+        s = self.layout[x][(y, z)]
+        pair = Matrix.identity(fld, s.dim_f * s.dim_g)
+        amb = place(fld, self.quot[x].ambient, pair.ncols,
+                    [s.block(pair, hom=_columns(fld, s.hom_dim, [h.coeffs]))])
+        return self.quot[x].projection * amb
 
     def induced_map(self, target: Representation, beta: dict) -> dict:
         """Descend a natural bilinear family beta[(y,z)]: F(y) (x) G(z) -> H(y<>z).
@@ -404,17 +439,16 @@ class DayTensor:
         fld = self.cat.field
         out = {}
         for x in self.cat.objects:
-            amb = Matrix.zeros(fld, target.dims[x], self.ambient_dim(x))
-            for s in self.layout[x]:
-                yz = self.cat.dobj(s.y, s.z)
-                b_cell = beta[(s.y, s.z)]
+            blocks = []
+            for (y, z), s in self.layout[x].items():
+                yz = self.cat.dobj(y, z)
+                b_cell = beta[(y, z)]
                 if b_cell.nrows != target.dims[yz] or b_cell.ncols != s.dim_f * s.dim_g:
-                    raise StructuralError("bilinear cell (%s, %s) has wrong shape" % (s.y, s.z))
-                for h_idx in range(s.hom_dim):
-                    blk = target.action_basis((yz, x, h_idx)) * b_cell
-                    for i, row in enumerate(blk.rows):
-                        for j, v in row.items():
-                            amb.rows[i][s.offset + h_idx * s.dim_f * s.dim_g + j] = v
+                    raise StructuralError("bilinear cell (%s, %s) has wrong shape" % (y, z))
+                if s.hom_dim:
+                    blocks.append((0, s.offset, hstack(
+                        [target.action_basis((yz, x, h)) * b_cell for h in range(s.hom_dim)])))
+            amb = place(fld, target.dims[x], self.quot[x].ambient, blocks)
             out[x] = amb * self.quot[x].section
             # well-definedness: the ambient map must kill the relations
             if not (amb * self.quot[x].sub.basis).is_zero():
@@ -423,93 +457,73 @@ class DayTensor:
 
 
 def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) -> DayTensor:
-    """Build the coend quotient of the direct sum over (y, z) at every object."""
+    """Build the coend quotient of the direct sum over (y, z) at every object.
+
+    The relations at x are, for each arrow phi: y -> y' and h: y'<>z -> x,
+    h(phi<>z) (x) a (x) b - h (x) F(phi)a (x) b, and the same in the right
+    variable; each family over a (x) b is one Kronecker block per summand.
+    """
     fld = cat.field
+    eye = {}
+
+    def identity(n):
+        if n not in eye:
+            eye[n] = Matrix.identity(fld, n)
+        return eye[n]
+
+    # the naturality families, the same at every x: (summand, phi<>z or
+    # y<>psi, target summand, -(F(phi) (x) I) or -(I (x) G(psi)))
+    families = []
+    for (y, yp, i) in cat.all_basis_mors():
+        f_phi = f.action_basis((y, yp, i))
+        for z in cat.objects:
+            families.append(((y, z), cat.diamond(cat.basis_mor(y, yp, i), cat.identity_mor(z)),
+                             (yp, z), -f_phi.kron(identity(g.dims[z]))))
+    for (z, zp, j) in cat.all_basis_mors():
+        g_psi = g.action_basis((z, zp, j))
+        for y in cat.objects:
+            families.append(((y, z), cat.diamond(cat.identity_mor(y), cat.basis_mor(z, zp, j)),
+                             (y, zp), -identity(f.dims[y]).kron(g_psi)))
     layout = {}
     quot = {}
     for x in cat.objects:
-        lay = []
+        lay = {}
         off = 0
         for y in cat.objects:
             for z in cat.objects:
-                hd = cat.hom_dim(cat.dobj(y, z), x)
-                s = DaySummand(y, z, hd, f.dims[y], g.dims[z], off)
-                lay.append(s)
-                off += s.size
+                lay[(y, z)] = DaySummand(y, z, cat.hom_dim(cat.dobj(y, z), x),
+                                         f.dims[y], g.dims[z], off)
+                off += lay[(y, z)].size
         layout[x] = lay
-        amb_dim = off
-
-        def idx(y, z, h_idx, a_idx, b_idx, lay=lay):
-            for s in lay:
-                if s.y == y and s.z == z:
-                    return s.offset + (h_idx * s.dim_f + a_idx) * s.dim_g + b_idx
-            raise AssertionError
-
-        relations = []
-        # left-variable relations: phi: y -> y'
-        for (y, yp, i) in cat.all_basis_mors():
-            phi = cat.basis_mor(y, yp, i)
-            f_phi = f.action_basis((y, yp, i))
-            for z in cat.objects:
-                shifted = cat.diamond(phi, cat.identity_mor(z))  # y<>z -> y'<>z
-                hd = cat.hom_dim(cat.dobj(yp, z), x)
-                for h_idx in range(hd):
-                    h = cat.basis_mor(cat.dobj(yp, z), x, h_idx)
-                    h_shift = cat.compose(h, shifted)  # in hom(y<>z, x)
-                    for a_idx in range(f.dims[y]):
-                        col_fa = f_phi.column(a_idx)
-                        for b_idx in range(g.dims[z]):
-                            vec = {}
-                            for k, c in h_shift.coeffs.items():
-                                vec[idx(y, z, k, a_idx, b_idx)] = c
-                            for ap, c in enumerate(col_fa):
-                                if c:
-                                    t = idx(yp, z, h_idx, ap, b_idx)
-                                    vec[t] = fld.sub(vec.get(t, fld.zero()), c)
-                            if vec:
-                                relations.append(vec)
-        # right-variable relations: psi: z -> z'
-        for (z, zp, j) in cat.all_basis_mors():
-            psi = cat.basis_mor(z, zp, j)
-            g_psi = g.action_basis((z, zp, j))
-            for y in cat.objects:
-                shifted = cat.diamond(cat.identity_mor(y), psi)  # y<>z -> y<>z'
-                hd = cat.hom_dim(cat.dobj(y, zp), x)
-                for h_idx in range(hd):
-                    h = cat.basis_mor(cat.dobj(y, zp), x, h_idx)
-                    h_shift = cat.compose(h, shifted)
-                    for a_idx in range(f.dims[y]):
-                        for b_idx in range(g.dims[z]):
-                            col_gb = g_psi.column(b_idx)
-                            vec = {}
-                            for k, c in h_shift.coeffs.items():
-                                vec[idx(y, z, k, a_idx, b_idx)] = c
-                            for bp, c in enumerate(col_gb):
-                                if c:
-                                    t = idx(y, zp, h_idx, a_idx, bp)
-                                    vec[t] = fld.sub(vec.get(t, fld.zero()), c)
-                            if vec:
-                                relations.append(vec)
-        cols = [[v.get(i, fld.zero()) for i in range(amb_dim)] for v in relations]
-        sub = Subspace.from_columns(fld, amb_dim, cols)
-        quot[x] = quotient(amb_dim, sub)
+        # per family and h: h(shifted) (x) a (x) b - h (x) act(a (x) b), over h, a, b
+        blocks = []
+        ncols = 0
+        for src_yz, shifted, tgt_yz, neg_act in families:
+            src, tgt = lay[src_yz], lay[tgt_yz]
+            if not tgt.hom_dim or not neg_act.ncols:
+                continue
+            h_shift = _columns(fld, src.hom_dim,
+                               [cat.compose(cat.basis_mor(cat.dobj(*tgt_yz), x, h), shifted).coeffs
+                                for h in range(tgt.hom_dim)])
+            blocks.append(src.block(identity(neg_act.ncols), ncols, hom=h_shift))
+            blocks.append(tgt.block(neg_act, ncols))
+            ncols += tgt.hom_dim * neg_act.ncols
+        quot[x] = quotient(off, Subspace.from_matrix_columns(place(fld, off, ncols, blocks)))
 
     dims = {x: quot[x].dim for x in cat.objects}
     # induced functorial actions: postcompose the hom factor
     actions = {}
     for (x, xp, k) in cat.all_basis_mors():
         chi = cat.basis_mor(x, xp, k)
-        amb_map_rows = Matrix.zeros(fld, quot[xp].ambient, quot[x].ambient)
-        for s in layout[x]:
-            yz = cat.dobj(s.y, s.z)
-            sp = next(t for t in layout[xp] if t.y == s.y and t.z == s.z)
-            for h_idx in range(s.hom_dim):
-                comp = cat.compose(chi, cat.basis_mor(yz, x, h_idx))
-                for hp_idx, c in comp.coeffs.items():
-                    for rest in range(s.dim_f * s.dim_g):
-                        amb_map_rows.rows[sp.offset + hp_idx * s.dim_f * s.dim_g + rest][
-                            s.offset + h_idx * s.dim_f * s.dim_g + rest] = c
-        actions[(x, xp, k)] = quot[xp].projection * amb_map_rows * quot[x].section
+        blocks = []
+        for (y, z), s in layout[x].items():
+            sp = layout[xp][(y, z)]
+            yz = cat.dobj(y, z)
+            post = _columns(fld, sp.hom_dim, [cat.compose(chi, cat.basis_mor(yz, x, h)).coeffs
+                                              for h in range(s.hom_dim)])
+            blocks.append(sp.block(identity(s.dim_f * s.dim_g), s.offset, hom=post))
+        amb = place(fld, quot[xp].ambient, quot[x].ambient, blocks)
+        actions[(x, xp, k)] = quot[xp].projection * amb * quot[x].section
     rep = Representation(cat, dims, actions,
                          name="(%s(x)%s)" % (f.name, g.name))
     return DayTensor(cat, f, g, layout, quot, rep)
@@ -520,41 +534,37 @@ def day_convolution(cat: CategoryPresentation, f: Representation, g: Representat
     return day_tensor(cat, f, g).rep
 
 
+def unit_action(cat: CategoryPresentation, f: Representation, y, z, side: str) -> Matrix:
+    """The unit action I(y) (x) F(z) -> F(y<>z) ("left") or F(y) (x) I(z) -> F(y<>z).
+
+    A basis arrow phi of I(y) = hom(1, y) acts by F(phi<>z), one of I(z) by
+    F(y<>phi); columns are in Kronecker order of the two factors.
+    """
+    fld, u = cat.field, cat.unit
+    unit_obj = y if side == "left" else z
+    acts = [Matrix.zeros(fld, f.dims[cat.dobj(y, z)], 0)]
+    for k in range(cat.hom_dim(u, unit_obj)):
+        phi = cat.basis_mor(u, unit_obj, k)
+        acts.append(f.action(cat.diamond(phi, cat.identity_mor(z)) if side == "left"
+                             else cat.diamond(cat.identity_mor(y), phi)))
+    by_arrow = hstack(acts)  # columns phi (x) a
+    if side == "left":
+        return by_arrow
+    return by_arrow * Matrix.commutation(fld, f.dims[y], cat.hom_dim(u, z))
+
+
 def day_unit_iso(cat: CategoryPresentation, f: Representation, side: str):
     """Explicit natural isomorphism I (x) F -> F (resp. F (x) I -> F).
 
     Returns (DayTensor, per-object matrices); raises StructuralError if the
     canonical map fails to be invertible at some object.
     """
-    fld = cat.field
-    ident = identity_representation(cat)
-    if side == "left":
-        dt = day_tensor(cat, ident, f)
-        beta = {}
-        for y in cat.objects:
-            for z in cat.objects:
-                cols = []
-                for k in range(cat.hom_dim(cat.unit, y)):
-                    phi = cat.basis_mor(cat.unit, y, k)
-                    mat = f.action(cat.diamond(phi, cat.identity_mor(z)))
-                    for a_idx in range(f.dims[z]):
-                        cols.append(list(mat.column(a_idx)))
-                beta[(y, z)] = Matrix.from_columns(fld, f.dims[cat.dobj(y, z)], cols)
-    elif side == "right":
-        dt = day_tensor(cat, f, ident)
-        beta = {}
-        for y in cat.objects:
-            for z in cat.objects:
-                cols = []
-                for a_idx in range(f.dims[y]):
-                    for k in range(cat.hom_dim(cat.unit, z)):
-                        phi = cat.basis_mor(cat.unit, z, k)
-                        mat = f.action(cat.diamond(cat.identity_mor(y), phi))
-                        cols.append(list(mat.column(a_idx)))
-                beta[(y, z)] = Matrix.from_columns(fld, f.dims[cat.dobj(y, z)], cols)
-    else:
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    maps = dt.induced_map(f, beta)
+    ident = identity_representation(cat)
+    dt = day_tensor(cat, ident, f) if side == "left" else day_tensor(cat, f, ident)
+    maps = dt.induced_map(f, {(y, z): unit_action(cat, f, y, z, side)
+                              for y in cat.objects for z in cat.objects})
     for x in cat.objects:
         m = maps[x]
         if m.nrows != m.ncols or rank(m) != m.nrows:

@@ -76,14 +76,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _task_value(args, problem, key, cast=str, default=None):
+def _task_value(args, problem, key, default=None):
+    """The flag's value, else the task line's (validated by the parser), else default."""
     cli_val = getattr(args, key.replace("-", "_"), None)
     if cli_val is not None:
         return cli_val
-    if key in problem.task:
-        raw = problem.task[key]
-        return cast(raw) if raw is not True else True
-    return default
+    return problem.task.get(key, default)
 
 
 def _fail(msg, code):
@@ -105,7 +103,7 @@ def main(argv=None) -> int:
                      % (problem.field.descriptor(), args.field), 2)
     try:
         parallel_map = make_parallel_map(resolve_threads(args.threads))
-        cap = _task_value(args, problem, "max-degree", int, default=4)
+        cap = _task_value(args, problem, "max-degree", default=4)
         handler = {
             "validate": cmd_validate,
             "koszul": cmd_koszul,
@@ -229,9 +227,9 @@ def _polynomial_setup(args, problem):
     degree-0 subject is the base itself and the variables get default names.
     """
     main = problem.monoids[problem.main_name()]
-    n = _task_value(args, problem, "nvars", int)
+    n = _task_value(args, problem, "nvars")
     if n is None:
-        n = _task_value(args, problem, "n", int)
+        n = _task_value(args, problem, "n")
     if main.kind == "poly":
         base = problem.build_monoid(main.over, 0)
         if n is None:
@@ -247,9 +245,9 @@ def _polynomial_setup(args, problem):
 
 def cmd_hh(args, problem, cap, parallel_map):
     subject, n, var_names = _polynomial_setup(args, problem)
-    p = _task_value(args, problem, "codegree", int)
+    p = _task_value(args, problem, "codegree")
     if p is None:
-        p = _task_value(args, problem, "p", int)
+        p = _task_value(args, problem, "p")
     if p is None:
         raise ParseError("hh needs -p")
     cert = certify_tensor_idempotent(subject)

@@ -154,5 +154,5 @@ QQ = Field(0)
 
 
 def check_same_field(a: Field, b: Field):
-    if a != b:
+    if a is not b and a != b:
         raise FieldError("mixed fields: %s vs %s" % (a.descriptor(), b.descriptor()))

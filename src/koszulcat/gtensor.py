@@ -1,9 +1,12 @@
 """Degreewise tensor product of graded carriers.
 
 A cell (x, d) of L (x) R is the direct sum over d1 + d2 = d of the Day
-convolution of the degree slices, blocks ordered by ascending d1.  On the
-trivial backend every Day quotient is the identity, so the cells reduce to
-plain Kronecker products.
+convolution (L_{d1} (x) R_{d2})(x) of the degree slices: layout[(x, d)][d1]
+is the block of degree split (d1, d - d1), blocks in ascending d1.  Inside a
+block the coordinates are those of the Day quotient (see `DayTensor`).  On
+the trivial backend every Day quotient is the identity, so a block is the
+plain Kronecker product L_{d1} (x) R_{d2}, left factor slowest.  Maps are
+assembled from Kronecker products placed at these offsets (`matrix.place`).
 """
 
 from __future__ import annotations
@@ -11,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import day_tensor
-from .matrix import Matrix
+from .matrix import Matrix, place
 from .monoid import GradedCarrier
 
 
 @dataclass
 class TensorBlock:
+    """The block of degree split (d1, d2) in a cell, at rows offset.. of the cell."""
+
     d1: int
     d2: int
     dim: int
@@ -61,12 +66,6 @@ class GradedTensor:
     def dim(self, x, d) -> int:
         return self.dims.get((x, d), 0)
 
-    def block(self, x, d, d1) -> TensorBlock:
-        for b in self.layout[(x, d)]:
-            if b.d1 == d1:
-                return b
-        raise KeyError((x, d, d1))
-
     def pure_cell_vector(self, tgt_obj, d1, d2, y, z, vec_l, vec_r) -> list:
         """Embed a pure tensor v (x) w in L(y)_{d1} (x) R(z)_{d2} into cell (y<>z, d).
 
@@ -74,25 +73,12 @@ class GradedTensor:
         """
         cat, field = self.cat, self.field
         d = d1 + d2
-        dt = self.day[(d1, d2)]
-        amb = [field.zero()] * dt.ambient_dim(tgt_obj)
-        ident = cat.identity_mor(cat.dobj(y, z))
-        for h_idx, hc in ident.coeffs.items():
-            for a_idx, va in enumerate(vec_l):
-                if not va:
-                    continue
-                for b_idx, vb in enumerate(vec_r):
-                    if not vb:
-                        continue
-                    amb[dt.ambient_index(tgt_obj, y, z, h_idx, a_idx, b_idx)] = \
-                        field.mul(hc, field.mul(va, vb))
-        proj = dt.quot[tgt_obj].projection
-        small = proj.apply(amb)
-        out = [field.zero()] * self.dim(tgt_obj, d)
-        blk = self.block(tgt_obj, d, d1)
-        for i, v in enumerate(small):
-            out[blk.offset + i] = v
-        return out
+        pure = self.day[(d1, d2)].pure_map(tgt_obj, y, z, cat.identity_mor(cat.dobj(y, z)))
+        vw = Matrix.from_columns(field, len(vec_l), [vec_l]).kron(
+            Matrix.from_columns(field, len(vec_r), [vec_r]))
+        cell = place(field, self.dim(tgt_obj, d), 1,
+                     [(self.layout[(tgt_obj, d)][d1].offset, 0, pure * vw)])
+        return list(cell.column(0))
 
     def map_factor(self, op_cells: dict, shift: int, factor: str) -> dict:
         """Apply a natural degree-raising family to one tensor factor.
@@ -100,59 +86,34 @@ class GradedTensor:
         op_cells maps (obj, deg) to a matrix raising the factor degree by
         `shift`; returns cell blocks (x, d) -> Matrix into (x, d + shift) of
         this tensor, which is right when the factor carrier is closed under
-        the shift.  Naturality of the family is what makes the ambient map
-        descend through the Day quotients.
+        the shift.  On the Day summand (y, z) the ambient map is
+        I_hom (x) op (x) I_R (left) or I_hom (x) I_L (x) op (right);
+        naturality of the family is what makes it descend through the Day
+        quotients.
         """
         fld = self.field
+        left = factor == "left"
         out = {}
         for d in range(self.cap + 1 - shift):
             for x in self.cat.objects:
-                mat = Matrix.zeros(fld, self.dim(x, d + shift), self.dim(x, d))
+                cell = []
                 for b in self.layout[(x, d)]:
-                    if factor == "left":
-                        tb_d1 = b.d1 + shift
-                        tb_d2 = b.d2
-                    else:
-                        tb_d1 = b.d1
-                        tb_d2 = b.d2 + shift
-                    tb = self.block(x, d + shift, tb_d1)
+                    tb_d1 = b.d1 + shift if left else b.d1
                     src_day = self.day[(b.d1, b.d2)]
-                    tgt_day = self.day[(tb_d1, tb_d2)]
-                    amb = Matrix.zeros(fld, tgt_day.quot[x].ambient,
-                                       src_day.quot[x].ambient)
-                    for s in src_day.layout[x]:
-                        ts = tgt_day.summand(x, s.y, s.z)
-                        op = op_cells.get((s.y, b.d1) if factor == "left" else (s.z, b.d2))
+                    tgt_day = self.day[(tb_d1, d + shift - tb_d1)]
+                    amb = []
+                    for (y, z), s in src_day.layout[x].items():
+                        op = op_cells.get((y, b.d1) if left else (z, b.d2))
+                        ts = tgt_day.layout[x][(y, z)]
                         if op is None or s.size == 0 or ts.size == 0:
                             continue
-                        for h_idx in range(s.hom_dim):
-                            if factor == "left":
-                                for a_idx in range(s.dim_f):
-                                    for ap_idx, v in enumerate(op.column(a_idx)):
-                                        if not v:
-                                            continue
-                                        for b_idx in range(s.dim_g):
-                                            r = ts.offset + (h_idx * ts.dim_f + ap_idx) \
-                                                * ts.dim_g + b_idx
-                                            c = s.offset + (h_idx * s.dim_f + a_idx) \
-                                                * s.dim_g + b_idx
-                                            amb.rows[r][c] = v
-                            else:
-                                for a_idx in range(s.dim_f):
-                                    for b_idx in range(s.dim_g):
-                                        for bp_idx, v in enumerate(op.column(b_idx)):
-                                            if not v:
-                                                continue
-                                            r = ts.offset + (h_idx * ts.dim_f + a_idx) \
-                                                * ts.dim_g + bp_idx
-                                            c = s.offset + (h_idx * s.dim_f + a_idx) \
-                                                * s.dim_g + b_idx
-                                            amb.rows[r][c] = v
-                    small = tgt_day.quot[x].projection * amb * src_day.quot[x].section
-                    for i, row in enumerate(small.rows):
-                        for j, v in row.items():
-                            mat.rows[tb.offset + i][b.offset + j] = v
-                out[(x, d)] = mat
+                        act = op.kron(Matrix.identity(fld, s.dim_g)) if left \
+                            else Matrix.identity(fld, s.dim_f).kron(op)
+                        amb.append(ts.block(act, s.offset))
+                    amb = place(fld, tgt_day.quot[x].ambient, src_day.quot[x].ambient, amb)
+                    cell.append((self.layout[(x, d + shift)][tb_d1].offset, b.offset,
+                                 tgt_day.quot[x].projection * amb * src_day.quot[x].section))
+                out[(x, d)] = place(fld, self.dim(x, d + shift), self.dim(x, d), cell)
         return out
 
     def induced_map_cells(self, target: GradedCarrier, beta_fn) -> dict:
@@ -166,14 +127,11 @@ class GradedTensor:
         betas = {}
         for d in range(min(self.cap, target.cap) + 1):
             for x in self.cat.objects:
-                mat = Matrix.zeros(self.field, target.dim(x, d), self.dim(x, d))
+                cell = []
                 for b in self.layout[(x, d)]:
                     if (b.d1, b.d2) not in betas:
                         betas[(b.d1, b.d2)] = self.day[(b.d1, b.d2)].induced_map(
                             target.slice_rep(b.d1 + b.d2), beta_fn(b.d1, b.d2))
-                    blk = betas[(b.d1, b.d2)][x]
-                    for i, row in enumerate(blk.rows):
-                        for j, v in row.items():
-                            mat.rows[i][b.offset + j] = v
-                out[(x, d)] = mat
+                    cell.append((0, b.offset, betas[(b.d1, b.d2)][x]))
+                out[(x, d)] = place(self.field, target.dim(x, d), self.dim(x, d), cell)
         return out

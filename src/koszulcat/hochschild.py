@@ -33,6 +33,7 @@ from .poly import (
     MergeResult,
     merge_variables,
     mono_index,
+    monomial_product,
     multi_indices,
     polynomial_monoid,
     variable_element,
@@ -136,14 +137,13 @@ class EnvelopingData:
 
 def _collapse_matrix(field, n, d, base_dim):
     """Monomial collapse u^i v^j -> t^(i+j), identity on base coordinates."""
-    src = multi_indices(2 * n, d)
     tgt = mono_index(n, d)
-    mat = Matrix.zeros(field, len(mono_index(n, d)) * base_dim, len(src) * base_dim)
-    for s_idx, m in enumerate(src):
-        t_idx = tgt[tuple(m[k] + m[n + k] for k in range(n))]
-        for b in range(base_dim):
-            mat.rows[t_idx * base_dim + b][s_idx * base_dim + b] = field.one()
-    return mat
+    src = multi_indices(2 * n, d)
+    collapse = Matrix.from_entries(
+        field, len(tgt), len(src),
+        {(tgt[tuple(m[k] + m[n + k] for k in range(n))], s_idx): field.one()
+         for s_idx, m in enumerate(src)})
+    return collapse.kron(Matrix.identity(field, base_dim))
 
 
 def build_enveloping(a: Monoid, n: int, cap: int,
@@ -291,7 +291,6 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
     a, n, c = e.base, e.n, e.c
     field = a.field
     cap = c.cap
-    base_dim = {x: a.carrier.dim(x, 0) for x in a.cat.objects}
 
     # expansion of u^i (u - v)^j over the u, v monomials, by integer combinatorics
     def expand(m):
@@ -327,14 +326,9 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
     # untouched by the substitution so it suffices to check the monomial layer
     for d1 in range(cap + 1):
         for d2 in range(cap + 1 - d1):
-            m1 = multi_indices(2 * n, d1)
-            m2 = multi_indices(2 * n, d2)
-            tgt = mono_index(2 * n, d1 + d2)
-            conv = Matrix.zeros(field, len(tgt), len(m1) * len(m2))
-            for i1, a1 in enumerate(m1):
-                for i2, a2 in enumerate(m2):
-                    conv.rows[tgt[tuple(x + y for x, y in zip(a1, a2))]][i1 * len(m2) + i2] \
-                        = field.one()
+            conv = monomial_product(field, multi_indices(2 * n, d1), multi_indices(2 * n, d2),
+                                    mono_index(2 * n, d1 + d2),
+                                    lambda u, v: tuple(x + y for x, y in zip(u, v)))
             lhs = psi[d1 + d2] * conv
             rhs = conv * psi[d1].kron(psi[d2])
             if lhs != rhs:
@@ -344,13 +338,9 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
     for i in range(1, n + 1):
         w_expo = tuple(1 if k == n + i - 1 else 0 for k in range(2 * n))
         col = mono_index(2 * n, 1)[w_expo]
-        target = psi[1].column(col)
-        diff = e.alphas[i - 1].coords
-        bd = base_dim[a.cat.unit]
-        for k, t in enumerate(target):
-            for j in range(bd):
-                if diff[k * bd + j] != field.mul(t, e.c.unit[j]):
-                    return False
+        unit = Matrix.from_columns(field, len(e.c.unit), [e.c.unit])
+        if psi[1].select_columns([col]).kron(unit).column(0) != tuple(e.alphas[i - 1].coords):
+            return False
     return True
 
 

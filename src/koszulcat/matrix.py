@@ -119,6 +119,8 @@ class Matrix:
         f = self.field
         if not c:
             return Matrix.zeros(f, self.nrows, self.ncols)
+        if c == 1:
+            return Matrix(f, self.nrows, self.ncols, [dict(r) for r in self.rows])
         return Matrix(f, self.nrows, self.ncols,
                       [{j: f.mul(c, v) for j, v in r.items()} for r in self.rows])
 
@@ -166,17 +168,33 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major bases (left factor slowest)."""
         check_same_field(self.field, other.field)
-        f = self.field
-        p, q = other.nrows, other.ncols
+        if self.nrows == self.ncols == 1:
+            return other.scale(self.rows[0].get(0, 0))
+        if other.nrows == other.ncols == 1:
+            return self.scale(other.rows[0].get(0, 0))
+        mul = self.field.mul
+        q = other.ncols
         rows = []
         for ra in self.rows:
+            scaled = [(j * q, a) for j, a in ra.items()]
             for rb in other.rows:
                 r = {}
-                for j, a in ra.items():
-                    for l, b in rb.items():
-                        r[j * q + l] = f.mul(a, b)
+                for jq, a in scaled:
+                    if a == 1:
+                        for l, b in rb.items():
+                            r[jq + l] = b
+                    else:
+                        for l, b in rb.items():
+                            r[jq + l] = mul(a, b)
                 rows.append(r)
-        return Matrix(f, self.nrows * p, self.ncols * q, rows)
+        return Matrix(self.field, self.nrows * other.nrows, self.ncols * q, rows)
+
+    @staticmethod
+    def commutation(field: Field, p: int, q: int) -> "Matrix":
+        """The swap F^p (x) F^q -> F^q (x) F^p, a (x) b |-> b (x) a."""
+        one = field.one()
+        return Matrix(field, q * p, p * q,
+                      [{i * q + j: one} for j in range(q) for i in range(p)])
 
     def select_columns(self, cols: Sequence[int]) -> "Matrix":
         pos = {c: k for k, c in enumerate(cols)}
@@ -202,9 +220,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     for m in mats:
         if m.nrows != n:
             raise DimensionError("hstack row mismatch")
-        for i, r in enumerate(m.rows):
-            for j, v in r.items():
-                rows[i][off + j] = v
+        for row, r in zip(rows, m.rows):
+            row.update({off + j: v for j, v in r.items()} if off else r)
         off += m.ncols
     return Matrix(f, n, off, rows)
 
@@ -222,6 +239,33 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(f, len(rows), n, rows)
 
 
+def place(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
+    """The nrows x ncols sum of the blocks (r0, c0, m), each m at rows r0.., columns c0...
+
+    This is the one step that writes a block at an offset; overlapping
+    blocks add, and entries that cancel are dropped.
+    """
+    rows = [dict() for _ in range(nrows)]
+    for r0, c0, m in blocks:
+        if r0 + m.nrows > nrows or c0 + m.ncols > ncols:
+            raise DimensionError("a %dx%d block at (%d,%d) exceeds %dx%d"
+                                 % (m.nrows, m.ncols, r0, c0, nrows, ncols))
+        for i, r in enumerate(m.rows, r0):
+            row = rows[i]
+            shifted = {c0 + j: v for j, v in r.items()} if c0 else r
+            if row.keys().isdisjoint(shifted):
+                row.update(shifted)
+                continue
+            for j, v in shifted.items():
+                if j in row:
+                    v = field.add(row[j], v)
+                    if not v:
+                        del row[j]
+                        continue
+                row[j] = v
+    return Matrix(field, nrows, ncols, rows)
+
+
 def block_matrix(field: Field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> Matrix:
     """Assemble from a dict {(bi, bj): Matrix}; missing blocks are zero."""
     row_off = [0]
@@ -230,16 +274,12 @@ def block_matrix(field: Field, blocks, row_dims: Sequence[int], col_dims: Sequen
     col_off = [0]
     for d in col_dims:
         col_off.append(col_off[-1] + d)
-    rows = [dict() for _ in range(row_off[-1])]
     for (bi, bj), m in blocks.items():
         if m.nrows != row_dims[bi] or m.ncols != col_dims[bj]:
             raise DimensionError("block (%d,%d) has shape %dx%d, expected %dx%d"
                                  % (bi, bj, m.nrows, m.ncols, row_dims[bi], col_dims[bj]))
-        r0, c0 = row_off[bi], col_off[bj]
-        for i, r in enumerate(m.rows):
-            for j, v in r.items():
-                rows[r0 + i][c0 + j] = v
-    return Matrix(field, row_off[-1], col_off[-1], rows)
+    return place(field, row_off[-1], col_off[-1],
+                 [(row_off[bi], col_off[bj], m) for (bi, bj), m in blocks.items()])
 
 
 # -- elimination core --------------------------------------------------------
@@ -364,18 +404,22 @@ class Subspace:
             if len(c) != ambient:
                 raise DimensionError("spanning vector has length %d, ambient %d"
                                      % (len(c), ambient))
-        rows = [{j: v for j, v in enumerate(c) if v} for c in cols]
+        return Subspace._span(field, ambient, [{j: v for j, v in enumerate(c) if v}
+                                               for c in cols])
+
+    @staticmethod
+    def from_matrix_columns(m: Matrix) -> "Subspace":
+        return Subspace._span(m.field, m.nrows, m.transpose().rows)
+
+    @staticmethod
+    def _span(field: Field, ambient: int, rows: list) -> "Subspace":
+        """Canonical basis of the span of sparse vectors (dicts, zeros omitted)."""
         pivcols, red = rref(field, rows, ambient)
         basis = Matrix.zeros(field, ambient, len(red))
         for k, r in enumerate(red):
             for j, v in r.items():
                 basis.rows[j][k] = v
         return Subspace(field, ambient, basis, pivcols)
-
-    @staticmethod
-    def from_matrix_columns(m: Matrix) -> "Subspace":
-        return Subspace.from_columns(m.field, m.nrows,
-                                     [m.column(j) for j in range(m.ncols)])
 
     @property
     def dim(self) -> int:
@@ -435,8 +479,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def image(m: Matrix) -> Subspace:
     """Canonical basis of the column space; dim = rank."""
-    sub = Subspace.from_columns(m.field, m.nrows,
-                                [m.column(j) for j in range(m.ncols)])
+    sub = Subspace.from_matrix_columns(m)
     if sub.dim > min(m.nrows, m.ncols):
         raise DimensionError("image of a %dx%d matrix has dimension %d"
                              % (m.nrows, m.ncols, sub.dim))

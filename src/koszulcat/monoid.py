@@ -410,13 +410,9 @@ def is_commutative(a: Monoid) -> bool:
                     dx, dy = car.dim(x, d1), car.dim(y, d2)
                     if 0 in (dx, dy):
                         continue
-                    swap = Matrix.zeros(field, dy * dx, dx * dy)
-                    for i in range(dx):
-                        for j in range(dy):
-                            swap.rows[j * dx + i][i * dy + j] = field.one()
                     s_act = slices[d1 + d2].action(cat.symmetry_mor(x, y))
                     lhs = s_act * a.pairing_cell(x, d1, y, d2)
-                    rhs = a.pairing_cell(y, d2, x, d1) * swap
+                    rhs = a.pairing_cell(y, d2, x, d1) * Matrix.commutation(field, dx, dy)
                     if lhs != rhs:
                         return False
     return True

@@ -22,7 +22,10 @@ def resolve_threads(flag_value=None) -> int:
         n = int(flag_value)
     else:
         raw = os.environ.get(ENV_VAR)
-        n = int(raw) if raw else 1
+        try:
+            n = int(raw) if raw else 1
+        except ValueError:
+            raise PreconditionError("%s must be an integer, got %r" % (ENV_VAR, raw)) from None
     if n < 1:
         raise PreconditionError("thread count must be positive, got %d" % n)
     if n > MAX_THREADS:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import IsoFailureError, PreconditionError, StructuralError
 from .gtensor import GradedTensor
-from .matrix import Matrix, rank
+from .matrix import Matrix, hstack, place, rank
 from .monoid import Element, GradedCarrier, Monoid, is_central
 
 
@@ -35,6 +35,15 @@ def multi_indices(n: int, d: int) -> tuple:
 @lru_cache(maxsize=None)
 def mono_index(n: int, d: int) -> dict:
     return {m: i for i, m in enumerate(multi_indices(n, d))}
+
+
+def monomial_product(field, mons1, mons2, tgt_index: dict, combine) -> Matrix:
+    """The 0/1 matrix of u (x) v |-> combine(u, v) on monomial bases, one column block per u."""
+    return hstack([Matrix.zeros(field, len(tgt_index), 0)] + [
+        Matrix.from_entries(field, len(tgt_index), len(mons2),
+                            {(tgt_index[combine(u, v)], j): field.one()
+                             for j, v in enumerate(mons2)})
+        for u in mons1])
 
 
 def mono_str(m: tuple, var_names) -> str:
@@ -147,12 +156,10 @@ def variable_element(g: Monoid, i: int) -> Element:
         raise PreconditionError("cap too small to contain the variables")
     cat, field = g.cat, g.field
     expo = tuple(1 if k == i - 1 else 0 for k in range(n))
-    m_idx = mono_index(n, 1)[expo]
-    base_dim = g.poly_info.base.carrier.dim(cat.unit, 0)
-    coords = [field.zero()] * g.carrier.dim(cat.unit, 1)
-    for j, c in enumerate(g.unit):
-        coords[m_idx * base_dim + j] = c
-    elt = Element(cat.unit, 1, tuple(coords))
+    # the monomial t_i times the unit of the base
+    mono = Matrix.from_entries(field, n, 1, {(mono_index(n, 1)[expo], 0): field.one()})
+    coords = mono.kron(Matrix.from_columns(field, len(g.unit), [g.unit])).column(0)
+    elt = Element(cat.unit, 1, coords)
     if not is_central(g, elt):
         raise StructuralError("variable %d is not central; pairing data is inconsistent" % i)
     return elt
@@ -216,44 +223,27 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     gt = GradedTensor(c.carrier, d.carrier, cap=cap)
 
     def beta(d1, d2):
-        """(C_n)(y)_{d1} (x) (D_m)(z)_{d2} -> E_{n+m}(y<>z)_{d1+d2}."""
+        """(C_n)(y)_{d1} (x) (D_m)(z)_{d2} -> E_{n+m}(y<>z)_{d1+d2}.
+
+        u^i a (x) v^j b |-> u^i v^j W(a (x) b): the monomial product times the
+        witnessed pure-tensor map, after the middle swap of the factors.
+        """
         mons1 = multi_indices(n, d1)
         mons2 = multi_indices(m, d2)
-        tgt_index = mono_index(n + m, d1 + d2)
+        # u^i (x) v^j |-> u^i v^j: the exponent tuples concatenate
+        mono = monomial_product(field, mons1, mons2, mono_index(n + m, d1 + d2),
+                                lambda u, v: u + v)
         out = {}
         for y in cat.objects:
             for z in cat.objects:
                 yz = cat.dobj(y, z)
                 dim_cy = base_c.carrier.dim(y, 0)
                 dim_dz = base_d.carrier.dim(z, 0)
-                tgt_dim = merged.carrier.dim(yz, d1 + d2)
-                base_tgt = e_base.carrier.dim(yz, 0)
-                pure = {}
-                for a_idx in range(dim_cy):
-                    va = [field.zero()] * dim_cy
-                    va[a_idx] = field.one()
-                    for b_idx in range(dim_dz):
-                        vb = [field.zero()] * dim_dz
-                        vb[b_idx] = field.one()
-                        amb = [field.zero()] * day0.ambient_dim(yz)
-                        ident = cat.identity_mor(yz)
-                        for h_idx, hc in ident.coeffs.items():
-                            amb[day0.ambient_index(yz, y, z, h_idx, a_idx, b_idx)] = hc
-                        small = day0.quot[yz].projection.apply(amb)
-                        pure[(a_idx, b_idx)] = witness[yz].apply(small)
-                mat = Matrix.zeros(field, tgt_dim,
-                                   len(mons1) * dim_cy * len(mons2) * dim_dz)
-                for i1, m1 in enumerate(mons1):
-                    for i2, m2 in enumerate(mons2):
-                        t_idx = tgt_index[m1 + m2]
-                        for a_idx in range(dim_cy):
-                            for b_idx in range(dim_dz):
-                                col = (i1 * dim_cy + a_idx) * (len(mons2) * dim_dz) \
-                                    + (i2 * dim_dz + b_idx)
-                                for r, v in enumerate(pure[(a_idx, b_idx)]):
-                                    if v:
-                                        mat.rows[t_idx * base_tgt + r][col] = v
-                out[(y, z)] = mat
+                pure = witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
+                swap = Matrix.identity(field, len(mons1)).kron(
+                    Matrix.commutation(field, dim_cy, len(mons2))).kron(
+                    Matrix.identity(field, dim_dz))
+                out[(y, z)] = mono.kron(pure) * swap
         return out
 
     phi = gt.induced_map_cells(merged.carrier, beta)
@@ -287,12 +277,8 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
 
     def block_embed(d1, d2, mat_cols):
         """Columns in C_{d1} (x) D_{d2} coordinates, embedded in the cell."""
-        blk = gt.block(u, d1 + d2, d1)
-        big = Matrix.zeros(field, gt.dim(u, d1 + d2), mat_cols.ncols)
-        for i, row in enumerate(mat_cols.rows):
-            for j, v in row.items():
-                big.rows[blk.offset + i][j] = v
-        return big
+        return place(field, gt.dim(u, d1 + d2), mat_cols.ncols,
+                     [(gt.layout[(u, d1 + d2)][d1].offset, 0, mat_cols)])
 
     for da1 in range(cap + 1):
         for da2 in range(cap + 1 - da1):
@@ -300,18 +286,11 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
                 for db2 in range(cap + 1 - da1 - da2 - db1):
                     dc1, dd1 = c.carrier.dim(u, da1), d.carrier.dim(u, da2)
                     dc2, dd2 = c.carrier.dim(u, db1), d.carrier.dim(u, db2)
-                    size = dc1 * dd1 * dc2 * dd2
-                    if size == 0:
+                    if dc1 * dd1 * dc2 * dd2 == 0:
                         continue
                     # middle swap: (p1 q1 p2 q2) -> (p1 p2 q1 q2)
-                    swap = Matrix.zeros(field, size, size)
-                    for i1 in range(dc1):
-                        for j1 in range(dd1):
-                            for i2 in range(dc2):
-                                for j2 in range(dd2):
-                                    src = ((i1 * dd1 + j1) * dc2 + i2) * dd2 + j2
-                                    dst = ((i1 * dc2 + i2) * dd1 + j1) * dd2 + j2
-                                    swap.rows[dst][src] = field.one()
+                    swap = Matrix.identity(field, dc1).kron(
+                        Matrix.commutation(field, dd1, dc2)).kron(Matrix.identity(field, dd2))
                     mu_cc = c.pairing_cell(u, da1, u, db1)
                     mu_dd = d.pairing_cell(u, da2, u, db2)
                     mu_tensor = mu_cc.kron(mu_dd) * swap

@@ -57,6 +57,12 @@ from .monoid import (
 from .poly import element_from_name, polynomial_monoid
 
 
+# task-line keys: those that take an integer, those that name data, bare flags
+TASK_INT_KEYS = ("max-degree", "n", "nvars", "p", "codegree")
+TASK_NAME_KEYS = ("alpha", "module")
+TASK_FLAGS = ("check-resolution",)
+
+
 @dataclass
 class MonoidDecl:
     kind: str                     # "table" | "identity" | "poly"
@@ -418,11 +424,19 @@ class _Parser:
     def p_task(self, toks, line):
         task = {"op": toks[1]}
         for item in toks[2:]:
-            if "=" in item:
-                k, v = item.split("=", 1)
-                task[k] = v
-            else:
-                task[item] = True
+            key, eq, value = item.partition("=")
+            if key in TASK_INT_KEYS or key in TASK_NAME_KEYS:
+                if not value:
+                    self.err("task key %r needs a value (%s=...) in %r" % (key, key, line))
+                if key in TASK_INT_KEYS:
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        self.err("task key %r needs an integer, got %r in %r"
+                                 % (key, value, line))
+            elif key in TASK_FLAGS and eq:
+                self.err("task flag %r takes no value in %r" % (key, line))
+            task[key] = value if eq else True
         self.task = task
 
     # -- category assembly ---------------------------------------------------

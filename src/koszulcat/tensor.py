@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .category import unit_action
 from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
 from .errors import StructuralError, WindowError
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
-from .matrix import Matrix, Subspace, quotient, rank
+from .matrix import Matrix, Subspace, place, quotient, rank
 from .monoid import Module, Monoid, mult_operator, regular_bimodule
 from .poly import variable_element
 from .report import GradedReport
@@ -51,10 +52,18 @@ class CoequalizerPresentation:
         return {cell: q.dim for cell, q in sorted(self.quots.items())}
 
 
-def _delta_relations(a: Monoid, m: Module, n: Module, gt: GradedTensor, x, d):
-    """Spanning vectors of the action-difference image inside one tensor cell."""
+def _delta_relations(a: Monoid, m: Module, n: Module, gt: GradedTensor, x, d) -> Matrix:
+    """Columns spanning the action-difference image inside one tensor cell.
+
+    For each basis triple, the block (m.a) (x) n - m (x) (a.n) over the
+    coordinates m (x) a (x) n is P1 (h (x) sigma_r (x) I_n) at block dm + da
+    minus P2 (h (x) I_m (x) sigma_l) at block dm, P1 and P2 the Day
+    projections of the two blocks.
+    """
     cat, field = a.cat, a.field
-    rels = []
+    blocks = []
+    ncols = 0
+    cell = gt.layout[(x, d)]
     for dm in range(d + 1):
         for da in range(d + 1 - dm):
             dn = d - dm - da
@@ -73,11 +82,10 @@ def _delta_relations(a: Monoid, m: Module, n: Module, gt: GradedTensor, x, d):
                         if not dim_n:
                             continue
                         y2z = cat.dobj(y2, z)
-                        sig_l = n.left_cell(y2, da, z, dn)
+                        act1 = sig_r.kron(Matrix.identity(field, dim_n))
+                        act2 = Matrix.identity(field, dim_m).kron(n.left_cell(y2, da, z, dn))
                         day1 = gt.day[(dm + da, dn)]
                         day2 = gt.day[(dm, da + dn)]
-                        blk1 = gt.block(x, d, dm + da)
-                        blk2 = gt.block(x, d, dm)
                         for w in cat.objects:
                             for hp in range(cat.hom_dim(yy2, w)):
                                 hprime = cat.basis_mor(yy2, w, hp)
@@ -87,46 +95,12 @@ def _delta_relations(a: Monoid, m: Module, n: Module, gt: GradedTensor, x, d):
                                         cat.diamond(hprime, cat.identity_mor(z)))
                                     if not hh.coeffs:
                                         continue
-                                    rels.extend(_triple_relations(
-                                        field, gt, x, d, hh, day1, day2, blk1, blk2,
-                                        y, y2, z, yy2, y2z,
-                                        dim_m, dim_a, dim_n, sig_r, sig_l))
-    return rels
-
-
-def _triple_relations(field, gt, x, d, hh, day1, day2, blk1, blk2,
-                      y, y2, z, yy2, y2z, dim_m, dim_a, dim_n, sig_r, sig_l):
-    out = []
-    cell_dim = gt.dim(x, d)
-    for mi in range(dim_m):
-        for aj in range(dim_a):
-            ma = sig_r.column(mi * dim_a + aj)
-            for nk in range(dim_n):
-                an = sig_l.column(aj * dim_n + nk)
-                vec = [field.zero()] * cell_dim
-                amb1 = [field.zero()] * day1.ambient_dim(x)
-                for h_idx, hc in hh.coeffs.items():
-                    for r, v in enumerate(ma):
-                        if v:
-                            amb1[day1.ambient_index(x, yy2, z, h_idx, r, nk)] = \
-                                field.mul(hc, v)
-                small1 = day1.quot[x].projection.apply(amb1)
-                for i, v in enumerate(small1):
-                    if v:
-                        vec[blk1.offset + i] = v
-                amb2 = [field.zero()] * day2.ambient_dim(x)
-                for h_idx, hc in hh.coeffs.items():
-                    for r, v in enumerate(an):
-                        if v:
-                            amb2[day2.ambient_index(x, y, y2z, h_idx, mi, r)] = \
-                                field.mul(hc, v)
-                small2 = day2.quot[x].projection.apply(amb2)
-                for i, v in enumerate(small2):
-                    if v:
-                        vec[blk2.offset + i] = field.sub(vec[blk2.offset + i], v)
-                if any(vec):
-                    out.append(vec)
-    return out
+                                    blocks.append((cell[dm + da].offset, ncols,
+                                                   day1.pure_map(x, yy2, z, hh) * act1))
+                                    blocks.append((cell[dm].offset, ncols,
+                                                   -(day2.pure_map(x, y, y2z, hh) * act2)))
+                                    ncols += act1.ncols
+    return place(field, gt.dim(x, d), ncols, blocks)
 
 
 def tensor_over_monoid(m: Module, n: Module,
@@ -145,8 +119,7 @@ def tensor_over_monoid(m: Module, n: Module,
     quots = {}
     for d in range(gt.cap + 1):
         for x in a.cat.objects:
-            rels = _delta_relations(a, m, n, gt, x, d)
-            sub = Subspace.from_columns(a.field, gt.dim(x, d), rels)
+            sub = Subspace.from_matrix_columns(_delta_relations(a, m, n, gt, x, d))
             quots[(x, d)] = quotient(gt.dim(x, d), sub)
     coeq = CoequalizerPresentation(a, m, n, gt, quots)
     if m_outer is not None:
@@ -160,6 +133,8 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
                    on_left_factor: bool) -> dict:
     """Descend an outer one-sided action to the coequalizer (trivial backend).
 
+    On the block M_{d1} (x) N_{d2} of a cell the raw action is act (x) I_N
+    (columns outer (x) tensor) or I_M (x) act (columns tensor (x) outer).
     Raises when the raw action fails to preserve the relation subspace, which
     would mean the supplied outer action does not commute with the inner one.
     """
@@ -180,44 +155,25 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
                 continue
             src_dim = gt.dim(u, d)
             tgt_dim = gt.dim(u, d + d2)
-            if on_left_factor:
-                # columns indexed (outer element, tensor coordinate)
-                raw = Matrix.zeros(field, tgt_dim, dim_o * src_dim)
-                for b in gt.layout[(u, d)]:
-                    tb = gt.block(u, d + d2, b.d1 + d2)
-                    act = outer.cells[(u, d2, u, b.d1)]
-                    dim_m = coeq.left_module.carrier.dim(u, b.d1)
-                    dim_n = coeq.right_module.carrier.dim(u, b.d2)
-                    for o_idx in range(dim_o):
-                        for mi in range(dim_m):
-                            col_img = act.column(o_idx * dim_m + mi)
-                            for r, v in enumerate(col_img):
-                                if not v:
-                                    continue
-                                for nk in range(dim_n):
-                                    raw.rows[tb.offset + r * dim_n + nk][
-                                        o_idx * src_dim + b.offset + mi * dim_n + nk] = v
-            else:
-                # columns indexed (tensor coordinate, outer element)
-                raw = Matrix.zeros(field, tgt_dim, src_dim * dim_o)
-                for b in gt.layout[(u, d)]:
-                    tb = gt.block(u, d + d2, b.d1)
-                    act = outer.cells[(u, b.d2, u, d2)]
-                    dim_m = coeq.left_module.carrier.dim(u, b.d1)
-                    dim_n = coeq.right_module.carrier.dim(u, b.d2)
-                    dim_n2 = coeq.right_module.carrier.dim(u, b.d2 + d2)
-                    for mi in range(dim_m):
-                        for nk in range(dim_n):
-                            for o_idx in range(dim_o):
-                                col_img = act.column(nk * dim_o + o_idx)
-                                for r, v in enumerate(col_img):
-                                    if v:
-                                        raw.rows[tb.offset + mi * dim_n2 + r][
-                                            (b.offset + mi * dim_n + nk) * dim_o + o_idx] = v
+            ident_o = Matrix.identity(field, dim_o)
+            raw = Matrix.zeros(field, tgt_dim, dim_o * src_dim)
+            for b in gt.layout[(u, d)]:
+                select_b = place(field, b.dim, src_dim,
+                                 [(0, b.offset, Matrix.identity(field, b.dim))])
+                if on_left_factor:
+                    tb = gt.layout[(u, d + d2)][b.d1 + d2]
+                    act = outer.cells[(u, d2, u, b.d1)].kron(
+                        Matrix.identity(field, coeq.right_module.carrier.dim(u, b.d2)))
+                    widen = ident_o.kron(select_b)
+                else:
+                    tb = gt.layout[(u, d + d2)][b.d1]
+                    act = Matrix.identity(field, coeq.left_module.carrier.dim(u, b.d1)).kron(
+                        outer.cells[(u, b.d2, u, d2)])
+                    widen = select_b.kron(ident_o)
+                raw = raw + place(field, tgt_dim, act.ncols, [(tb.offset, 0, act)]) * widen
             q_src = coeq.quots[(u, d)]
             q_tgt = coeq.quots[(u, d + d2)]
             rel = q_src.sub.basis
-            ident_o = Matrix.identity(field, dim_o)
             if on_left_factor:
                 if not (q_tgt.projection * raw * ident_o.kron(rel)).is_zero():
                     raise StructuralError("outer left action does not preserve the relations")
@@ -274,36 +230,14 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
 def module_over_identity(carrier, ident: Monoid) -> Module:
     """The canonical bimodule structure of any carrier over the unit monoid."""
     cat = carrier.cat
-    field = carrier.field
     left = {}
     right = {}
-    u = cat.unit
-    slices = {d: carrier.slice_rep(d) for d in range(carrier.cap + 1)}
     for d2 in range(carrier.cap + 1):
+        rep = carrier.slice_rep(d2)
         for y in cat.objects:
             for z in cat.objects:
-                dim_i = ident.carrier.dim(y, 0)
-                dim_f = carrier.dim(z, d2)
-                tgt_l = cat.dobj(y, z)
-                mat = Matrix.zeros(field, carrier.dim(tgt_l, d2), dim_i * dim_f)
-                for k in range(dim_i):
-                    phi = cat.basis_mor(u, y, k)
-                    act = slices[d2].action(cat.diamond(phi, cat.identity_mor(z)))
-                    for a_idx in range(dim_f):
-                        for r, v in enumerate(act.column(a_idx)):
-                            if v:
-                                mat.rows[r][k * dim_f + a_idx] = v
-                left[(y, 0, z, d2)] = mat
-                tgt_r = cat.dobj(z, y)
-                mat_r = Matrix.zeros(field, carrier.dim(tgt_r, d2), dim_f * dim_i)
-                for a_idx in range(dim_f):
-                    for k in range(dim_i):
-                        phi = cat.basis_mor(u, y, k)
-                        act = slices[d2].action(cat.diamond(cat.identity_mor(z), phi))
-                        for r, v in enumerate(act.column(a_idx)):
-                            if v:
-                                mat_r.rows[r][a_idx * dim_i + k] = v
-                right[(z, d2, y, 0)] = mat_r
+                left[(y, 0, z, d2)] = unit_action(cat, rep, y, z, "left")
+                right[(z, d2, y, 0)] = unit_action(cat, rep, z, y, "right")
     return Module(ident, carrier, "bi", left, right, name="%s-as-I-module" % "carrier")
 
 

@@ -244,3 +244,48 @@ def test_main_naming_undeclared_monoid_exits_two(tmp_path, capsys, verb):
     assert "line 10" in err and "'B'" in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+def test_non_integer_thread_variable_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("KOSZULCAT_THREADS", "abc")
+    with pytest.raises(PreconditionError, match="KOSZULCAT_THREADS"):
+        resolve_threads()
+    assert main(["validate", pfile("trivial_q.kz")]) == 2
+    err = capsys.readouterr().err
+    assert "'abc'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task, key", [
+    ("hh p=abc", "p"),
+    ("hh max-degree=x", "max-degree"),
+    ("hh p", "p"),
+    ("hh max-degree", "max-degree"),
+    ("hh p=", "p"),
+    ("koszul alpha", "alpha"),
+    ("koszul check-resolution=no", "check-resolution"),
+], ids=["p-not-integer", "max-degree-not-integer", "bare-p", "bare-max-degree",
+        "empty-p", "bare-alpha", "flag-with-value"])
+def test_bad_task_value_exits_two(tmp_path, capsys, task, key):
+    with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\ntask tensor-idem\n" in text
+    path = tmp_path / "task.kz"
+    path.write_text(text.replace("\ntask tensor-idem\n", "\ntask %s\n" % task))
+    report = tmp_path / "out.json"
+    assert main([task.split()[0], str(path), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "line 16" in err and repr(key) in err and repr("task " + task) in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+def test_task_line_values_reach_the_verbs(tmp_path):
+    with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "task.kz"
+    path.write_text(text.replace("\ntask tensor-idem\n", "\ntask hh n=1 p=1 max-degree=3\n"))
+    assert parse_problem_file(str(path)).task == {"op": "hh", "n": 1, "p": 1, "max-degree": 3}
+    report = tmp_path / "out.json"
+    assert main(["hh", str(path), "--report", str(report)]) == 0
+    assert '"p":1' in report.read_text() and '"cap":3' in report.read_text()
