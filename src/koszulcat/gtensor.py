@@ -93,6 +93,7 @@ class GradedTensor:
         """
         fld = self.field
         left = factor == "left"
+        acts = {}  # (d1, d2, y, z) -> op (x) I or I (x) op, the same at every x
         out = {}
         for d in range(self.cap + 1 - shift):
             for x in self.cat.objects:
@@ -103,13 +104,17 @@ class GradedTensor:
                     tgt_day = self.day[(tb_d1, d + shift - tb_d1)]
                     amb = []
                     for (y, z), s in src_day.layout[x].items():
-                        op = op_cells.get((y, b.d1) if left else (z, b.d2))
                         ts = tgt_day.layout[x][(y, z)]
-                        if op is None or s.size == 0 or ts.size == 0:
+                        if s.size == 0 or ts.size == 0:
                             continue
-                        act = op.kron(Matrix.identity(fld, s.dim_g)) if left \
-                            else Matrix.identity(fld, s.dim_f).kron(op)
-                        amb.append(ts.block(act, s.offset))
+                        key = (b.d1, b.d2, y, z)
+                        if key not in acts:
+                            op = op_cells.get((y, b.d1) if left else (z, b.d2))
+                            acts[key] = op if op is None else \
+                                op.kron(Matrix.identity(fld, s.dim_g)) if left \
+                                else Matrix.identity(fld, s.dim_f).kron(op)
+                        if acts[key] is not None:
+                            amb.append(ts.block(acts[key], s.offset))
                     amb = place(fld, tgt_day.quot[x].ambient, src_day.quot[x].ambient, amb)
                     cell.append((self.layout[(x, d + shift)][tb_d1].offset, b.offset,
                                  tgt_day.quot[x].projection * amb * src_day.quot[x].section))

@@ -335,10 +335,10 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
                 return False
 
     # the substitution sends the second variable family to the differences
+    unit = Matrix.from_columns(field, len(e.c.unit), [e.c.unit])
     for i in range(1, n + 1):
         w_expo = tuple(1 if k == n + i - 1 else 0 for k in range(2 * n))
         col = mono_index(2 * n, 1)[w_expo]
-        unit = Matrix.from_columns(field, len(e.c.unit), [e.c.unit])
         if psi[1].select_columns([col]).kron(unit).column(0) != tuple(e.alphas[i - 1].coords):
             return False
     return True
