@@ -45,7 +45,8 @@ class Mor:
 
 class CategoryPresentation:
     __slots__ = ("backend", "field", "objects", "unit", "hom", "compose_table",
-                 "identities", "dobj_table", "dmor_table", "symmetry_table", "name")
+                 "identities", "dobj_table", "dmor_table", "symmetry_table", "name",
+                 "day_memo")
 
     def __init__(self, backend, field, objects, unit, hom, compose_table,
                  identities, dobj_table, dmor_table, symmetry_table, name="X"):
@@ -60,6 +61,7 @@ class CategoryPresentation:
         self.dmor_table = dmor_table        # ((x1,y1,i1),(x2,y2,i2)) -> {k: scalar}
         self.symmetry_table = symmetry_table  # (x, y) -> {k: scalar} over hom(x<>y, y<>x)
         self.name = name
+        self.day_memo = {}                  # see `day_tensor`
 
     # -- constructors --------------------------------------------------------
 
@@ -405,14 +407,15 @@ class DayTensor:
 
     layout[x] maps each object pair (y, z) to its `DaySummand` in the
     ambient at x; quot[x] is the quotient of that ambient by the relations.
+    `day_tensor` hands one instance to every caller with the same
+    representation data, so rep.name is the first caller's; no report
+    reads it.
     """
 
-    __slots__ = ("cat", "f", "g", "layout", "quot", "rep")
+    __slots__ = ("cat", "layout", "quot", "rep")
 
-    def __init__(self, cat, f, g, layout, quot, rep):
+    def __init__(self, cat, layout, quot, rep):
         self.cat = cat
-        self.f = f
-        self.g = g
         self.layout = layout  # x -> {(y, z): DaySummand}
         self.quot = quot      # x -> QuotientPresentation
         self.rep = rep
@@ -456,13 +459,31 @@ class DayTensor:
         return out
 
 
+def _rep_key(f: Representation) -> tuple:
+    """The data of f that `day_tensor` reads: its dims and action entries."""
+    return (tuple(sorted(f.dims.items())),
+            tuple((key, tuple(frozenset(r.items()) for r in m.rows))
+                  for key, m in sorted(f.actions.items())))
+
+
 def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) -> DayTensor:
     """Build the coend quotient of the direct sum over (y, z) at every object.
 
     The relations at x are, for each arrow phi: y -> y' and h: y'<>z -> x,
     h(phi<>z) (x) a (x) b - h (x) F(phi)a (x) b, and the same in the right
     variable; each family over a (x) b is one Kronecker block per summand.
+
+    Each result is built once per category: `cat.day_memo` keys it by the
+    dims and action-matrix entries of f and g, never by their names or
+    identities (a carrier's `slice_rep` is a fresh object on every call).
+    This is sound because the result depends only on cat and that data,
+    and no consumer mutates a `DayTensor` or its matrices.  The memo holds
+    one `DayTensor` per distinct pair, as `GradedTensor.day` already does,
+    and lives and dies with its category.
     """
+    key = (_rep_key(f), _rep_key(g))
+    if key in cat.day_memo:
+        return cat.day_memo[key]
     fld = cat.field
     eye = {}
 
@@ -526,7 +547,8 @@ def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) 
         actions[(x, xp, k)] = quot[xp].projection * amb * quot[x].section
     rep = Representation(cat, dims, actions,
                          name="(%s(x)%s)" % (f.name, g.name))
-    return DayTensor(cat, f, g, layout, quot, rep)
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
+    return cat.day_memo[key]
 
 
 def day_convolution(cat: CategoryPresentation, f: Representation, g: Representation) -> Representation:

@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .errors import (
+    IsoFailureError,
     KoszulcatError,
     NotCentralError,
     ParseError,
@@ -37,7 +38,7 @@ from .problemfile import parse_problem_file
 from .report import GradedReport
 from .tensor import build_syzygy_resolution, tensor_over_monoid, unit_law_maps
 
-MATH_FAILURE = (NotCentralError, StabilityError)
+MATH_FAILURE = (IsoFailureError, NotCentralError, StabilityError)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -434,7 +434,9 @@ class _Parser:
                     except ValueError:
                         self.err("task key %r needs an integer, got %r in %r"
                                  % (key, value, line))
-            elif key in TASK_FLAGS and eq:
+            elif key not in TASK_FLAGS:
+                self.err("unknown task key %r in %r" % (key, line))
+            elif eq:
                 self.err("task flag %r takes no value in %r" % (key, line))
             task[key] = value if eq else True
         self.task = task

@@ -227,7 +227,7 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
     return out
 
 
-def module_over_identity(carrier, ident: Monoid) -> Module:
+def module_over_identity(carrier, ident: Monoid, name="F") -> Module:
     """The canonical bimodule structure of any carrier over the unit monoid."""
     cat = carrier.cat
     left = {}
@@ -238,7 +238,7 @@ def module_over_identity(carrier, ident: Monoid) -> Module:
             for z in cat.objects:
                 left[(y, 0, z, d2)] = unit_action(cat, rep, y, z, "left")
                 right[(z, d2, y, 0)] = unit_action(cat, rep, z, y, "right")
-    return Module(ident, carrier, "bi", left, right, name="%s-as-I-module" % "carrier")
+    return Module(ident, carrier, "bi", left, right, name="%s-as-I-module" % name)
 
 
 def check_restriction_compatibility(m: Module, n: Module,

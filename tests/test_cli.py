@@ -5,7 +5,7 @@ import os
 import pytest
 
 from koszulcat.cli import main
-from koszulcat.errors import PreconditionError
+from koszulcat.errors import IsoFailureError, PreconditionError
 from koszulcat.monoid import Element
 from koszulcat.parallel import MAX_THREADS, resolve_threads
 from koszulcat.problemfile import parse_problem_file, parse_problem_text
@@ -264,8 +264,9 @@ def test_non_integer_thread_variable_exits_two(monkeypatch, capsys):
     ("hh p=", "p"),
     ("koszul alpha", "alpha"),
     ("koszul check-resolution=no", "check-resolution"),
+    ("hh n=1 p=1 maxdegree=2", "maxdegree"),
 ], ids=["p-not-integer", "max-degree-not-integer", "bare-p", "bare-max-degree",
-        "empty-p", "bare-alpha", "flag-with-value"])
+        "empty-p", "bare-alpha", "flag-with-value", "unknown-key"])
 def test_bad_task_value_exits_two(tmp_path, capsys, task, key):
     with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
         text = fh.read()
@@ -278,6 +279,22 @@ def test_bad_task_value_exits_two(tmp_path, capsys, task, key):
     assert "line 16" in err and repr(key) in err and repr("task " + task) in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+def test_shipped_problem_files_parse():
+    names = sorted(n for n in os.listdir(PROBLEMS) if n.endswith(".kz"))
+    assert names
+    for name in names:
+        assert parse_problem_file(pfile(name)).task["op"]
+
+
+def test_failed_merge_isomorphism_exits_one(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise IsoFailureError("Phi fails to be invertible at (1, 0)")
+
+    monkeypatch.setattr("koszulcat.hochschild.merge_variables", fail)
+    assert main(["hh", pfile("trivial_q.kz"), "-n", "1", "-p", "0"]) == 1
+    assert "Phi fails to be invertible" in capsys.readouterr().err
 
 
 def test_task_line_values_reach_the_verbs(tmp_path):

@@ -178,7 +178,7 @@ def _tensor_over_identity_lines(field):
     cat = c2_convolution_category(field)
     ident = identity_monoid(cat)
     m = module_over_identity(degree_zero_carrier(c2_regular_representation(cat), "reg"),
-                             ident)
+                             ident, name="reg")
     lines = []
     for label, n in (("MM", m), ("MI", regular_bimodule(ident))):
         coeq = tensor_over_monoid(m, n)
