@@ -4,9 +4,9 @@ A term is a family of cell dimensions; a differential is a `GradedMap` whose
 blocks may raise the internal degree by several different shifts (one per
 generator degree).  Homology is computed independently per (object, degree)
 cell; a cell is certified only when every block leaving it stays under the
-cap.  Contracting homotopies are built chainwise from deterministic
-complements, so a split certificate is an exact matrix identity dh + hd = id
-on every certified cell.
+cap.  Contracting homotopies are built chainwise by one solve per term,
+h_p from d_{p+1} h_p = 1 - h_{p-1} d_p, so a split certificate is an exact
+matrix identity dh + hd = id on every certified cell.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from typing import Optional
 from .errors import DimensionError, StructuralError, WindowError
 from .matrix import (
     Matrix,
-    Subspace,
     hstack,
-    kernel,
-    quotient,
     rank,
     solve_matrix,
     vstack,
@@ -243,35 +240,20 @@ def _chain_homotopy(field, spaces, mats):
     mats[p]: V_p -> V_{p-1}.  Returns [h_0, ..., h_{N-1}] with
     h_p: V_p -> V_{p+1}, or None when the chain is not exact.
 
-    Construction: split V_p = Z_p (+) W_p with Z_p the cycles and W_p the
-    complement of the canonical quotient; h_p lifts cycles through d_{p+1}
-    into W_{p+1} and kills W_p.  Forcing the lift into the complement is what
-    makes dh + hd = id hold on the nose and keeps the homotopy deterministic.
+    Construction: h_{-1} = 0 and h_p solves d_{p+1} h_p = 1 - h_{p-1} d_p.
+    When the identity holds at p-1, the right-hand side e is idempotent with
+    d_p e = 0 and e = 1 on ker d_p, so its image is exactly the cycles Z_p;
+    a solution exists exactly when every cycle of V_p is a boundary.
     """
-    n_terms = len(spaces)
-    z_proj = []  # projection onto cycles along the complement, per term
-    secs = []    # inclusion of the complement, per term
-    for p in range(n_terms):
-        v = spaces[p]
-        if v == 0:
-            z_proj.append(Matrix.zeros(field, 0, 0))
-            secs.append(Matrix.zeros(field, 0, 0))
-            continue
-        z = Subspace.full(field, v) if p == 0 else kernel(mats[p])
-        q = quotient(v, z)
-        z_proj.append(Matrix.identity(field, v) - q.section * q.projection)
-        secs.append(q.section)
     hs = []
-    for p in range(n_terms - 1):
-        v = spaces[p]
-        if v == 0:
-            hs.append(Matrix.zeros(field, spaces[p + 1], 0))
-            continue
-        d_into_w = mats[p + 1] * secs[p + 1]  # W_{p+1} -> V_p
-        y = solve_matrix(d_into_w, z_proj[p])
-        if y is None:
+    for p in range(len(spaces) - 1):
+        rhs = Matrix.identity(field, spaces[p])
+        if p >= 1:
+            rhs = rhs - hs[p - 1] * mats[p]
+        h = solve_matrix(mats[p + 1], rhs)
+        if h is None:
             return None  # some cycle is not a boundary: not exact here
-        hs.append(secs[p + 1] * y)
+        hs.append(h)
     # ker(d_top) = 0 is needed too; the dh + hd = id check in the caller
     # detects any failure there.
     return hs

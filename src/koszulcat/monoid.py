@@ -26,7 +26,7 @@ from .errors import (
     WrongObjectError,
 )
 from .field import Field
-from .matrix import Matrix, Subspace, kernel_basis, quotient, vstack
+from .matrix import Matrix, Subspace, kernel, kernel_basis, quotient, vstack
 from .report import ValidationReport
 
 
@@ -521,7 +521,7 @@ def commutant(a: Monoid, x: str) -> dict:
             out[d] = Subspace.full(field, dim_b)
             continue
         stacked = vstack(rows_of_blocks)
-        out[d] = Subspace.from_columns(field, dim_b, kernel_basis(stacked))
+        out[d] = kernel(stacked)
     return out
 
 
@@ -553,9 +553,6 @@ class MultOperator:
     shift: int
     side: str
     cells: dict  # (obj, deg) -> Matrix from M(obj)_deg to M(obj)_{deg+shift}
-
-    def cell(self, obj, deg) -> Matrix:
-        return self.cells[(obj, deg)]
 
 
 def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperator:

@@ -69,7 +69,7 @@ class MonoidDecl:
     basis: dict = dc_field(default_factory=dict)
     mul: dict = dc_field(default_factory=dict)
     unit: dict = dc_field(default_factory=dict)
-    acts: dict = dc_field(default_factory=dict)
+    acts: dict = dc_field(default_factory=dict)  # mor -> basis name -> (line, lincomb)
     over: Optional[str] = None
     var_names: tuple = ()
 
@@ -77,7 +77,7 @@ class MonoidDecl:
 @dataclass
 class RepDecl:
     dims: dict
-    acts: dict
+    acts: dict                    # mor -> (line, rows)
 
 
 @dataclass
@@ -119,16 +119,17 @@ class ProblemFile:
                     x, y, _ = key
                     mat = Matrix.zeros(self.field, len(decl.basis.get(y, ())),
                                        len(decl.basis.get(x, ())))
-                    for src_name, combo in images.items():
+                    for src_name, (ln, combo) in images.items():
                         so, si = where[src_name]
                         if so != x:
-                            raise StructuralError(
-                                "act %s applied to %s at the wrong object" % (mor_name, src_name))
+                            raise ParseError(
+                                "act %s applied to %s at the wrong object" % (mor_name, src_name),
+                                line=ln)
                         for tgt_name, c in combo.items():
                             to, ti = where[tgt_name]
                             if to != y:
-                                raise StructuralError(
-                                    "act %s lands at the wrong object" % mor_name)
+                                raise ParseError(
+                                    "act %s lands at the wrong object" % mor_name, line=ln)
                             mat.rows[ti][si] = c
                     carrier_actions[key] = mat
             return monoid_from_table(self.category, decl.basis, decl.mul, decl.unit,
@@ -159,10 +160,14 @@ class ProblemFile:
         if decl == ("identity",):
             return identity_representation(self.category)
         mors = {}
-        for (mor_name, rows) in decl.acts.items():
+        for mor_name, (ln, rows) in decl.acts.items():
             key = _resolve_mor(self.category, mor_name)
             x, y, _ = key
-            mors[key] = Matrix.from_rows(self.field, rows)
+            m = mors[key] = Matrix.from_rows(self.field, rows)
+            if (m.nrows, m.ncols) != (decl.dims[y], decl.dims[x]):
+                raise ParseError("action %s has shape %dx%d, expected %dx%d"
+                                 % (mor_name, m.nrows, m.ncols, decl.dims[y], decl.dims[x]),
+                                 line=ln)
         return Representation(self.category, decl.dims, mors, name=name)
 
 
@@ -335,7 +340,7 @@ class _Parser:
         rows = []
         for chunk in expr.split(";"):
             rows.append([self.scalar(v) for v in chunk.split()])
-        self.reps[rep].acts[mor] = rows
+        self.reps[rep].acts[mor] = (self.i + 1, rows)
 
     def p_monoid(self, toks, line):
         name = toks[1]
@@ -381,7 +386,8 @@ class _Parser:
                 parts = left.split()
                 if len(parts) != 2:
                     self.err("expected: act mor basisname = lincomb")
-                combo = decl.acts.setdefault(parts[0], {})[parts[1]] = self.lincomb(expr)
+                combo = self.lincomb(expr)
+                decl.acts.setdefault(parts[0], {})[parts[1]] = (self.i + 1, combo)
                 uses.append((self.i + 1, [parts[1]] + list(combo)))
             else:
                 self.err("unknown monoid directive %r in the block opened at line %d"

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .category import unit_action
 from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
-from .errors import StructuralError, WindowError
+from .errors import IsoFailureError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
@@ -222,7 +222,7 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
             raise StructuralError("action map does not kill the relations at %s" % (cell,))
         desc = mat * q.section
         if desc.nrows != desc.ncols or (desc.nrows and rank(desc) != desc.nrows):
-            raise StructuralError("unit comparison map not invertible at %s" % (cell,))
+            raise IsoFailureError("unit comparison map not invertible at %s" % (cell,))
         out[cell] = desc
     return out
 

@@ -231,6 +231,39 @@ def test_undeclared_basis_name_exits_two(tmp_path, capsys, unit, mul, line):
     assert "line %d" % line in err
 
 
+C2_MONOID = """monoid J
+  basis e : i_e
+  basis g : i_g
+  unit 1*i_e
+  mul i_e i_e = 1*i_e
+  mul i_e i_g = 1*i_g
+  mul i_g i_e = 1*i_g
+  mul i_g i_g = 1*i_e
+  act u_ee i_g = 1*i_g
+end
+main J"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("monoid I identity\nmain I", C2_MONOID, "act u_ee applied to i_g at the wrong object"),
+    ("act reg u_eg = 1 1 ; 0 1", "act reg u_eg = 1 1 1 ; 0 1 1",
+     "action u_eg has shape 2x3, expected 2x2"),
+], ids=["monoid-act-wrong-object", "rep-act-wrong-shape"])
+def test_bad_act_line_exits_two_with_its_number(tmp_path, capsys, old, new, message):
+    with open(pfile("c2conv.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    text = text.replace(old, new)
+    act = next(ln for ln in new.splitlines() if ln.strip().startswith("act"))
+    line = text.splitlines().index(act) + 1
+    path = tmp_path / "bad_act.kz"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line %d: %s" % (line, message) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["validate", "koszul", "hh", "syzygy"])
 def test_main_naming_undeclared_monoid_exits_two(tmp_path, capsys, verb):
     with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
@@ -295,6 +328,12 @@ def test_failed_merge_isomorphism_exits_one(monkeypatch, capsys):
     monkeypatch.setattr("koszulcat.hochschild.merge_variables", fail)
     assert main(["hh", pfile("trivial_q.kz"), "-n", "1", "-p", "0"]) == 1
     assert "Phi fails to be invertible" in capsys.readouterr().err
+
+
+def test_singular_unit_comparison_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr("koszulcat.tensor.rank", lambda m: 0)
+    assert main(["tensor-over", pfile("dual_numbers.kz"), "--module", "R,M"]) == 1
+    assert "unit comparison map not invertible" in capsys.readouterr().err
 
 
 def test_task_line_values_reach_the_verbs(tmp_path):
