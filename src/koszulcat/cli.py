@@ -244,6 +244,13 @@ def _polynomial_setup(args, problem):
     return problem.build_subject(0), n, None
 
 
+def _refusal(task, subject, cap, cert):
+    """The report and exit code of a verb that needs a tensor-idempotent subject."""
+    report = GradedReport(task=task, field=subject.field.descriptor(), window={"cap": cap})
+    report.add_certificate("tensor-idempotent", False, detail="refused: %s" % cert.detail)
+    return report, 1
+
+
 def cmd_hh(args, problem, cap, parallel_map):
     subject, n, var_names = _polynomial_setup(args, problem)
     p = _task_value(args, problem, "codegree")
@@ -253,14 +260,7 @@ def cmd_hh(args, problem, cap, parallel_map):
         raise ParseError("hh needs -p")
     cert = certify_tensor_idempotent(subject)
     if not cert.passed:
-        report = GradedReport(
-            task={"op": "hh", "monoid": subject.name, "n": n, "p": p},
-            field=subject.field.descriptor(),
-            window={"cap": cap},
-        )
-        report.add_certificate("tensor-idempotent", False,
-                               detail="refused: %s" % cert.detail)
-        return report, 1
+        return _refusal({"op": "hh", "monoid": subject.name, "n": n, "p": p}, subject, cap, cert)
     env = build_enveloping(subject, n, cap, idem_cert=cert, var_names=var_names)
     mod_name = _task_value(args, problem, "module")
     if mod_name:
@@ -280,12 +280,7 @@ def cmd_syzygy(args, problem, cap, parallel_map):
         raise ParseError("syzygy needs --module")
     cert = certify_tensor_idempotent(subject)
     if not cert.passed:
-        report = GradedReport(
-            task={"op": "syzygy", "monoid": subject.name, "n": n},
-            field=subject.field.descriptor(), window={"cap": cap})
-        report.add_certificate("tensor-idempotent", False,
-                               detail="refused: %s" % cert.detail)
-        return report, 1
+        return _refusal({"op": "syzygy", "monoid": subject.name, "n": n}, subject, cap, cert)
     env = build_enveloping(subject, n, cap, idem_cert=cert, var_names=var_names)
     module = problem.build_module(mod_name, env.a_n)
     res = build_syzygy_resolution(env, module)

@@ -12,7 +12,6 @@ matrix identity dh + hd = id on every certified cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .errors import DimensionError, StructuralError, WindowError
 from .matrix import (
@@ -181,7 +180,6 @@ class HomotopyCertificate:
     ok: bool
     cells_checked: int
     detail: str
-    homotopies: Optional[list] = None  # per term p: dict cell -> Matrix into term p+1
 
 
 def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
@@ -193,7 +191,6 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
     """
     field = cx.field
     shifts = [None] + [cx.diffs[p].single_shift() for p in range(1, len(cx.terms))]
-    hom = [dict() for _ in cx.terms]
     checked = 0
     for x in cx.cat.objects:
         for d0 in range(cx.cap + 1):
@@ -213,9 +210,6 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
                 return HomotopyCertificate(False, checked,
                                            "no contracting homotopy along chain (%s, %d)"
                                            % (x, d0))
-            for p in range(len(cx.terms)):
-                if degs[p] >= 0 and p < len(cx.terms) - 1:
-                    hom[p][(x, degs[p])] = hs[p]
             # exact identity check dh + hd = id on every cell of the chain
             for p in range(len(cx.terms)):
                 if degs[p] < 0 or spaces[p] == 0:
@@ -230,8 +224,7 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
                                                "dh + hd != id at term %d cell (%s, %d)"
                                                % (p, x, degs[p]))
                 checked += 1
-    return HomotopyCertificate(True, checked, "dh + hd = id on all %d cells" % checked,
-                               homotopies=hom)
+    return HomotopyCertificate(True, checked, "dh + hd = id on all %d cells" % checked)
 
 
 def _chain_homotopy(field, spaces, mats):

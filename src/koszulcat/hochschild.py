@@ -31,9 +31,10 @@ from .monoid import (
 )
 from .poly import (
     MergeResult,
+    add_exponents,
     merge_variables,
     mono_index,
-    monomial_product,
+    monomial_block_product,
     multi_indices,
     polynomial_monoid,
     variable_element,
@@ -326,9 +327,9 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
     # untouched by the substitution so it suffices to check the monomial layer
     for d1 in range(cap + 1):
         for d2 in range(cap + 1 - d1):
-            conv = monomial_product(field, multi_indices(2 * n, d1), multi_indices(2 * n, d2),
-                                    mono_index(2 * n, d1 + d2),
-                                    lambda u, v: tuple(x + y for x, y in zip(u, v)))
+            conv = monomial_block_product(multi_indices(2 * n, d1), multi_indices(2 * n, d2),
+                                          mono_index(2 * n, d1 + d2), add_exponents,
+                                          Matrix.identity(field, 1), 1, 1)
             lhs = psi[d1 + d2] * conv
             rhs = conv * psi[d1].kron(psi[d2])
             if lhs != rhs:
@@ -352,7 +353,6 @@ class BimoduleResolution:
     enveloping: EnvelopingData
     complex: ChainComplex          # augmented: term 0 = A_n, term 1 = C, then K_p
     koszul: KoszulComplex
-    homotopies: Optional[list]
     report: GradedReport
 
     @property
@@ -402,7 +402,7 @@ def koszul_bimodule_resolution(e: EnvelopingData) -> BimoduleResolution:
     for p, term in enumerate(terms):
         for (x, d) in sorted(term.dims):
             report.add_entry(p, x, d, term.dim(x, d))
-    return BimoduleResolution(e, aug, kc, hcert.homotopies, report)
+    return BimoduleResolution(e, aug, kc, report)
 
 
 # -- Hochschild cohomology ---------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import (
     WrongObjectError,
 )
 from .field import Field
-from .matrix import Matrix, Subspace, kernel, kernel_basis, quotient, vstack
+from .matrix import Matrix, Subspace, hstack, kernel, kernel_basis, quotient, vstack
 from .report import ValidationReport
 
 
@@ -326,46 +326,62 @@ def identity_monoid(cat: CategoryPresentation) -> Monoid:
 # -- validation ---------------------------------------------------------------
 
 
-def validate_monoid(a: Monoid) -> ValidationReport:
-    """Certify associativity, unit laws and naturality on all stored cells."""
-    rep = ValidationReport("monoid %s" % a.name)
-    cat, field, car = a.cat, a.field, a.carrier
-    cap = car.cap
-    u = cat.unit
+def _unit_laws(rep: ValidationReport, car: GradedCarrier, unit: tuple, laws):
+    """Per cell, each law's cell with the unit fixed on its side must be the identity.
 
-    # unit laws, cellwise: multiplying by the unit is the identity matrix
+    laws: (name, side, cell function), side "left" (unit (x) b) or "right".
+    """
+    field, u = car.field, car.cat.unit
     for (x, d) in car.cells():
         dim = car.dim(x, d)
-        left = a.pairing_cell(u, 0, x, d) * fix_left(field, a.unit, dim)
-        right = a.pairing_cell(x, d, u, 0) * fix_right(field, dim, a.unit)
         ident = Matrix.identity(field, dim)
-        if left != ident:
-            rep.add("unit-left", "(%s, %d)" % (x, d))
-        if right != ident:
-            rep.add("unit-right", "(%s, %d)" % (x, d))
-        rep.checked += 2
+        for name, side, cell in laws:
+            if side == "left":
+                got = cell(u, 0, x, d) * fix_left(field, unit, dim)
+            else:
+                got = cell(x, d, u, 0) * fix_right(field, dim, unit)
+            if got != ident:
+                rep.add(name, "(%s, %d)" % (x, d))
+            rep.checked += 1
 
-    # associativity, cellwise matrix identity
+
+def _associativity_laws(rep: ValidationReport, car: GradedCarrier, laws):
+    """Per cell triple, each law's identity between two ways to bracket a product.
+
+    laws: (name, (carrier1, carrier2, carrier3), (outer_l, inner_l, outer_r,
+    inner_r)); the identity is outer_l(x<>y, d1+d2, z, d3) (inner_l(x, d1, y,
+    d2) (x) I) = outer_r(x, d1, y<>z, d2+d3) (I (x) inner_r(y, d2, z, d3)).
+    A triple with an empty factor holds trivially and still counts as checked.
+    """
+    cat, field, cap = car.cat, car.field, car.cap
     for d1 in range(cap + 1):
         for d2 in range(cap + 1 - d1):
             for d3 in range(cap + 1 - d1 - d2):
                 for x in cat.objects:
                     for y in cat.objects:
                         for z in cat.objects:
-                            dx, dy, dz = car.dim(x, d1), car.dim(y, d2), car.dim(z, d3)
-                            if 0 in (dx, dy, dz):
+                            for name, (c1, c2, c3), (outer_l, inner_l, outer_r, inner_r) in laws:
+                                dx, dy, dz = c1.dim(x, d1), c2.dim(y, d2), c3.dim(z, d3)
+                                if 0 not in (dx, dy, dz):
+                                    xy, yz = cat.dobj(x, y), cat.dobj(y, z)
+                                    lhs = outer_l(xy, d1 + d2, z, d3) * \
+                                        inner_l(x, d1, y, d2).kron(Matrix.identity(field, dz))
+                                    rhs = outer_r(x, d1, yz, d2 + d3) * \
+                                        Matrix.identity(field, dx).kron(inner_r(y, d2, z, d3))
+                                    if lhs != rhs:
+                                        rep.add(name, "cells (%s,%d)(%s,%d)(%s,%d)"
+                                                % (x, d1, y, d2, z, d3))
                                 rep.checked += 1
-                                continue
-                            xy = cat.dobj(x, y)
-                            yz = cat.dobj(y, z)
-                            lhs = a.pairing_cell(xy, d1 + d2, z, d3) * \
-                                a.pairing_cell(x, d1, y, d2).kron(Matrix.identity(field, dz))
-                            rhs = a.pairing_cell(x, d1, yz, d2 + d3) * \
-                                Matrix.identity(field, dx).kron(a.pairing_cell(y, d2, z, d3))
-                            if lhs != rhs:
-                                rep.add("associativity",
-                                        "cells (%s,%d)(%s,%d)(%s,%d)" % (x, d1, y, d2, z, d3))
-                            rep.checked += 1
+
+
+def validate_monoid(a: Monoid) -> ValidationReport:
+    """Certify associativity, unit laws and naturality on all stored cells."""
+    rep = ValidationReport("monoid %s" % a.name)
+    cat, field, car = a.cat, a.field, a.carrier
+    cap = car.cap
+    mul = a.pairing_cell
+    _unit_laws(rep, car, a.unit, [("unit-left", "left", mul), ("unit-right", "right", mul)])
+    _associativity_laws(rep, car, [("associativity", (car, car, car), (mul, mul, mul, mul))])
 
     # naturality of the pairing against basis arrows (finite backend)
     if not cat.is_trivial:
@@ -421,70 +437,19 @@ def is_commutative(a: Monoid) -> bool:
 def validate_module(m: Module) -> ValidationReport:
     """Certify action associativity, unit action and bimodule compatibility."""
     rep = ValidationReport("module %s" % m.name)
-    a = m.monoid
-    cat, field = m.cat, m.field
-    car, acar = m.carrier, a.carrier
-    cap = car.cap
-    u = cat.unit
-    for (x, d) in car.cells():
-        dim = car.dim(x, d)
-        ident = Matrix.identity(field, dim)
-        if m.left is not None:
-            got = m.left_cell(u, 0, x, d) * fix_left(field, a.unit, dim)
-            if got != ident:
-                rep.add("unit-acts-as-identity-left", "(%s, %d)" % (x, d))
-            rep.checked += 1
-        if m.right is not None:
-            got = m.right_cell(x, d, u, 0) * fix_right(field, dim, a.unit)
-            if got != ident:
-                rep.add("unit-acts-as-identity-right", "(%s, %d)" % (x, d))
-            rep.checked += 1
-    for d1 in range(cap + 1):
-        for d2 in range(cap + 1 - d1):
-            for d3 in range(cap + 1 - d1 - d2):
-                for x in cat.objects:
-                    for y in cat.objects:
-                        for z in cat.objects:
-                            if m.left is not None:
-                                da, db = acar.dim(x, d1), acar.dim(y, d2)
-                                dm = car.dim(z, d3)
-                                if 0 not in (da, db, dm):
-                                    xy, yz = cat.dobj(x, y), cat.dobj(y, z)
-                                    lhs = m.left_cell(xy, d1 + d2, z, d3) * \
-                                        a.pairing_cell(x, d1, y, d2).kron(Matrix.identity(field, dm))
-                                    rhs = m.left_cell(x, d1, yz, d2 + d3) * \
-                                        Matrix.identity(field, da).kron(m.left_cell(y, d2, z, d3))
-                                    if lhs != rhs:
-                                        rep.add("left-action-associativity",
-                                                "cells (%s,%d)(%s,%d)(%s,%d)" % (x, d1, y, d2, z, d3))
-                                rep.checked += 1
-                            if m.right is not None:
-                                dm = car.dim(x, d1)
-                                da, db = acar.dim(y, d2), acar.dim(z, d3)
-                                if 0 not in (dm, da, db):
-                                    xy, yz = cat.dobj(x, y), cat.dobj(y, z)
-                                    lhs = m.right_cell(xy, d1 + d2, z, d3) * \
-                                        m.right_cell(x, d1, y, d2).kron(Matrix.identity(field, db))
-                                    rhs = m.right_cell(x, d1, yz, d2 + d3) * \
-                                        Matrix.identity(field, dm).kron(a.pairing_cell(y, d2, z, d3))
-                                    if lhs != rhs:
-                                        rep.add("right-action-associativity",
-                                                "cells (%s,%d)(%s,%d)(%s,%d)" % (x, d1, y, d2, z, d3))
-                                rep.checked += 1
-                            if m.side == "bi":
-                                da = acar.dim(x, d1)
-                                dm = car.dim(y, d2)
-                                db = acar.dim(z, d3)
-                                if 0 not in (da, dm, db):
-                                    xy, yz = cat.dobj(x, y), cat.dobj(y, z)
-                                    lhs = m.right_cell(xy, d1 + d2, z, d3) * \
-                                        m.left_cell(x, d1, y, d2).kron(Matrix.identity(field, db))
-                                    rhs = m.left_cell(x, d1, yz, d2 + d3) * \
-                                        Matrix.identity(field, da).kron(m.right_cell(y, d2, z, d3))
-                                    if lhs != rhs:
-                                        rep.add("bimodule-compatibility",
-                                                "cells (%s,%d)(%s,%d)(%s,%d)" % (x, d1, y, d2, z, d3))
-                                rep.checked += 1
+    car, acar, mul = m.carrier, m.monoid.carrier, m.monoid.pairing_cell
+    left, right = m.left_cell, m.right_cell
+    units, laws = [], []
+    if m.left is not None:
+        units.append(("unit-acts-as-identity-left", "left", left))
+        laws.append(("left-action-associativity", (acar, acar, car), (left, mul, left, left)))
+    if m.right is not None:
+        units.append(("unit-acts-as-identity-right", "right", right))
+        laws.append(("right-action-associativity", (car, acar, acar), (right, right, right, mul)))
+    if m.side == "bi":
+        laws.append(("bimodule-compatibility", (acar, car, acar), (right, left, left, right)))
+    _unit_laws(rep, car, m.monoid.unit, units)
+    _associativity_laws(rep, car, laws)
     return rep
 
 
@@ -590,16 +555,12 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
             raise WrongObjectError("generator lives at %s, expected the unit object" % g.obj)
     out = {}
     for (x, d) in car.cells():
-        dim = car.dim(x, d)
-        cols = []
+        blocks = [Matrix.zeros(field, car.dim(x, d), 0)]
         for g in gens:
-            if g.degree > d:
-                continue
-            mat = a.pairing_cell(x, d - g.degree, cat.unit, g.degree) * \
-                fix_right(field, car.dim(x, d - g.degree), list(g.coords))
-            for j in range(mat.ncols):
-                cols.append(mat.column(j))
-        out[(x, d)] = Subspace.from_columns(field, dim, cols)
+            if g.degree <= d:
+                blocks.append(a.pairing_cell(x, d - g.degree, cat.unit, g.degree) *
+                              fix_right(field, car.dim(x, d - g.degree), list(g.coords)))
+        out[(x, d)] = Subspace.from_matrix_columns(hstack(blocks))
     return out
 
 

@@ -2,9 +2,15 @@
 
 Monomials of a fixed total degree are ordered graded-lexicographically
 (exponent tuples descending), and a cell basis lists monomial blocks with the
-base coordinates fastest.  Variables all have degree one; the base sits in
-degree zero.  Products that would exceed the cap are discarded and the
-carrier is flagged truncated.
+base coordinates fastest: u a sits at index index(u) * dim + index(a).
+Variables all have degree one; the base sits in degree zero.  Products that
+would exceed the cap are discarded and the carrier is flagged truncated.
+
+Every map of the form u a (x) v b |-> combine(u, v) inner(a (x) b) is built by
+`monomial_block_product`: the pairing (exponents add, inner is the base
+pairing), the merge map of `merge_variables` (exponents concatenate, inner is
+the witnessed pure-tensor map) and the monomial layer of the change of
+variables in `koszulcat.hochschild` (inner is 1x1).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 
 from .errors import IsoFailureError, PreconditionError, StructuralError
 from .gtensor import GradedTensor
-from .matrix import Matrix, hstack, place, rank
+from .matrix import Matrix, place, rank
 from .monoid import Element, GradedCarrier, Monoid, is_central
 
 
@@ -37,13 +43,33 @@ def mono_index(n: int, d: int) -> dict:
     return {m: i for i, m in enumerate(multi_indices(n, d))}
 
 
-def monomial_product(field, mons1, mons2, tgt_index: dict, combine) -> Matrix:
-    """The 0/1 matrix of u (x) v |-> combine(u, v) on monomial bases, one column block per u."""
-    return hstack([Matrix.zeros(field, len(tgt_index), 0)] + [
-        Matrix.from_entries(field, len(tgt_index), len(mons2),
-                            {(tgt_index[combine(u, v)], j): field.one()
-                             for j, v in enumerate(mons2)})
-        for u in mons1])
+def monomial_block_product(mons1, mons2, tgt_index: dict, combine, inner: Matrix,
+                           d1: int, d2: int) -> Matrix:
+    """The matrix of u a (x) v b |-> combine(u, v) inner(a (x) b) on monomial-block bases.
+
+    The source is (mons1 blocks of d1 base coordinates) (x) (mons2 blocks of d2),
+    Kronecker order; the target is tgt_index blocks of inner.nrows coordinates;
+    inner maps F^d1 (x) F^d2.  Built entry by entry, in one pass.
+    """
+    dt = inner.nrows
+    width2 = len(mons2) * d2
+    entries = []  # (target row, source column offset within a block pair, value)
+    for r, row in enumerate(inner.rows):
+        for c, val in row.items():
+            p, q = divmod(c, d2)
+            entries.append((r, p * width2 + q, val))
+    rows = [dict() for _ in range(len(tgt_index) * dt)]
+    for i1, u in enumerate(mons1):
+        for i2, v in enumerate(mons2):
+            t = tgt_index[combine(u, v)] * dt
+            c0 = i1 * d1 * width2 + i2 * d2
+            for r, c, val in entries:
+                rows[t + r][c0 + c] = val
+    return Matrix(inner.field, len(rows), len(mons1) * d1 * width2, rows)
+
+
+def add_exponents(u: tuple, v: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def mono_str(m: tuple, var_names) -> str:
@@ -118,28 +144,13 @@ def polynomial_monoid(a: Monoid, n: int, cap: int, var_names=None) -> Monoid:
 
     pairing = {}
     for d1 in range(cap + 1):
-        mons1 = multi_indices(n, d1)
         for d2 in range(cap + 1 - d1):
-            mons2 = multi_indices(n, d2)
-            tgt_index = mono_index(n, d1 + d2)
             for x in cat.objects:
                 for y in cat.objects:
-                    xy = cat.dobj(x, y)
-                    base = a.pairing_cell(x, 0, y, 0)
-                    dx, dy = a.carrier.dim(x, 0), a.carrier.dim(y, 0)
-                    dt = a.carrier.dim(xy, 0)
-                    mat = Matrix.zeros(field, dims[(xy, d1 + d2)],
-                                       dims[(x, d1)] * dims[(y, d2)])
-                    for i1, m1 in enumerate(mons1):
-                        for i2, m2 in enumerate(mons2):
-                            t_idx = tgt_index[tuple(e1 + e2 for e1, e2 in zip(m1, m2))]
-                            for bi, row in enumerate(base.rows):
-                                for bj, v in row.items():
-                                    # bj indexes the base Kronecker pair (p, q)
-                                    p, q = divmod(bj, dy)
-                                    col = (i1 * dx + p) * dims[(y, d2)] + (i2 * dy + q)
-                                    mat.rows[t_idx * dt + bi][col] = v
-                    pairing[(x, d1, y, d2)] = mat
+                    pairing[(x, d1, y, d2)] = monomial_block_product(
+                        multi_indices(n, d1), multi_indices(n, d2), mono_index(n, d1 + d2),
+                        add_exponents, a.pairing_cell(x, 0, y, 0),
+                        a.carrier.dim(x, 0), a.carrier.dim(y, 0))
 
     name = "%s[%s]" % (a.name, ",".join(names))
     return Monoid(carrier, pairing, a.unit, name=name, poly_info=PolyInfo(a, names))
@@ -206,7 +217,7 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     m = info_d.nvars if info_d else 0
     base_c = info_c.base if info_c else c
     base_d = info_d.base if info_d else d
-    cat, field = c.cat, c.field
+    cat = c.cat
     cap = min(c.cap, d.cap) if (n and m) else max(c.cap, d.cap)
 
     day0 = GradedTensor(base_c.carrier, base_d.carrier, cap=0).day[(0, 0)]
@@ -225,25 +236,19 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     def beta(d1, d2):
         """(C_n)(y)_{d1} (x) (D_m)(z)_{d2} -> E_{n+m}(y<>z)_{d1+d2}.
 
-        u^i a (x) v^j b |-> u^i v^j W(a (x) b): the monomial product times the
-        witnessed pure-tensor map, after the middle swap of the factors.
+        u^i a (x) v^j b |-> u^i v^j W(a (x) b): the exponent tuples
+        concatenate, and the base pair goes through the witnessed pure-tensor map.
         """
-        mons1 = multi_indices(n, d1)
-        mons2 = multi_indices(m, d2)
-        # u^i (x) v^j |-> u^i v^j: the exponent tuples concatenate
-        mono = monomial_product(field, mons1, mons2, mono_index(n + m, d1 + d2),
-                                lambda u, v: u + v)
+        mons1, mons2 = multi_indices(n, d1), multi_indices(m, d2)
+        tgt_index = mono_index(n + m, d1 + d2)
         out = {}
         for y in cat.objects:
             for z in cat.objects:
                 yz = cat.dobj(y, z)
-                dim_cy = base_c.carrier.dim(y, 0)
-                dim_dz = base_d.carrier.dim(z, 0)
                 pure = witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
-                swap = Matrix.identity(field, len(mons1)).kron(
-                    Matrix.commutation(field, dim_cy, len(mons2))).kron(
-                    Matrix.identity(field, dim_dz))
-                out[(y, z)] = mono.kron(pure) * swap
+                out[(y, z)] = monomial_block_product(
+                    mons1, mons2, tgt_index, tuple.__add__, pure,
+                    base_c.carrier.dim(y, 0), base_d.carrier.dim(z, 0))
         return out
 
     phi = gt.induced_map_cells(merged.carrier, beta)

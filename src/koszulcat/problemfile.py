@@ -115,7 +115,8 @@ class ProblemFile:
                         where[nm] = (obj, i)
                 carrier_actions = {}
                 for mor_name, images in decl.acts.items():
-                    key = _resolve_mor(self.category, mor_name)
+                    key = _resolve_mor(self.category, mor_name,
+                                       min(ln for ln, _ in images.values()))
                     x, y, _ = key
                     mat = Matrix.zeros(self.field, len(decl.basis.get(y, ())),
                                        len(decl.basis.get(x, ())))
@@ -161,7 +162,7 @@ class ProblemFile:
             return identity_representation(self.category)
         mors = {}
         for mor_name, (ln, rows) in decl.acts.items():
-            key = _resolve_mor(self.category, mor_name)
+            key = _resolve_mor(self.category, mor_name, ln)
             x, y, _ = key
             m = mors[key] = Matrix.from_rows(self.field, rows)
             if (m.nrows, m.ncols) != (decl.dims[y], decl.dims[x]):
@@ -171,11 +172,11 @@ class ProblemFile:
         return Representation(self.category, decl.dims, mors, name=name)
 
 
-def _resolve_mor(cat: CategoryPresentation, name: str):
+def _resolve_mor(cat: CategoryPresentation, name: str, line: int):
     for (x, y), names in cat.hom.items():
         if name in names:
             return (x, y, names.index(name))
-    raise StructuralError("no hom basis element named %r" % name)
+    raise ParseError("no hom basis element named %r" % name, line=line)
 
 
 class _Parser:
@@ -340,6 +341,8 @@ class _Parser:
         rows = []
         for chunk in expr.split(";"):
             rows.append([self.scalar(v) for v in chunk.split()])
+        if len({len(r) for r in rows}) > 1:
+            self.err("ragged rows in action %s" % mor)
         self.reps[rep].acts[mor] = (self.i + 1, rows)
 
     def p_monoid(self, toks, line):

@@ -273,7 +273,6 @@ class SyzygyResolution:
     module: Module
     complex: ChainComplex
     tensor: GradedTensor
-    homotopies: Optional[list]
     report: GradedReport
 
     @property
@@ -360,4 +359,4 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
     for p, term in enumerate(terms):
         for (x, d) in sorted(term.dims):
             report.add_entry(p, x, d, term.dim(x, d))
-    return SyzygyResolution(e, m, cx, gt, hcert.homotopies, report)
+    return SyzygyResolution(e, m, cx, gt, report)

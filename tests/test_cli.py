@@ -112,6 +112,20 @@ def test_hh_refuses_nonidempotent():
                  "--max-degree", "2"]) == 1
 
 
+@pytest.mark.parametrize("verb, flags", [
+    ("hh", ["-p", "0"]),
+    ("syzygy", ["--module", "M"]),
+])
+def test_refusal_of_a_non_idempotent_subject(tmp_path, verb, flags):
+    path = tmp_path / "refused.json"
+    assert main([verb, pfile("dual_numbers.kz"), "-n", "1", "--report", str(path)] + flags) == 1
+    rep = GradedReport.from_json(path.read_text())
+    assert rep.task["op"] == verb
+    assert [(c.name, c.passed) for c in rep.certificates] == [("tensor-idempotent", False)]
+    assert rep.certificates[0].detail.startswith("refused: ")
+    assert rep.entries == []
+
+
 def test_hh_window_zero_exits_two():
     assert main(["hh", pfile("trivial_q.kz"), "-n", "1", "-p", "0",
                  "--max-degree", "0"]) == 2
@@ -248,7 +262,13 @@ main J"""
     ("monoid I identity\nmain I", C2_MONOID, "act u_ee applied to i_g at the wrong object"),
     ("act reg u_eg = 1 1 ; 0 1", "act reg u_eg = 1 1 1 ; 0 1 1",
      "action u_eg has shape 2x3, expected 2x2"),
-], ids=["monoid-act-wrong-object", "rep-act-wrong-shape"])
+    ("act reg u_eg = 1 1 ; 0 1", "act reg u_eg = 1 1 ; 0", "ragged rows in action u_eg"),
+    ("act reg u_eg = 1 1 ; 0 1", "act reg u_xx = 1 1 ; 0 1",
+     "no hom basis element named 'u_xx'"),
+    ("monoid I identity\nmain I", C2_MONOID.replace("act u_ee", "act u_xx"),
+     "no hom basis element named 'u_xx'"),
+], ids=["monoid-act-wrong-object", "rep-act-wrong-shape", "rep-act-ragged",
+        "rep-act-unknown-arrow", "monoid-act-unknown-arrow"])
 def test_bad_act_line_exits_two_with_its_number(tmp_path, capsys, old, new, message):
     with open(pfile("c2conv.kz"), encoding="utf-8") as fh:
         text = fh.read()

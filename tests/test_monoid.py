@@ -10,6 +10,8 @@ from koszulcat.field import QQ
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
     Element,
+    Module,
+    Monoid,
     commutant,
     generated_submodule,
     identity_monoid,
@@ -79,7 +81,77 @@ def test_perturbed_structure_constant_fails():
     bad = monoid_from_table(CAT, {U: ("z1", "z2", "z3")}, mul, {"z1": one})
     rep = validate_monoid(bad)
     assert not rep.ok
-    assert any(v.axiom == "associativity" for v in rep.violations)
+    assert summary(rep) == (3, ["associativity at cells (1,0)(1,0)(1,0)"])
+
+
+def perturbed(pairing, edits):
+    """A copy of a cell dict with entries (cell key, row, col, int) overwritten."""
+    out = {key: Matrix(QQ, m.nrows, m.ncols, [dict(r) for r in m.rows])
+           for key, m in pairing.items()}
+    for key, i, j, v in edits:
+        out[key].rows[i][j] = QQ.from_int(v)
+    return out
+
+
+def summary(rep):
+    return rep.checked, [str(v) for v in rep.violations]
+
+
+# The tests below pin the validators' exact output on broken structures:
+# violation names, instances, their order and the number of checked instances.
+
+
+def test_perturbed_graded_monoid_violations_in_cell_order():
+    p = polynomial_monoid(dual_numbers(QQ), 1, 2)
+    bad = Monoid(p.carrier, perturbed(p.pairing, [((U, 1, U, 0), 0, 0, 5)]), p.unit)
+    assert summary(validate_monoid(bad)) == (16, [
+        "unit-right at (1, 1)",
+        "associativity at cells (1,0)(1,1)(1,0)",
+        "associativity at cells (1,1)(1,0)(1,0)",
+        "associativity at cells (1,1)(1,0)(1,1)",
+        "associativity at cells (1,1)(1,1)(1,0)",
+    ])
+
+
+def test_bimodule_failing_every_law_on_dual_numbers():
+    a = dual_numbers(QQ)
+    cell = (U, 0, U, 0)
+    # left: xbar.xbar = xbar; right: xbar.xbar = one and xbar.one = 2 xbar
+    m = Module(a, a.carrier, "bi", perturbed(a.pairing, [(cell, 1, 3, 1)]),
+               perturbed(a.pairing, [(cell, 0, 3, 1), (cell, 1, 2, 2)]))
+    assert summary(validate_module(m)) == (5, [
+        "unit-acts-as-identity-right at (1, 0)",
+        "left-action-associativity at cells (1,0)(1,0)(1,0)",
+        "right-action-associativity at cells (1,0)(1,0)(1,0)",
+        "bimodule-compatibility at cells (1,0)(1,0)(1,0)",
+    ])
+
+
+def test_bimodule_failing_every_law_on_c2conv():
+    ident = identity_monoid(c2_convolution_category(QQ))
+    m = Module(ident, ident.carrier, "bi",
+               perturbed(ident.pairing, [(("g", 0, "g", 0), 0, 0, 2)]),
+               perturbed(ident.pairing, [(("g", 0, "e", 0), 0, 0, 3)]))
+    assert summary(validate_module(m)) == (28, [
+        "unit-acts-as-identity-right at (g, 0)",
+        "right-action-associativity at cells (e,0)(g,0)(e,0)",
+        "right-action-associativity at cells (g,0)(e,0)(e,0)",
+        "bimodule-compatibility at cells (g,0)(e,0)(e,0)",
+        "right-action-associativity at cells (g,0)(e,0)(g,0)",
+        "bimodule-compatibility at cells (g,0)(e,0)(g,0)",
+        "left-action-associativity at cells (g,0)(g,0)(e,0)",
+        "bimodule-compatibility at cells (g,0)(g,0)(e,0)",
+        "left-action-associativity at cells (g,0)(g,0)(g,0)",
+        "right-action-associativity at cells (g,0)(g,0)(g,0)",
+        "bimodule-compatibility at cells (g,0)(g,0)(g,0)",
+    ])
+
+
+def test_graded_left_module_violation_and_count():
+    p = polynomial_monoid(dual_numbers(QQ), 1, 2)
+    m = Module(p, p.carrier, "left", perturbed(p.pairing, [((U, 1, U, 1), 1, 0, 1)]), None)
+    assert summary(validate_module(m)) == (
+        13, ["left-action-associativity at cells (1,1)(1,1)(1,0)"])
 
 
 def test_identity_monoid_on_c2conv_valid():

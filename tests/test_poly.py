@@ -1,14 +1,17 @@
 """Polynomial monoids: dimension formulas, grading, centrality, variable merging."""
 
+import random
 from math import comb
 
 import pytest
 
 from koszulcat.category import CategoryPresentation
 from koszulcat.errors import IsoFailureError, PreconditionError
-from koszulcat.field import QQ
+from koszulcat.field import QQ, Field
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
+    Element,
+    identity_monoid,
     is_central,
     is_commutative,
     regular_bimodule,
@@ -24,7 +27,7 @@ from koszulcat.poly import (
     polynomial_monoid,
     variable_element,
 )
-from koszulcat.sample import dual_numbers, s3_group_algebra
+from koszulcat.sample import c2_convolution_category, dual_numbers, s3_group_algebra
 
 CAT = CategoryPresentation.trivial(QQ)
 U = CAT.unit
@@ -159,3 +162,67 @@ def test_merge_rejects_bad_witness():
     d = polynomial_monoid(q, 1, 2, var_names=("v",))
     with pytest.raises(IsoFailureError):
         merge_variables(c, d, q, {U: Matrix.zeros(QQ, 1, 1)})
+
+
+# -- pairing oracle ---------------------------------------------------------------
+
+
+def _naive_pairing_cell(base, n, x, d1, y, d2):
+    """Entries of the (x, d1, y, d2) pairing cell by dict convolution.
+
+    A basis vector of a cell is a (monomial, base index) pair, listed with the
+    base index fastest; (u, p) times (v, q) is the sum over base rows r of
+    base[r, (p, q)] (u + v, r).
+    """
+    car = base.carrier
+    dx, dy = car.dim(x, 0), car.dim(y, 0)
+    cell = base.pairing_cell(x, 0, y, 0)
+    rows = {(u, r): i for i, (u, r) in enumerate(
+        (u, r) for u in multi_indices(n, d1 + d2) for r in range(cell.nrows))}
+    left = [(u, p) for u in multi_indices(n, d1) for p in range(dx)]
+    right = [(v, q) for v in multi_indices(n, d2) for q in range(dy)]
+    out = {}
+    for i, (u, p) in enumerate(left):
+        for j, (v, q) in enumerate(right):
+            w = tuple(a + b for a, b in zip(u, v))
+            for r in range(cell.nrows):
+                c = cell.entry(r, p * dy + q)
+                if c:
+                    out[(rows[(w, r)], i * len(right) + j)] = c
+    return out
+
+
+def _pairing_bases(field):
+    return {
+        "scalar": scalar_monoid(CategoryPresentation.trivial(field)),
+        "c2-day-unit": identity_monoid(c2_convolution_category(field)),
+        "s3": s3_group_algebra(field),
+    }
+
+
+@pytest.mark.parametrize("p", [0, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("base_name", ["scalar", "c2-day-unit", "s3"])
+def test_pairing_cells_match_naive_convolution(p, base_name):
+    field = Field(p)
+    base = _pairing_bases(field)[base_name]
+    rng = random.Random(1100 + p)
+    cap = 3
+    for n in (1, 2, 3):
+        a = polynomial_monoid(base, n, cap)
+        for d1 in range(cap + 1):
+            for d2 in range(cap + 1 - d1):
+                for x in base.cat.objects:
+                    for y in base.cat.objects:
+                        got = a.pairing_cell(x, d1, y, d2)
+                        want = _naive_pairing_cell(base, n, x, d1, y, d2)
+                        assert {(i, j): v for i, row in enumerate(got.rows)
+                                for j, v in row.items()} == want
+                        # a seeded product of two random elements agrees too
+                        ea = [field.from_int(rng.randint(-3, 3)) for _ in range(a.carrier.dim(x, d1))]
+                        eb = [field.from_int(rng.randint(-3, 3)) for _ in range(a.carrier.dim(y, d2))]
+                        prod = a.multiply(Element(x, d1, tuple(ea)), Element(y, d2, tuple(eb)))
+                        expect = [field.zero()] * got.nrows
+                        for (i, j), v in want.items():
+                            c = field.mul(v, field.mul(ea[j // len(eb)], eb[j % len(eb)]))
+                            expect[i] = field.add(expect[i], c)
+                        assert prod.coords == tuple(expect)
