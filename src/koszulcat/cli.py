@@ -202,7 +202,6 @@ def cmd_commutant(args, problem, cap, parallel_map):
         com = commutant(subject, x)
         for d, sub in sorted(com.items()):
             report.add_entry(None, x, d, sub.dim)
-    report.add_certificate("commutant-computed", True)
     return report, 0
 
 
@@ -284,8 +283,6 @@ def cmd_syzygy(args, problem, cap, parallel_map):
     env = build_enveloping(subject, n, cap, idem_cert=cert, var_names=var_names)
     module = problem.build_module(mod_name, env.a_n)
     res = build_syzygy_resolution(env, module)
-    res.report.add_certificate("resolution-length", True,
-                               detail="%d terms above the module" % res.length)
     return res.report, (0 if res.passed else 1)
 
 
@@ -308,13 +305,9 @@ def cmd_tensor_over(args, problem, cap, parallel_map):
         report.add_entry(None, x, d, q.dim)
     if problem.modules.get(m_name) == ("self",):
         unit_law_maps(coeq, "left")
-        report.add_certificate("left-unit-law", True,
-                               detail="canonical map invertible cellwise")
     if problem.modules.get(n_name) == ("self",):
         unit_law_maps(coeq, "right")
-        report.add_certificate("right-unit-law", True,
-                               detail="canonical map invertible cellwise")
-    return report, (0 if report.all_passed else 1)
+    return report, 0
 
 
 if __name__ == "__main__":

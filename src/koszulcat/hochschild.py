@@ -32,6 +32,7 @@ from .monoid import (
 from .poly import (
     MergeResult,
     add_exponents,
+    default_var_names,
     merge_variables,
     mono_index,
     monomial_block_product,
@@ -165,19 +166,12 @@ def build_enveloping(a: Monoid, n: int, cap: int,
         raise WindowError("degree window %d cannot hold the variables" % cap)
     cat, field = a.cat, a.field
 
-    if var_names is not None:
-        t_names = tuple(var_names)
-        if len(t_names) != n:
-            raise PreconditionError("expected %d variable names" % n)
-    elif n == 1:
-        t_names = ("t",)
-    else:
-        t_names = tuple("t%d" % (i + 1) for i in range(n))
-    u_names = ("u",) if n == 1 else tuple("u%d" % (i + 1) for i in range(n))
-    v_names = ("v",) if n == 1 else tuple("v%d" % (i + 1) for i in range(n))
+    t_names = tuple(var_names) if var_names is not None else default_var_names(n)
+    if len(t_names) != n:
+        raise PreconditionError("expected %d variable names" % n)
     a_n = polynomial_monoid(a, n, cap, var_names=t_names)
-    a_u = polynomial_monoid(a, n, cap, var_names=u_names)
-    a_v = polynomial_monoid(a, n, cap, var_names=v_names)
+    a_u = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "u"))
+    a_v = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "v"))
 
     mu0 = cert.mu_cells
     if mu0 is None:
@@ -453,8 +447,6 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
         window={"cap": e.cap, "max_certified": e.cap - 1, "truncated": True},
     )
     if p > n:
-        report.add_certificate("vanishes-above-n", True,
-                               detail="no %d-element subsets of %d" % (p, n))
         for d in range(e.cap):
             for x in a_n.cat.objects:
                 report.add_entry(p, x, d, 0)

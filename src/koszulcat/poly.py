@@ -82,8 +82,8 @@ def mono_str(m: tuple, var_names) -> str:
     return "*".join(parts)
 
 
-def default_var_names(n: int) -> tuple:
-    return ("t",) if n == 1 else tuple("t%d" % (i + 1) for i in range(n))
+def default_var_names(n: int, letter: str = "t") -> tuple:
+    return (letter,) if n == 1 else tuple("%s%d" % (letter, i + 1) for i in range(n))
 
 
 @dataclass
@@ -273,8 +273,8 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
     """Trivial backend: Phi of a product equals the product of the Phi images.
 
     Checked as one matrix identity per degree 4-tuple: the tensor-square
-    multiplication is (mu_C (x) mu_D) conjugated by the middle swap of the
-    Kronecker factors; the braiding contributes no twist on a single object.
+    multiplication is (mu_C (x) mu_D) after the middle swap of the Kronecker
+    factors; the braiding contributes no twist on a single object.
     """
     cat, field = c.cat, c.field
     u = cat.unit
@@ -293,12 +293,13 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
                     dc2, dd2 = c.carrier.dim(u, db1), d.carrier.dim(u, db2)
                     if dc1 * dd1 * dc2 * dd2 == 0:
                         continue
-                    # middle swap: (p1 q1 p2 q2) -> (p1 p2 q1 q2)
-                    swap = Matrix.identity(field, dc1).kron(
-                        Matrix.commutation(field, dd1, dc2)).kron(Matrix.identity(field, dd2))
-                    mu_cc = c.pairing_cell(u, da1, u, db1)
-                    mu_dd = d.pairing_cell(u, da2, u, db2)
-                    mu_tensor = mu_cc.kron(mu_dd) * swap
+                    # the middle swap as a column order: source (p1 q1 p2 q2)
+                    # reads column (p1 p2 q1 q2) of mu_C (x) mu_D
+                    cols = [((p1 * dc2 + p2) * dd1 + q1) * dd2 + q2
+                            for p1 in range(dc1) for q1 in range(dd1)
+                            for p2 in range(dc2) for q2 in range(dd2)]
+                    mu_tensor = c.pairing_cell(u, da1, u, db1).kron(
+                        d.pairing_cell(u, da2, u, db2)).select_columns(cols)
                     # embed pure tensors of the two cells into their blocks
                     tot = da1 + da2 + db1 + db2
                     lhs = phi[(u, tot)] * block_embed(da1 + db1, da2 + db2, mu_tensor)

@@ -6,7 +6,7 @@ map: each cell of the plain tensor is quotiented by the span of the vectors
 Day presentation, so one code path serves both backends.  The syzygy builder
 realizes the resolution terms as plain tensors of the polynomial monoid with
 the module, differentials induced by one-sided variable multiplications, and
-certifies exactness, pointwise splitness and structural projectivity.
+certifies exactness and pointwise splitness; the terms are induced by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 from .category import unit_action
 from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
-from .errors import IsoFailureError, StructuralError, WindowError
+from .errors import IsoFailureError, StabilityError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
@@ -176,11 +176,11 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
             rel = q_src.sub.basis
             if on_left_factor:
                 if not (q_tgt.projection * raw * ident_o.kron(rel)).is_zero():
-                    raise StructuralError("outer left action does not preserve the relations")
+                    raise StabilityError("outer left action does not preserve the relations")
                 out[(u, d2, u, d)] = q_tgt.projection * raw * ident_o.kron(q_src.section)
             else:
                 if not (q_tgt.projection * raw * rel.kron(ident_o)).is_zero():
-                    raise StructuralError("outer right action does not preserve the relations")
+                    raise StabilityError("outer right action does not preserve the relations")
                 out[(u, d, u, d2)] = q_tgt.projection * raw * q_src.section.kron(ident_o)
     return out
 
@@ -219,7 +219,7 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
     for cell, mat in sorted(pre.items()):
         q = coeq.quots[cell]
         if not (mat * q.sub.basis).is_zero():
-            raise StructuralError("action map does not kill the relations at %s" % (cell,))
+            raise StabilityError("action map does not kill the relations at %s" % (cell,))
         desc = mat * q.section
         if desc.nrows != desc.ncols or (desc.nrows and rank(desc) != desc.nrows):
             raise IsoFailureError("unit comparison map not invertible at %s" % (cell,))
@@ -290,8 +290,8 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
     Terms above the module are plain tensors of the polynomial monoid with
     the module, in binomial multiplicities; differentials combine the two
     one-sided multiplications by each variable, and the bottom map is the
-    action.  Certifies: complex, exactness with pointwise splitting via an
-    explicit homotopy, and structural projectivity of every term.
+    action.  Certifies: complex, and exactness with pointwise splitting via an
+    explicit homotopy.  The terms are induced, hence projective, by construction.
     """
     a_n, n = e.a_n, e.n
     field = a_n.field
@@ -319,13 +319,11 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
                              for cell, mat in gt.map_factor(op_a.cells, 1, "left").items()})
 
     terms = [Term("M", dict(m.carrier.dims), meta={"module": m.name})]
-    free_meta = {"induced_from": m.name, "free_over_base": True}
     subsets = [subsets_lex(n, p) for p in range(n + 1)]
     for p in range(n + 1):
         dims = {cell: len(subsets[p]) * base_dims.get(cell, 0)
                 for cell in base_dims}
-        terms.append(Term("K_%d(x)M" % p, dims,
-                          meta=dict(free_meta, summands=subsets[p])))
+        terms.append(Term("K_%d(x)M" % p, dims, meta={"summands": subsets[p]}))
 
     diffs = [None]
     # bottom map: the action of the polynomial monoid on the module
@@ -351,11 +349,6 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
     hcert = contracting_homotopy(cx)
     report.add_certificate("contracting-homotopy", hcert.ok, detail=hcert.detail,
                            witness={"cells_checked": hcert.cells_checked})
-    report.add_certificate("terms-induced-from-base",
-                           all(t.meta.get("free_over_base") for t in terms[1:]),
-                           detail="every term is a tensor with the module")
-    report.add_certificate("length-bound", len(terms) - 1 <= n + 1,
-                           detail="%d terms above the module" % (len(terms) - 1))
     for p, term in enumerate(terms):
         for (x, d) in sorted(term.dims):
             report.add_entry(p, x, d, term.dim(x, d))

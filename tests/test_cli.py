@@ -6,6 +6,7 @@ import pytest
 
 from koszulcat.cli import main
 from koszulcat.errors import IsoFailureError, PreconditionError
+from koszulcat.matrix import Matrix
 from koszulcat.monoid import Element
 from koszulcat.parallel import MAX_THREADS, resolve_threads
 from koszulcat.problemfile import parse_problem_file, parse_problem_text
@@ -354,6 +355,14 @@ def test_singular_unit_comparison_exits_one(monkeypatch, capsys):
     monkeypatch.setattr("koszulcat.tensor.rank", lambda m: 0)
     assert main(["tensor-over", pfile("dual_numbers.kz"), "--module", "R,M"]) == 1
     assert "unit comparison map not invertible" in capsys.readouterr().err
+
+
+def test_unit_law_relation_failure_exits_one(monkeypatch, capsys):
+    # every vector a relation: the action map of A (x)_A M -> M cannot kill them all
+    monkeypatch.setattr("koszulcat.tensor._delta_relations",
+                        lambda a, m, n, gt, x, d: Matrix.identity(a.field, gt.dim(x, d)))
+    assert main(["tensor-over", pfile("dual_numbers.kz"), "--module", "R,M"]) == 1
+    assert "action map does not kill the relations" in capsys.readouterr().err
 
 
 def test_task_line_values_reach_the_verbs(tmp_path):

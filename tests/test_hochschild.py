@@ -73,6 +73,19 @@ def test_enveloping_requires_certificate():
         build_enveloping(dual_numbers(QQ), 1, 2)
 
 
+@pytest.mark.parametrize("n,t,u,v", [(1, ("t",), ("u",), ("v",)),
+                                     (2, ("t1", "t2"), ("u1", "u2"), ("v1", "v2"))])
+def test_enveloping_default_variable_names(n, t, u, v):
+    e = build_enveloping(scalar_monoid(CAT), n, 2)
+    assert e.a_n.poly_info.var_names == t
+    assert e.c.poly_info.var_names == u + v
+
+
+def test_enveloping_rejects_wrong_number_of_variable_names():
+    with pytest.raises(PreconditionError, match="expected 2 variable names"):
+        build_enveloping(scalar_monoid(CAT), 2, 2, var_names=("x",))
+
+
 def test_change_of_variables_mechanism():
     e = build_enveloping(scalar_monoid(CAT), 2, 3)
     assert change_of_variables_certificate(e)
@@ -142,7 +155,7 @@ def test_hh_vanishes_above_n():
     for p in (3, 4):
         rep = hochschild_cohomology(e, m, p)
         assert all(en.dim == 0 for en in rep.entries)
-        assert any(c.name == "vanishes-above-n" for c in rep.certificates)
+        assert not any(c.name == "vanishes-above-n" for c in rep.certificates)
 
 
 def test_hh_negative_degree_rejected():

@@ -148,6 +148,18 @@ def test_merge_bivariate_dims():
         assert mat.nrows == mat.ncols == res.monoid.carrier.dim(x, deg)
 
 
+@pytest.mark.parametrize("scale,multiplicative", [(1, True), (2, False)])
+def test_merge_multiplicative_detects_a_wrong_witness(scale, multiplicative):
+    """With two variables on each side the middle swap moves coordinates, so a
+    wrong column order fails the identity witness; one variable cannot see it."""
+    q = scalar_monoid(CAT)
+    c = polynomial_monoid(q, 2, 3, var_names=("u1", "u2"))
+    d = polynomial_monoid(q, 2, 3, var_names=("v1", "v2"))
+    res = merge_variables(c, d, q, {U: Matrix.identity(QQ, 1).scale(QQ.from_int(scale))})
+    assert res.hom_checked
+    assert res.hom_ok is multiplicative
+
+
 def test_merge_zero_variables_returns_equivalent_monoid():
     q = scalar_monoid(CAT)
     c = polynomial_monoid(q, 2, 2)
