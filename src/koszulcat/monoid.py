@@ -14,6 +14,7 @@ messages are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +27,7 @@ from .errors import (
     WrongObjectError,
 )
 from .field import Field
-from .matrix import Matrix, Subspace, hstack, kernel, kernel_basis, quotient, vstack
+from .matrix import Matrix, Subspace, hstack, kernel, kernel_basis, quotient, rref, vstack
 from .report import ValidationReport
 
 
@@ -111,7 +112,7 @@ class Element:
 
 
 class Monoid:
-    __slots__ = ("carrier", "pairing", "unit", "name", "poly_info")
+    __slots__ = ("carrier", "pairing", "unit", "name", "poly_info", "central_memo")
 
     def __init__(self, carrier: GradedCarrier, pairing: dict, unit: tuple,
                  name="A", poly_info=None):
@@ -120,6 +121,7 @@ class Monoid:
         self.unit = tuple(unit)
         self.name = name
         self.poly_info = poly_info  # (base Monoid, var names) for polynomial monoids
+        self.central_memo = {}      # see `is_central`
         u = carrier.cat.unit
         if len(unit) != carrier.dim(u, 0):
             raise StructuralError("unit has %d coordinates, expected %d"
@@ -491,7 +493,18 @@ def commutant(a: Monoid, x: str) -> dict:
 
 
 def is_central(a: Monoid, elt: Element) -> bool:
-    """Direct commutation check for a single element, all cells in the window."""
+    """Direct commutation check for a single element, all cells in the window.
+
+    `a.central_memo` keeps each verdict under (obj, degree, coords), so equal
+    elements are certified once per monoid.
+    """
+    key = (elt.obj, elt.degree, tuple(elt.coords))
+    if key not in a.central_memo:
+        a.central_memo[key] = _commutes_with_all(a, elt)
+    return a.central_memo[key]
+
+
+def _commutes_with_all(a: Monoid, elt: Element) -> bool:
     cat, field, car = a.cat, a.field, a.carrier
     x, d = elt.obj, elt.degree
     for dp in range(car.cap + 1 - d):
@@ -543,25 +556,33 @@ def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperat
 # -- generated submodules and quotients ----------------------------------------
 
 
+def _ideal_columns(a: Monoid, gens: Sequence[Element], x, d):
+    """Cell (x, d) of A<gens> as columns b -> b g, one block per generator.
+
+    Returns the hstack and ends: ends[i] counts the columns of the first i.
+    """
+    field, car, u = a.field, a.carrier, a.cat.unit
+    blocks, ends = [Matrix.zeros(field, car.dim(x, d), 0)], [0]
+    for g in gens:
+        width = car.dim(x, d - g.degree) if g.degree <= d else 0
+        if width:
+            blocks.append(a.pairing_cell(x, d - g.degree, u, g.degree) *
+                          fix_right(field, width, list(g.coords)))
+        ends.append(ends[-1] + width)
+    return hstack(blocks), ends
+
+
 def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
     """The ideal A<gens> per cell: image of right multiplication by the gens.
 
     Every generator must be supported at the unit object; an empty list gives
     the zero family.
     """
-    cat, field, car = a.cat, a.field, a.carrier
     for g in gens:
-        if g.obj != cat.unit:
+        if g.obj != a.cat.unit:
             raise WrongObjectError("generator lives at %s, expected the unit object" % g.obj)
-    out = {}
-    for (x, d) in car.cells():
-        blocks = [Matrix.zeros(field, car.dim(x, d), 0)]
-        for g in gens:
-            if g.degree <= d:
-                blocks.append(a.pairing_cell(x, d - g.degree, cat.unit, g.degree) *
-                              fix_right(field, car.dim(x, d - g.degree), list(g.coords)))
-        out[(x, d)] = Subspace.from_matrix_columns(hstack(blocks))
-    return out
+    return {(x, d): Subspace.from_matrix_columns(_ideal_columns(a, gens, x, d)[0])
+            for (x, d) in a.carrier.cells()}
 
 
 @dataclass
@@ -723,32 +744,42 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
     With I = A<g_1..g_{i-1}> and g = g_i central of degree e, g is injective on
     (A/I)_(x,d) iff dim(I + A g)_(x,d+e) - dim I_(x,d+e) = dim A_(x,d) - dim
     I_(x,d): the ideal of central elements is a sub-bimodule, and A g is g A up
-    to the symmetry.  Only a failing stage builds A/I, where `is_regular` finds
-    the witness.  final_dims is dim A - dim A<gens> per cell.
+    to the symmetry.  One `rref` per cell gives every prefix dimension: its
+    pivot columns are the generator columns independent of those before them.
+    Stage i checks g_i's centrality before its object.  Only a failing stage
+    builds A/I, where `is_regular` finds the witness.  final_dims is dim A -
+    dim A<gens> per cell.
     """
-    car = a.carrier
-    ideal = generated_submodule(a, [])
-    stages = []
-    failed = None
+    car, unit = a.carrier, a.cat.unit
+    k = next((i for i, g in enumerate(gens) if g.obj != unit), len(gens))
+    prefix = {}  # cell -> dim A<g_1..g_i> for i = 0..k; gens[k] is the first off the unit
+    for (x, d) in car.cells():
+        cols, ends = _ideal_columns(a, gens[:k], x, d)
+        pivots = rref(a.field, cols.rows, cols.ncols)[0]
+        prefix[(x, d)] = [bisect_left(pivots, end) for end in ends]
+    stages, failed = [], None
     for i, g in enumerate(gens):
         if not is_central(a, g):
             raise NotCentralError("element at (%s, degree %d) is not in the commutant"
                                   % (g.obj, g.degree))
+        if i == k:
+            break
         e = g.degree
-        grown = generated_submodule(a, gens[:i + 1])
         cells = [(x, d) for (x, d) in car.cells() if d + e <= car.cap]
-        if all(grown[(x, d + e)].dim - ideal[(x, d + e)].dim == car.dim(x, d) - ideal[(x, d)].dim
-               for (x, d) in cells):
+        if all(prefix[(x, d + e)][i + 1] - prefix[(x, d + e)][i]
+               == car.dim(x, d) - prefix[(x, d)][i] for (x, d) in cells):
             stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
                                                 car.truncated))
-            ideal = grown
             continue
+        ideal = generated_submodule(a, gens[:i])
         stages.append(is_regular(a, g, quotient_module(regular_bimodule(a), ideal).module))
         if stages[-1].regular:
             raise StructuralError("stage %d: dimension count and kernel scan disagree" % i)
-        failed, ideal = i, generated_submodule(a, gens)
+        failed = i
         break
-    dims = {c: car.dim(*c) - ideal[c].dim for c in car.cells()} if gens else dict(car.dims)
+    if k < len(gens):
+        raise WrongObjectError("generator lives at %s, expected the unit object" % gens[k].obj)
+    dims = {c: car.dim(*c) - prefix[c][k] for c in car.cells()} if gens else dict(car.dims)
     nonzero = any(dims.values())
     if failed is None and not nonzero:
         failed = len(gens)

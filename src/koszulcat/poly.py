@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import IsoFailureError, PreconditionError, StructuralError
 from .gtensor import GradedTensor
-from .matrix import Matrix, place, rank
+from .matrix import Matrix, rank
 from .monoid import Element, GradedCarrier, Monoid, is_central
 
 
@@ -276,15 +276,10 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
     multiplication is (mu_C (x) mu_D) after the middle swap of the Kronecker
     factors; the braiding contributes no twist on a single object.
     """
-    cat, field = c.cat, c.field
-    u = cat.unit
-    cap = gt.cap
-
-    def block_embed(d1, d2, mat_cols):
-        """Columns in C_{d1} (x) D_{d2} coordinates, embedded in the cell."""
-        return place(field, gt.dim(u, d1 + d2), mat_cols.ncols,
-                     [(gt.layout[(u, d1 + d2)][d1].offset, 0, mat_cols)])
-
+    u, cap = c.cat.unit, gt.cap
+    # phi restricted to the block C_{d1} (x) D_{d2} of its cell, per (d1, d2)
+    phi_block = {(b.d1, b.d2): phi[(u, d)].select_columns(range(b.offset, b.offset + b.dim))
+                 for d in range(cap + 1) for b in gt.layout[(u, d)]}
     for da1 in range(cap + 1):
         for da2 in range(cap + 1 - da1):
             for db1 in range(cap + 1 - da1 - da2):
@@ -300,15 +295,9 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
                             for p2 in range(dc2) for q2 in range(dd2)]
                     mu_tensor = c.pairing_cell(u, da1, u, db1).kron(
                         d.pairing_cell(u, da2, u, db2)).select_columns(cols)
-                    # embed pure tensors of the two cells into their blocks
-                    tot = da1 + da2 + db1 + db2
-                    lhs = phi[(u, tot)] * block_embed(da1 + db1, da2 + db2, mu_tensor)
-                    emb1 = block_embed(da1, da2,
-                                       Matrix.identity(field, dc1 * dd1))
-                    emb2 = block_embed(db1, db2,
-                                       Matrix.identity(field, dc2 * dd2))
+                    lhs = phi_block[(da1 + db1, da2 + db2)] * mu_tensor
                     rhs = merged.pairing_cell(u, da1 + da2, u, db1 + db2) * \
-                        (phi[(u, da1 + da2)] * emb1).kron(phi[(u, db1 + db2)] * emb2)
+                        phi_block[(da1, da2)].kron(phi_block[(db1, db2)])
                     if lhs != rhs:
                         return False
     return True

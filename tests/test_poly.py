@@ -8,7 +8,7 @@ import pytest
 from koszulcat.category import CategoryPresentation
 from koszulcat.errors import IsoFailureError, PreconditionError
 from koszulcat.field import QQ, Field
-from koszulcat.matrix import Matrix
+from koszulcat.matrix import Matrix, place
 from koszulcat.monoid import (
     Element,
     identity_monoid,
@@ -158,6 +158,55 @@ def test_merge_multiplicative_detects_a_wrong_witness(scale, multiplicative):
     res = merge_variables(c, d, q, {U: Matrix.identity(QQ, 1).scale(QQ.from_int(scale))})
     assert res.hom_checked
     assert res.hom_ok is multiplicative
+
+
+def _phi_multiplicative_by_embedding(c, d, merged, gt, phi):
+    """Reference for `poly._check_phi_multiplicative`: phi times placed
+    identity blocks, the cell embeddings spelled out, for every 4-tuple."""
+    field, u = c.field, c.cat.unit
+
+    def block_embed(d1, d2, cols):
+        return place(field, gt.dim(u, d1 + d2), cols.ncols,
+                     [(gt.layout[(u, d1 + d2)][d1].offset, 0, cols)])
+
+    cap = gt.cap
+    for da1 in range(cap + 1):
+        for da2 in range(cap + 1 - da1):
+            for db1 in range(cap + 1 - da1 - da2):
+                for db2 in range(cap + 1 - da1 - da2 - db1):
+                    dc1, dd1 = c.carrier.dim(u, da1), d.carrier.dim(u, da2)
+                    dc2, dd2 = c.carrier.dim(u, db1), d.carrier.dim(u, db2)
+                    if dc1 * dd1 * dc2 * dd2 == 0:
+                        continue
+                    cols = [((p1 * dc2 + p2) * dd1 + q1) * dd2 + q2
+                            for p1 in range(dc1) for q1 in range(dd1)
+                            for p2 in range(dc2) for q2 in range(dd2)]
+                    mu = c.pairing_cell(u, da1, u, db1).kron(
+                        d.pairing_cell(u, da2, u, db2)).select_columns(cols)
+                    lhs = phi[(u, da1 + da2 + db1 + db2)] * block_embed(da1 + db1, da2 + db2, mu)
+                    emb1 = block_embed(da1, da2, Matrix.identity(field, dc1 * dd1))
+                    emb2 = block_embed(db1, db2, Matrix.identity(field, dc2 * dd2))
+                    rhs = merged.pairing_cell(u, da1 + da2, u, db1 + db2) * \
+                        (phi[(u, da1 + da2)] * emb1).kron(phi[(u, db1 + db2)] * emb2)
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_phi_multiplicative_matches_embedding_reference(field, n, m):
+    q = scalar_monoid(CategoryPresentation.trivial(field))
+    u = q.cat.unit
+    c = polynomial_monoid(q, n, 3, var_names=tuple("u%d" % i for i in range(n)))
+    d = polynomial_monoid(q, m, 3, var_names=tuple("v%d" % i for i in range(m)))
+    verdicts = []
+    for scale in (1, 2, -1):
+        res = merge_variables(c, d, q, {u: Matrix.identity(field, 1).scale(field.from_int(scale))})
+        want = _phi_multiplicative_by_embedding(c, d, res.monoid, res.tensor, res.phi)
+        assert res.hom_ok is want
+        verdicts.append(want)
+    assert verdicts == [True, False, False]
 
 
 def test_merge_zero_variables_returns_equivalent_monoid():

@@ -4,6 +4,10 @@
 ideals and builds a quotient module only where a stage fails.  The oracle
 here is the definition itself: the quotient bimodule A/<g_1..g_{i-1}> for
 every prefix, `is_regular` of g_i on it, and the dimensions of A/<gens>.
+
+Every prefix dimension now comes from one elimination per cell of all the
+generators' column blocks; `prefix_route` keeps the earlier route, a
+`generated_submodule` of every prefix from scratch, as a second oracle.
 """
 
 import random
@@ -12,19 +16,26 @@ import pytest
 
 import koszulcat.monoid as monoid_mod
 from koszulcat.category import CategoryPresentation
+from koszulcat.errors import NotCentralError, WrongObjectError
 from koszulcat.field import QQ, Field
+from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
     Element,
+    RegularityCertificate,
+    SequenceCertificate,
     generated_submodule,
     identity_monoid,
+    is_central,
     is_regular,
     is_regular_sequence,
+    monoid_from_table,
     quotient_module,
     regular_bimodule,
     scalar_monoid,
+    validate_monoid,
 )
 from koszulcat.poly import polynomial_monoid, variable_element
-from koszulcat.sample import c2_convolution_category
+from koszulcat.sample import _s3_elements, c2_convolution_category
 from test_homology_rank import linear_form
 
 F101 = Field(101)
@@ -127,3 +138,151 @@ def test_regular_tuple_builds_no_quotient(monkeypatch):
     cert = is_regular_sequence(a, [variable_element(a, i) for i in (1, 2, 3)])
     assert cert.regular and cert.failed_stage is None
     assert [s.cells_checked for s in cert.stages] == [3, 3, 3]
+
+
+# -- one elimination per cell against a generated_submodule per prefix ----------
+
+
+def prefix_route(a, gens):
+    """The earlier `is_regular_sequence`: each prefix ideal built from scratch."""
+    car = a.carrier
+    ideal = generated_submodule(a, [])
+    stages = []
+    failed = None
+    for i, g in enumerate(gens):
+        if not is_central(a, g):
+            raise NotCentralError("element at (%s, degree %d) is not in the commutant"
+                                  % (g.obj, g.degree))
+        e = g.degree
+        grown = generated_submodule(a, gens[:i + 1])
+        cells = [(x, d) for (x, d) in car.cells() if d + e <= car.cap]
+        if all(grown[(x, d + e)].dim - ideal[(x, d + e)].dim == car.dim(x, d) - ideal[(x, d)].dim
+               for (x, d) in cells):
+            stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
+                                                car.truncated))
+            ideal = grown
+            continue
+        stages.append(is_regular(a, g, quotient_module(regular_bimodule(a), ideal).module))
+        failed, ideal = i, generated_submodule(a, gens)
+        break
+    dims = {c: car.dim(*c) - ideal[c].dim for c in car.cells()} if gens else dict(car.dims)
+    nonzero = any(dims.values())
+    if failed is None and not nonzero:
+        failed = len(gens)
+    return SequenceCertificate(failed is None, stages, nonzero, failed, dims, car.truncated)
+
+
+def assert_matches_prefix_route(a, gens):
+    cert, want = is_regular_sequence(a, gens), prefix_route(a, gens)
+    assert cert.to_jsonable(a.field) == want.to_jsonable(a.field)
+    assert [s.witness for s in cert.stages] == [s.witness for s in want.stages]
+    assert (cert.failed_stage, cert.quotient_nonzero, cert.final_dims) == \
+        (want.failed_stage, want.quotient_nonzero, want.final_dims)
+    return cert
+
+
+def mixed_tuples(rng, a, ts, count):
+    """Tuples of 1-4 generators: random linear forms, the zero form, a repeat, a
+    combination of earlier forms, and degree-2 products (empty blocks in cells
+    of degree 0 and 1)."""
+    field = a.field
+    out = []
+    for _ in range(count):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("form", "form", "zero", "repeat", "combination", "degree2"))
+            forms = [g for g in gens if g.degree == 1]
+            if kind == "zero":
+                gens.append(linear_form(field, ts, [0] * len(ts)))
+            elif kind == "repeat" and gens:
+                gens.append(rng.choice(gens))
+            elif kind == "combination" and len(forms) >= 2:
+                c1, c2 = (field.from_int(rng.choice((-2, -1, 1, 2))) for _ in range(2))
+                f1, f2 = rng.sample(forms, 2)
+                gens.append(Element(f1.obj, 1, tuple(field.add(field.mul(c1, p), field.mul(c2, q))
+                                                     for p, q in zip(f1.coords, f2.coords))))
+            elif kind == "degree2":
+                gens.append(a.multiply(*(linear_form(field, ts, [rng.randint(-2, 2) for _ in ts])
+                                         for _ in range(2))))
+            else:
+                gens.append(linear_form(field, ts, [rng.randint(-2, 2) for _ in ts]))
+        out.append(gens)
+    return out
+
+
+@FIELDS
+def test_seeded_tuples_match_prefix_route(field):
+    a = polynomial_monoid(scalar_monoid(CategoryPresentation.trivial(field)), 3, 3)
+    ts = [variable_element(a, i) for i in (1, 2, 3)]
+    verdicts, failed_at = set(), set()
+    for gens in mixed_tuples(random.Random(41 + field.char), a, ts, 40):
+        cert = assert_matches_prefix_route(a, gens)
+        verdicts.add(cert.regular)
+        failed_at.add(cert.failed_stage)
+    assert verdicts == {True, False}
+    assert {None, 0, 1} <= failed_at
+
+
+@FIELDS
+def test_named_tuples_match_prefix_route(field):
+    a = polynomial_monoid(scalar_monoid(CategoryPresentation.trivial(field)), 3, 3)
+    t1, t2, t3 = ts = [variable_element(a, i) for i in (1, 2, 3)]
+    zero = linear_form(field, ts, [0, 0, 0])
+    dependent = linear_form(field, ts, [1, 2, 0])
+    t1t2 = a.multiply(t1, t2)
+    for gens in ([zero], [t1, zero, t2], [t1, t1], [t2, t1, t2], [t1, t2, dependent],
+                 [t1, t2, t3, dependent], [t1t2, t3], [t3, t1t2, t1], [t1, t1t2],
+                 [a.multiply(t3, t3), t1, t2, t3], []):
+        assert_matches_prefix_route(a, gens)
+
+
+@FIELDS
+def test_two_object_base_matches_prefix_route(field):
+    a = polynomial_monoid(identity_monoid(c2_convolution_category(field)), 2, 3)
+    ts = [variable_element(a, 1), variable_element(a, 2)]
+    for gens in mixed_tuples(random.Random(43 + field.char), a, ts, 20):
+        assert_matches_prefix_route(a, gens)
+
+
+# -- which error a bad tuple raises --------------------------------------------
+
+
+def c2_s3_algebra(field):
+    """The group algebra of S3 on the C2 convolution category: a copy of the
+    group at each object (basis names: permutation, then object), products at
+    the product object, identity transports.  It has non-central elements at
+    the unit object and elements off it."""
+    cat = c2_convolution_category(field)
+    perms = _s3_elements()
+    by_perm = {p: n for n, p in perms.items()}
+    mul = {}
+    for x in cat.objects:
+        for y in cat.objects:
+            for n1, p1 in perms.items():
+                for n2, p2 in perms.items():
+                    prod = by_perm[tuple(p1[p2[i]] for i in range(3))]
+                    mul[(n1 + x, n2 + y)] = {prod + cat.dobj(x, y): field.one()}
+    basis = {x: tuple(n + x for n in perms) for x in cat.objects}
+    actions = {m: Matrix.identity(field, len(perms)) for m in cat.all_basis_mors()}
+    return monoid_from_table(cat, basis, mul, {"ee": field.one()}, carrier_actions=actions)
+
+
+def test_error_precedence_is_stage_by_stage():
+    """Stage i certifies g_i central before checking its object; after a
+    failing stage a later generator off the unit raises, a non-central one
+    does not."""
+    a = c2_s3_algebra(QQ)
+    assert validate_monoid(a).ok
+    total = Element("e", 0, tuple(QQ.one() for _ in range(6)))  # central, kills e - t12
+    one, t12, off_unit = a.basis_element("ee"), a.basis_element("t12e"), a.basis_element("eg")
+    assert not is_central(a, t12) and is_central(a, off_unit) and is_central(a, total)
+    for run in (is_regular_sequence, prefix_route):
+        for gens in ([t12, off_unit], [one, t12, off_unit]):
+            with pytest.raises(NotCentralError):
+                run(a, gens)
+        for gens in ([off_unit], [total, off_unit], [total, t12, off_unit]):
+            with pytest.raises(WrongObjectError):
+                run(a, gens)
+        cert = run(a, [total, t12])
+        assert cert.failed_stage == 0 and len(cert.stages) == 1
+        assert cert.stages[0].witness is not None
