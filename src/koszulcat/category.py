@@ -12,7 +12,9 @@ Representations assign a space dimension to each object and a matrix to each
 hom basis element.  Day convolution of two representations is computed as a
 pointwise quotient of the direct sum over object pairs of
 hom(y <> z, x) (x) F(y) (x) G(z) by the naturality relations generated by the
-hom basis elements, with induced functorial actions.
+hom basis elements, with induced functorial actions.  When both factors are
+copies of smaller representations (polynomial slices), `day_tensor_copies`
+places copies of their Day convolution instead of eliminating.
 
 The basis order is decided once.  Kronecker products put the left factor
 slowest (`Matrix.kron`).  The Day ambient at x lists the summands by object
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import StructuralError
 from .field import Field
-from .matrix import Matrix, Subspace, hstack, place, quotient, rank
+from .matrix import Matrix, Subspace, checked_quotient, hstack, place, quotient, rank
 from .report import ValidationReport
 
 UNIT_NAME = "1"
@@ -478,8 +480,8 @@ def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) 
     identities (a carrier's `slice_rep` is a fresh object on every call).
     This is sound because the result depends only on cat and that data,
     and no consumer mutates a `DayTensor` or its matrices.  The memo holds
-    one `DayTensor` per distinct pair, as `GradedTensor.day` already does,
-    and lives and dies with its category.
+    one `DayTensor` per distinct pair, and per pair and copy counts for
+    `day_tensor_copies`; it lives and dies with its category.
     """
     key = (_rep_key(f), _rep_key(g))
     if key in cat.day_memo:
@@ -547,6 +549,75 @@ def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) 
         actions[(x, xp, k)] = quot[xp].projection * amb * quot[x].section
     rep = Representation(cat, dims, actions,
                          name="(%s(x)%s)" % (f.name, g.name))
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
+    return cat.day_memo[key]
+
+
+def _copy_ranks(amb, idx) -> list:
+    """ranks[c][j]: the rank of amb[c][idx[j]] among all these positions."""
+    order = sorted((ac[i], c, j) for c, ac in enumerate(amb) for j, i in enumerate(idx))
+    ranks = [[0] * len(idx) for _ in amb]
+    for r, (_, c, j) in enumerate(order):
+        ranks[c][j] = r
+    return ranks
+
+
+def _placed_copies(m: Matrix, nrows: int, ncols: int, row_maps, col_maps) -> Matrix:
+    """Copies of m, entry (i, j) of copy c at (row_maps[c][i], col_maps[c][j])."""
+    rows = [None] * nrows
+    for rmap, cmap in zip(row_maps, col_maps):
+        for i, r in enumerate(m.rows):
+            rows[rmap[i]] = {cmap[j]: v for j, v in r.items()}
+    return Matrix(m.field, nrows, ncols, rows)
+
+
+def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Representation,
+                      kf: int, kg: int) -> DayTensor:
+    """Day(F^kf, G^kg), placed from `day_tensor(cat, f, g)` with no elimination.
+
+    F^kf is kf copies of F, copy index slowest (arrows act by I_kf (x) F(phi)),
+    as in a polynomial slice.  Base coordinate (h, a, b) of summand (y, z), in
+    copy (v, w), sits at local (h kf dim F(y) + v dim F(y) + a) kg dim G(z) +
+    w dim G(z) + b.  The relations are copies of Day(F, G)'s on disjoint
+    coordinates, each in ambient order, and the RREF of a span is unique; so
+    pivots, canonical basis, projection, section and actions are Day(F, G)'s,
+    relabelled, with the quotient coordinates in ambient order.  `cat.day_memo`
+    keys the result by the data of f and g plus kf and kg.
+    """
+    if kf == kg == 1:
+        return day_tensor(cat, f, g)
+    key = (_rep_key(f), _rep_key(g), kf, kg)
+    if key in cat.day_memo:
+        return cat.day_memo[key]
+    base = day_tensor(cat, f, g)
+    copies = [(v, w) for v in range(kf) for w in range(kg)]
+    layout, quot, coords = {}, {}, {}
+    for x in cat.objects:
+        layout[x] = {}
+        amb = [[] for _ in copies]  # amb[c][i]: where base coordinate i sits in copy c
+        off = 0
+        for (y, z), s in base.layout[x].items():
+            layout[x][(y, z)] = DaySummand(y, z, s.hom_dim, kf * s.dim_f, kg * s.dim_g, off)
+            for h in range(s.hom_dim):
+                for a in range(s.dim_f):
+                    for b in range(s.dim_g):
+                        for c, (v, w) in enumerate(copies):
+                            amb[c].append(off + ((h * kf + v) * s.dim_f + a) * kg * s.dim_g
+                                          + w * s.dim_g + b)
+            off += kf * kg * s.size
+        q = base.quot[x]
+        pivots = q.sub.pivots
+        comp = [i for i, r in enumerate(q.section.rows) if r]  # the base complement
+        coords[x], dim = _copy_ranks(amb, comp), len(copies) * q.dim
+        sub = Subspace(cat.field, off, _placed_copies(q.sub.basis, off, len(copies) * len(pivots),
+                                                      amb, _copy_ranks(amb, pivots)),
+                       sorted(ac[p] for ac in amb for p in pivots))
+        quot[x] = checked_quotient(sub, _placed_copies(q.projection, dim, off, coords[x], amb),
+                                   _placed_copies(q.section, off, dim, amb, coords[x]))
+    actions = {(x, xp, k): _placed_copies(m, quot[xp].dim, quot[x].dim, coords[xp], coords[x])
+               for (x, xp, k), m in base.rep.actions.items()}
+    rep = Representation(cat, {x: quot[x].dim for x in cat.objects}, actions,
+                         name="(%s^%d(x)%s^%d)" % (f.name, kf, g.name, kg))
     cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
     return cat.day_memo[key]
 

@@ -7,13 +7,17 @@ block the coordinates are those of the Day quotient (see `DayTensor`).  On
 the trivial backend every Day quotient is the identity, so a block is the
 plain Kronecker product L_{d1} (x) R_{d2}, left factor slowest.  Maps are
 assembled from Kronecker products placed at these offsets (`matrix.place`).
+
+When both factors are polynomial carriers, each slice Day tensor is placed
+from the base slices' by `day_tensor_copies` (memo key: both base keys plus
+the monomial counts); other slices are eliminated by `day_tensor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import day_tensor
+from .category import day_tensor, day_tensor_copies
 from .matrix import Matrix, place
 from .monoid import GradedCarrier
 
@@ -48,8 +52,13 @@ class GradedTensor:
         self.day = {}
         for d1 in range(self.cap + 1):
             for d2 in range(self.cap + 1 - d1):
-                self.day[(d1, d2)] = day_tensor(self.cat, left.slice_rep(d1),
-                                                right.slice_rep(d2))
+                if left.copies and right.copies:
+                    (f, kf), (g, kg) = left.copies, right.copies
+                    self.day[(d1, d2)] = day_tensor_copies(self.cat, f, g, kf.get(d1, 0),
+                                                           kg.get(d2, 0))
+                else:
+                    self.day[(d1, d2)] = day_tensor(self.cat, left.slice_rep(d1),
+                                                    right.slice_rep(d2))
         self.layout = {}
         self.dims = {}
         for d in range(self.cap + 1):

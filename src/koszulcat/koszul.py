@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import ChainComplex, GradedMap, Term
-from .errors import NotCentralError, PreconditionError, WindowError
+from .errors import NotCentralError, PreconditionError, WindowError, WrongObjectError
 from .matrix import Matrix, block_matrix, kernel_basis
 from .monoid import (
     Monoid,
@@ -103,8 +103,8 @@ def build_koszul(a: Monoid, alphas) -> KoszulComplex:
         raise PreconditionError("the complex needs at least one element")
     for i, alpha in enumerate(alphas):
         if alpha.obj != a.cat.unit:
-            raise NotCentralError("alpha_%d lives at %s, not the unit object"
-                                  % (i + 1, alpha.obj))
+            raise WrongObjectError("alpha_%d lives at %s, not the unit object"
+                                   % (i + 1, alpha.obj))
         if not is_central(a, alpha):
             raise NotCentralError("alpha_%d is not in the commutant" % (i + 1))
     module = regular_bimodule(a)

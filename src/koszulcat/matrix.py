@@ -573,8 +573,13 @@ def quotient(ambient_dim: int, sub: Subspace) -> QuotientPresentation:
     sec = Matrix.zeros(f, ambient_dim, dim)
     for k, c in enumerate(comp):
         sec.rows[c][k] = f.one()
-    if not (proj * basis).is_zero():
+    return checked_quotient(sub, proj, sec)
+
+
+def checked_quotient(sub: Subspace, proj: Matrix, sec: Matrix) -> QuotientPresentation:
+    """The quotient by sub along proj and sec, once proj kills sub and sec splits proj."""
+    if not (proj * sub.basis).is_zero():
         raise StructuralError("projection does not kill the subspace")
-    if proj * sec != Matrix.identity(f, dim):
+    if proj * sec != Matrix.identity(sub.field, proj.nrows):
         raise StructuralError("section does not split the projection")
-    return QuotientPresentation(f, ambient_dim, dim, proj, sec, sub)
+    return QuotientPresentation(sub.field, sub.ambient, proj.nrows, proj, sec, sub)

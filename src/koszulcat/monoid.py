@@ -54,7 +54,7 @@ def fix_right(field: Field, dim_left: int, vec: Sequence) -> Matrix:
 class GradedCarrier:
     """Graded functor data: a space per (object, degree) cell up to a cap."""
 
-    __slots__ = ("cat", "field", "cap", "truncated", "dims", "actions", "basis_names")
+    __slots__ = ("cat", "field", "cap", "truncated", "dims", "actions", "basis_names", "copies")
 
     def __init__(self, cat: CategoryPresentation, cap: int, truncated: bool,
                  dims: dict, actions: dict, basis_names: Optional[dict] = None):
@@ -65,6 +65,7 @@ class GradedCarrier:
         self.dims = dict(dims)              # (obj, deg) -> int
         self.actions = dict(actions)        # ((x, y, i), deg) -> Matrix
         self.basis_names = basis_names or {}
+        self.copies = None  # polynomial: (base slice, {deg: #monomials}), see `poly`
 
     def dim(self, obj, deg) -> int:
         return self.dims.get((obj, deg), 0)

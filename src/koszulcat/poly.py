@@ -141,6 +141,8 @@ def polynomial_monoid(a: Monoid, n: int, cap: int, var_names=None) -> Monoid:
             actions[(key, d)] = Matrix.identity(field, len(mons)).kron(base_act)
 
     carrier = GradedCarrier(cat, cap, True, dims, actions, basis_names)
+    carrier.copies = (a.carrier.slice_rep(0),
+                      {d: len(multi_indices(n, d)) for d in range(cap + 1)})
 
     pairing = {}
     for d1 in range(cap + 1):

@@ -82,6 +82,12 @@ def test_koszul_noncentral_alpha_exits_one():
     assert main(["koszul", pfile("s3_group_algebra.kz"), "--alpha", "t12"]) == 1
 
 
+@pytest.mark.parametrize("verb", ["koszul", "regular-check"])
+def test_alpha_off_the_unit_object_exits_two(verb, capsys):
+    assert main([verb, pfile("c2conv.kz"), "--alpha", "u_eg"]) == 2
+    assert "unit object" in capsys.readouterr().err
+
+
 def test_regular_check_verbs():
     assert main(["regular-check", pfile("poly_xy.kz"), "--alpha", "x,y",
                  "--max-degree", "3"]) == 0
