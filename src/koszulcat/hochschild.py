@@ -100,11 +100,11 @@ def certify_tensor_idempotent(a: Monoid) -> TensorIdempotentCertificate:
         total = sum(a.carrier.dim(x, d) for d in range(a.cap + 1))
         mat = Matrix.from_columns(a.field, a.carrier.dim(x, 0), cols) if cols \
             else Matrix.zeros(a.field, a.carrier.dim(x, 0), 0)
-        if rank(mat) != total:
+        r = rank(mat)
+        if r != total:
             quotient_ok = False
             if q_detail is None:
-                q_detail = "unit arrow not surjective at %s (rank %d of %d)" \
-                    % (x, rank(mat), total)
+                q_detail = "unit arrow not surjective at %s (rank %d of %d)" % (x, r, total)
 
     if direct_ok:
         mode, detail = "direct", "multiplication invertible at every cell"

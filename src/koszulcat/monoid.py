@@ -27,7 +27,7 @@ from .errors import (
     WrongObjectError,
 )
 from .field import Field
-from .matrix import Matrix, Subspace, hstack, kernel, kernel_basis, quotient, rref, vstack
+from .matrix import Matrix, Subspace, hstack, kernel, kernel_basis, quotient, rref
 from .report import ValidationReport
 
 
@@ -122,7 +122,7 @@ class Monoid:
         self.unit = tuple(unit)
         self.name = name
         self.poly_info = poly_info  # (base Monoid, var names) for polynomial monoids
-        self.central_memo = {}      # see `is_central`
+        self.central_memo = {}      # (obj, deg) -> commutant cell, see `commutant`
         u = carrier.cat.unit
         if len(unit) != carrier.dim(u, 0):
             raise StructuralError("unit has %d coordinates, expected %d"
@@ -418,25 +418,6 @@ def validate_monoid(a: Monoid) -> ValidationReport:
     return rep
 
 
-def is_commutative(a: Monoid) -> bool:
-    """Check a x b = A(s)(b x a) on all stored cells."""
-    cat, field, car = a.cat, a.field, a.carrier
-    slices = {d: car.slice_rep(d) for d in range(car.cap + 1)}
-    for d1 in range(car.cap + 1):
-        for d2 in range(car.cap + 1 - d1):
-            for x in cat.objects:
-                for y in cat.objects:
-                    dx, dy = car.dim(x, d1), car.dim(y, d2)
-                    if 0 in (dx, dy):
-                        continue
-                    s_act = slices[d1 + d2].action(cat.symmetry_mor(x, y))
-                    lhs = s_act * a.pairing_cell(x, d1, y, d2)
-                    rhs = a.pairing_cell(y, d2, x, d1) * Matrix.commutation(field, dx, dy)
-                    if lhs != rhs:
-                        return False
-    return True
-
-
 def validate_module(m: Module) -> ValidationReport:
     """Certify action associativity, unit action and bimodule compatibility."""
     rep = ValidationReport("module %s" % m.name)
@@ -456,69 +437,66 @@ def validate_module(m: Module) -> ValidationReport:
     return rep
 
 
-# -- commutant ----------------------------------------------------------------
+# -- commutation ---------------------------------------------------------------
+
+
+def _commutator(a: Monoid, x, d, y, dp) -> Matrix:
+    """b (x) c -> c b - A(s_{x,y})(b c), the one commutation condition.
+
+    Source A(x)_d (x) A(y)_dp with b slowest, target A(y<>x)_{d+dp}; c b is
+    the (y, x) pairing with its Kronecker factors swapped as a column order.
+    """
+    car = a.carrier
+    dim_b, dim_c = car.dim(x, d), car.dim(y, dp)
+    swap = [j * dim_b + i for i in range(dim_b) for j in range(dim_c)]
+    s_act = car.slice_rep(d + dp).action(a.cat.symmetry_mor(x, y))
+    return a.pairing_cell(y, dp, x, d).select_columns(swap) - s_act * a.pairing_cell(x, d, y, dp)
+
+
+def is_commutative(a: Monoid) -> bool:
+    """Every commutator cell with nonzero factors is zero."""
+    car = a.carrier
+    return all(_commutator(a, x, d, y, dp).is_zero()
+               for (x, d) in car.cells() for dp in range(car.cap + 1 - d)
+               for y in a.cat.objects if car.dim(x, d) and car.dim(y, dp))
+
+
+def _commutant_cell(a: Monoid, x, d) -> Subspace:
+    """CA(x)_d: the joint kernel of b -> [b, c] over the basis vectors c of the window.
+
+    Kept in `a.central_memo` under (x, d).  Entry (r, i dim_c + j) of a
+    commutator cell goes to row (r, j), column i; empty rows are dropped.
+    """
+    if (x, d) not in a.central_memo:
+        car, rows = a.carrier, []
+        for dp in range(car.cap + 1 - d):
+            for y in a.cat.objects:
+                dim_c = car.dim(y, dp)
+                if car.dim(x, d) and dim_c:
+                    for r in _commutator(a, x, d, y, dp).rows:
+                        split = {}
+                        for col, v in r.items():
+                            split.setdefault(col % dim_c, {})[col // dim_c] = v
+                        rows.extend(split.values())
+        a.central_memo[(x, d)] = kernel(Matrix(a.field, len(rows), car.dim(x, d), rows))
+    return a.central_memo[(x, d)]
 
 
 def commutant(a: Monoid, x: str) -> dict:
-    """CA(x) per degree: kernel of the stacked commutation conditions.
+    """CA(x) per degree, each cell computed once per monoid.
 
     When the carrier is truncated, products above the cap cannot be tested;
     the result is certified for the stored window only.
     """
-    cat, field, car = a.cat, a.field, a.carrier
-    out = {}
-    for d in range(car.cap + 1):
-        dim_b = car.dim(x, d)
-        if dim_b == 0:
-            out[d] = Subspace.zero(field, 0)
-            continue
-        rows_of_blocks = []
-        for dp in range(car.cap + 1 - d):
-            for y in cat.objects:
-                dim_a = car.dim(y, dp)
-                if dim_a == 0:
-                    continue
-                s_act = car.slice_rep(d + dp).action(cat.symmetry_mor(x, y))
-                for j in range(dim_a):
-                    avec = [field.zero()] * dim_a
-                    avec[j] = field.one()
-                    m1 = a.pairing_cell(y, dp, x, d) * fix_left(field, avec, dim_b)
-                    m2 = s_act * (a.pairing_cell(x, d, y, dp) * fix_right(field, dim_b, avec))
-                    rows_of_blocks.append(m1 - m2)
-        if not rows_of_blocks:
-            out[d] = Subspace.full(field, dim_b)
-            continue
-        stacked = vstack(rows_of_blocks)
-        out[d] = kernel(stacked)
-    return out
+    return {d: _commutant_cell(a, x, d) for d in range(a.cap + 1)}
 
 
 def is_central(a: Monoid, elt: Element) -> bool:
-    """Direct commutation check for a single element, all cells in the window.
+    """Membership in the commutant cell of elt's object and degree.
 
-    `a.central_memo` keeps each verdict under (obj, degree, coords), so equal
-    elements are certified once per monoid.
+    The memo holds one cell per (obj, degree), however many elements are tested.
     """
-    key = (elt.obj, elt.degree, tuple(elt.coords))
-    if key not in a.central_memo:
-        a.central_memo[key] = _commutes_with_all(a, elt)
-    return a.central_memo[key]
-
-
-def _commutes_with_all(a: Monoid, elt: Element) -> bool:
-    cat, field, car = a.cat, a.field, a.carrier
-    x, d = elt.obj, elt.degree
-    for dp in range(car.cap + 1 - d):
-        for y in cat.objects:
-            dim_a = car.dim(y, dp)
-            if dim_a == 0:
-                continue
-            s_act = car.slice_rep(d + dp).action(cat.symmetry_mor(x, y))
-            m1 = a.pairing_cell(y, dp, x, d) * fix_right(field, dim_a, list(elt.coords))
-            m2 = s_act * (a.pairing_cell(x, d, y, dp) * fix_left(field, list(elt.coords), dim_a))
-            if m1 != m2:
-                return False
-    return True
+    return _commutant_cell(a, elt.obj, elt.degree).contains(elt.coords)
 
 
 # -- multiplication operators ---------------------------------------------------

@@ -234,6 +234,8 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     merged = polynomial_monoid(e_base, n + m, cap, var_names=names) if n + m else e_base
 
     gt = GradedTensor(c.carrier, d.carrier, cap=cap)
+    pure = {(y, z): witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
+            for y in cat.objects for z in cat.objects for yz in [cat.dobj(y, z)]}
 
     def beta(d1, d2):
         """(C_n)(y)_{d1} (x) (D_m)(z)_{d2} -> E_{n+m}(y<>z)_{d1+d2}.
@@ -243,15 +245,9 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
         """
         mons1, mons2 = multi_indices(n, d1), multi_indices(m, d2)
         tgt_index = mono_index(n + m, d1 + d2)
-        out = {}
-        for y in cat.objects:
-            for z in cat.objects:
-                yz = cat.dobj(y, z)
-                pure = witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
-                out[(y, z)] = monomial_block_product(
-                    mons1, mons2, tgt_index, tuple.__add__, pure,
-                    base_c.carrier.dim(y, 0), base_d.carrier.dim(z, 0))
-        return out
+        return {(y, z): monomial_block_product(mons1, mons2, tgt_index, tuple.__add__, w,
+                                               base_c.carrier.dim(y, 0), base_d.carrier.dim(z, 0))
+                for (y, z), w in pure.items()}
 
     phi = gt.induced_map_cells(merged.carrier, beta)
     for (x, deg), mat in sorted(phi.items()):
