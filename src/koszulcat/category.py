@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import StructuralError
 from .field import Field
-from .matrix import Matrix, Subspace, checked_quotient, hstack, place, quotient, rank
+from .matrix import Matrix, Subspace, checked_quotient, descend, hstack, place, quotient, rank
 from .report import ValidationReport
 
 UNIT_NAME = "1"
@@ -439,7 +439,9 @@ class DayTensor:
         """Descend a natural bilinear family beta[(y,z)]: F(y) (x) G(z) -> H(y<>z).
 
         Returns per-object matrices (F (x) G)(x) -> H(x) given on the ambient
-        summand (y, z) by h (x) a (x) b -> H(h)(beta(a (x) b)).
+        summand (y, z) by h (x) a (x) b -> H(h)(beta(a (x) b)).  The ambient
+        map descends through `matrix.descend`: it must kill the relations,
+        which holds when beta is natural; otherwise StructuralError.
         """
         fld = self.cat.field
         out = {}
@@ -453,10 +455,9 @@ class DayTensor:
                 if s.hom_dim:
                     blocks.append((0, s.offset, hstack(
                         [target.action_basis((yz, x, h)) * b_cell for h in range(s.hom_dim)])))
-            amb = place(fld, target.dims[x], self.quot[x].ambient, blocks)
-            out[x] = amb * self.quot[x].section
-            # well-definedness: the ambient map must kill the relations
-            if not (amb * self.quot[x].sub.basis).is_zero():
+            q = self.quot[x]
+            out[x] = descend(place(fld, target.dims[x], q.ambient, blocks), q.sub.basis, q.section)
+            if out[x] is None:
                 raise StructuralError("bilinear family is not natural; does not descend at %s" % x)
         return out
 

@@ -583,3 +583,15 @@ def checked_quotient(sub: Subspace, proj: Matrix, sec: Matrix) -> QuotientPresen
     if proj * sec != Matrix.identity(sub.field, proj.nrows):
         raise StructuralError("section does not split the projection")
     return QuotientPresentation(sub.field, sub.ambient, proj.nrows, proj, sec, sub)
+
+
+def descend(m: Matrix, basis: Matrix, section: Matrix):
+    """The map m induces on a quotient of its source, or None if there is none.
+
+    basis spans the kernel of the quotient and section splits its
+    projection.  m descends exactly when m * basis = 0, and the induced map
+    is then m * section; every checked descent goes through here.
+    """
+    if not (m * basis).is_zero():
+        return None
+    return m * section

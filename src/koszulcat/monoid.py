@@ -27,7 +27,7 @@ from .errors import (
     WrongObjectError,
 )
 from .field import Field
-from .matrix import Matrix, Subspace, hstack, kernel, kernel_basis, quotient, rref
+from .matrix import Matrix, Subspace, descend, hstack, kernel, kernel_basis, quotient, rref
 from .report import ValidationReport
 
 
@@ -568,80 +568,57 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
 class QuotientModule:
     module: Module
     projections: dict  # cell -> Matrix
-    sections: dict     # cell -> Matrix
-    sub: dict          # cell -> Subspace
 
 
 def quotient_module(m: Module, sub: dict) -> QuotientModule:
-    """Pointwise quotient with induced actions; sub must be action-stable."""
+    """Pointwise quotient with induced actions; sub must be action-stable.
+
+    Stability is read from the descent that builds each induced map: the
+    target's projection after an arrow or action must kill sub at the
+    source (tensored with the monoid's identity for the actions), and the
+    induced map is that product on the source's section (`matrix.descend`).
+    Arrows are checked first, then the left and right actions; the first map
+    that does not descend is named in the StabilityError.
+    """
     a = m.monoid
     cat, field, car = m.cat, m.field, m.carrier
     acar = a.carrier
-
-    # stability checks name the violating generator cell
-    for (x, d) in car.cells():
-        basis = sub[(x, d)].basis
-        for ((gx, gy, gi), gd) in list(car.actions.keys()):
-            if gx != x or gd != d:
-                continue
-            mat = car.actions[((gx, gy, gi), gd)] * basis
-            for j in range(mat.ncols):
-                if not sub[(gy, d)].contains(mat.column(j)):
-                    raise StabilityError("submodule not stable under arrow %s at (%s,%d)"
-                                         % (cat.mor_name((gx, gy, gi)), x, d))
-    for (y, d2) in car.cells():
-        basis = sub[(y, d2)].basis
-        if basis.ncols == 0:
-            continue
-        for d1 in range(car.cap + 1 - d2):
-            for x in cat.objects:
-                tgt = (cat.dobj(x, y), d1 + d2)
-                if m.left is not None:
-                    da = acar.dim(x, d1)
-                    if da:
-                        mat = m.left_cell(x, d1, y, d2) * Matrix.identity(field, da).kron(basis)
-                        for j in range(mat.ncols):
-                            if not sub[tgt].contains(mat.column(j)):
-                                raise StabilityError(
-                                    "submodule not stable under left action of (%s,%d) at (%s,%d)"
-                                    % (x, d1, y, d2))
-                if m.right is not None:
-                    da = acar.dim(x, d1)
-                    if da:
-                        tgt_r = (cat.dobj(y, x), d1 + d2)
-                        mat = m.right_cell(y, d2, x, d1) * basis.kron(Matrix.identity(field, da))
-                        for j in range(mat.ncols):
-                            if not sub[tgt_r].contains(mat.column(j)):
-                                raise StabilityError(
-                                    "submodule not stable under right action of (%s,%d) at (%s,%d)"
-                                    % (x, d1, y, d2))
-
     quots = {cell: quotient(car.dim(*cell), sub[cell]) for cell in car.cells()}
-    dims = {cell: quots[cell].dim for cell in car.cells()}
+    dims = {cell: q.dim for cell, q in quots.items()}
+
+    def induced(tgt, mat, basis, section, what, args):
+        out = descend(quots[tgt].projection * mat, basis, section)
+        if out is None:
+            raise StabilityError(("submodule not stable under " + what) % args)
+        return out
+
     actions = {}
     for (key, d), mat in car.actions.items():
-        x, y, i = key
-        actions[(key, d)] = quots[(y, d)].projection * mat * quots[(x, d)].section
+        x, y, _ = key
+        q = quots[(x, d)]
+        actions[(key, d)] = induced((y, d), mat, q.sub.basis, q.section,
+                                    "arrow %s at (%s,%d)", (cat.mor_name(key), x, d))
     left = None
     right = None
     if m.left is not None:
         left = {}
         for (x, d1, y, d2), mat in m.left.items():
-            tgt = (cat.dobj(x, y), d1 + d2)
-            da = acar.dim(x, d1)
-            left[(x, d1, y, d2)] = quots[tgt].projection * mat * \
-                Matrix.identity(field, da).kron(quots[(y, d2)].section)
+            ident = Matrix.identity(field, acar.dim(x, d1))
+            q = quots[(y, d2)]
+            left[(x, d1, y, d2)] = induced(
+                (cat.dobj(x, y), d1 + d2), mat, ident.kron(q.sub.basis), ident.kron(q.section),
+                "left action of (%s,%d) at (%s,%d)", (x, d1, y, d2))
     if m.right is not None:
         right = {}
         for (x, d1, y, d2), mat in m.right.items():
-            tgt = (cat.dobj(x, y), d1 + d2)
-            da = acar.dim(y, d2)
-            right[(x, d1, y, d2)] = quots[tgt].projection * mat * \
-                quots[(x, d1)].section.kron(Matrix.identity(field, da))
+            ident = Matrix.identity(field, acar.dim(y, d2))
+            q = quots[(x, d1)]
+            right[(x, d1, y, d2)] = induced(
+                (cat.dobj(x, y), d1 + d2), mat, q.sub.basis.kron(ident), q.section.kron(ident),
+                "right action of (%s,%d) at (%s,%d)", (y, d2, x, d1))
     carrier = GradedCarrier(cat, car.cap, car.truncated, dims, actions)
     mod = Module(a, carrier, m.side, left, right, name="%s/sub" % m.name)
-    return QuotientModule(mod, {c: q.projection for c, q in quots.items()},
-                          {c: q.section for c, q in quots.items()}, dict(sub))
+    return QuotientModule(mod, {c: q.projection for c, q in quots.items()})
 
 
 # -- regularity -----------------------------------------------------------------

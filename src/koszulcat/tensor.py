@@ -20,7 +20,7 @@ from .errors import IsoFailureError, StabilityError, StructuralError, WindowErro
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
-from .matrix import Matrix, Subspace, place, quotient, rank
+from .matrix import Matrix, Subspace, descend, place, quotient, rank
 from .monoid import Module, Monoid, mult_operator, regular_bimodule
 from .poly import variable_element
 from .report import GradedReport
@@ -145,6 +145,11 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
     u = cat.unit
     gt = coeq.gt
     dcar = outer.monoid.carrier
+
+    def widen(m, ident_o):
+        # m on the tensor columns beside the identity on the outer ones
+        return ident_o.kron(m) if on_left_factor else m.kron(ident_o)
+
     out = {}
     for d in range(gt.cap + 1):
         for d2 in range(dcar.cap + 1):
@@ -164,24 +169,19 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
                     tb = gt.layout[(u, d + d2)][b.d1 + d2]
                     act = outer.cells[(u, d2, u, b.d1)].kron(
                         Matrix.identity(field, coeq.right_module.carrier.dim(u, b.d2)))
-                    widen = ident_o.kron(select_b)
                 else:
                     tb = gt.layout[(u, d + d2)][b.d1]
                     act = Matrix.identity(field, coeq.left_module.carrier.dim(u, b.d1)).kron(
                         outer.cells[(u, b.d2, u, d2)])
-                    widen = select_b.kron(ident_o)
-                raw = raw + place(field, tgt_dim, act.ncols, [(tb.offset, 0, act)]) * widen
+                raw = raw + place(field, tgt_dim, act.ncols, [(tb.offset, 0, act)]) * \
+                    widen(select_b, ident_o)
             q_src = coeq.quots[(u, d)]
-            q_tgt = coeq.quots[(u, d + d2)]
-            rel = q_src.sub.basis
-            if on_left_factor:
-                if not (q_tgt.projection * raw * ident_o.kron(rel)).is_zero():
-                    raise StabilityError("outer left action does not preserve the relations")
-                out[(u, d2, u, d)] = q_tgt.projection * raw * ident_o.kron(q_src.section)
-            else:
-                if not (q_tgt.projection * raw * rel.kron(ident_o)).is_zero():
-                    raise StabilityError("outer right action does not preserve the relations")
-                out[(u, d, u, d2)] = q_tgt.projection * raw * q_src.section.kron(ident_o)
+            desc = descend(coeq.quots[(u, d + d2)].projection * raw,
+                           widen(q_src.sub.basis, ident_o), widen(q_src.section, ident_o))
+            if desc is None:
+                raise StabilityError("outer %s action does not preserve the relations"
+                                     % ("left" if on_left_factor else "right"))
+            out[(u, d2, u, d) if on_left_factor else (u, d, u, d2)] = desc
     return out
 
 
@@ -218,9 +218,9 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
     out = {}
     for cell, mat in sorted(pre.items()):
         q = coeq.quots[cell]
-        if not (mat * q.sub.basis).is_zero():
+        desc = descend(mat, q.sub.basis, q.section)
+        if desc is None:
             raise StabilityError("action map does not kill the relations at %s" % (cell,))
-        desc = mat * q.section
         if desc.nrows != desc.ncols or (desc.nrows and rank(desc) != desc.nrows):
             raise IsoFailureError("unit comparison map not invertible at %s" % (cell,))
         out[cell] = desc

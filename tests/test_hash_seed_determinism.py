@@ -1,0 +1,39 @@
+"""CLI output does not depend on the string-hash seed.
+
+Each command runs in a fresh interpreter under PYTHONHASHSEED 0 and 1; exit
+codes, stdout and the `--report` bytes must be equal.  The commands cover a
+quotient module (the failing stage of `koszul` on the dual numbers), the
+tensor over a monoid and a syzygy resolution on the finite backend.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src")
+RUN_CLI = "import sys; from koszulcat.cli import main; sys.exit(main(sys.argv[1:]))"
+
+COMMANDS = [
+    ["koszul", "problems/dual_numbers.kz"],
+    ["tensor-over", "problems/dual_numbers.kz", "--module", "R,M"],
+    ["syzygy", "problems/c2conv.kz", "-n", "1", "--module", "R", "--max-degree", "3"],
+]
+
+
+def run_under_seed(argv, seed, report):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--report", str(report)],
+                          cwd=ROOT, env=env, capture_output=True, timeout=120)
+    with open(report, "rb") as fh:
+        return proc.returncode, proc.stdout, fh.read()
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_cli_output_is_equal_across_hash_seeds(argv, tmp_path):
+    runs = [run_under_seed(argv, seed, tmp_path / ("seed%d.json" % seed)) for seed in (0, 1)]
+    assert runs[0] == runs[1]
+    assert runs[0][2]  # a report was written
