@@ -644,7 +644,8 @@ def unit_action(cat: CategoryPresentation, f: Representation, y, z, side: str) -
     by_arrow = hstack(acts)  # columns phi (x) a
     if side == "left":
         return by_arrow
-    return by_arrow * Matrix.commutation(fld, f.dims[y], cat.hom_dim(u, z))
+    dim_a, dim_phi = f.dims[y], cat.hom_dim(u, z)
+    return by_arrow.select_columns([k * dim_a + a for a in range(dim_a) for k in range(dim_phi)])
 
 
 def day_unit_iso(cat: CategoryPresentation, f: Representation, side: str):

@@ -50,22 +50,11 @@ class TensorIdempotentCertificate:
     quotient_ok: Optional[bool]
     mode: str  # "direct", "quotient-of-I", or "failed"
     detail: str
-    mu_cells: Optional[dict]  # (obj, deg) -> Matrix of the induced multiplication
+    mu_cells: dict  # (obj, deg) -> Matrix of the induced multiplication
 
     @property
     def passed(self) -> bool:
         return self.mode != "failed"
-
-
-def _day_mu_cells(a: Monoid):
-    """The multiplication induced on the tensor square, per (object, degree)."""
-    gt = GradedTensor(a.carrier, a.carrier)
-
-    def beta(d1, d2):
-        return {(y, z): a.pairing_cell(y, d1, z, d2)
-                for y in a.cat.objects for z in a.cat.objects}
-
-    return gt, gt.induced_map_cells(a.carrier, beta)
 
 
 def certify_tensor_idempotent(a: Monoid) -> TensorIdempotentCertificate:
@@ -79,7 +68,10 @@ def certify_tensor_idempotent(a: Monoid) -> TensorIdempotentCertificate:
     cat = a.cat
     direct_ok = True
     deficit = None
-    gt, mu = _day_mu_cells(a)
+    # the multiplication induced on the tensor square, per (object, degree)
+    mu = GradedTensor(a.carrier, a.carrier).induced_map_cells(
+        a.carrier, lambda d1, d2: {(y, z): a.pairing_cell(y, d1, z, d2)
+                                   for y in cat.objects for z in cat.objects})
     for (x, d), mat in sorted(mu.items()):
         r = rank(mat)
         if mat.nrows != mat.ncols or r != mat.nrows:
@@ -112,8 +104,7 @@ def certify_tensor_idempotent(a: Monoid) -> TensorIdempotentCertificate:
         mode, detail = "quotient-of-I", "unit arrow pointwise surjective"
     else:
         mode, detail = "failed", "%s; %s" % (deficit, q_detail)
-    return TensorIdempotentCertificate(a.name, direct_ok, quotient_ok, mode, detail,
-                                       mu_cells=mu if direct_ok else None)
+    return TensorIdempotentCertificate(a.name, direct_ok, quotient_ok, mode, detail, mu)
 
 
 @dataclass
@@ -173,12 +164,7 @@ def build_enveloping(a: Monoid, n: int, cap: int,
     a_u = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "u"))
     a_v = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "v"))
 
-    mu0 = cert.mu_cells
-    if mu0 is None:
-        # quotient-of-I certificates still have an invertible multiplication;
-        # compute it directly for the merge witness
-        _, mu0 = _day_mu_cells(a)
-    witness = {x: mu0[(x, 0)] for x in cat.objects}
+    witness = {x: cert.mu_cells[(x, 0)] for x in cat.objects}
     merge = merge_variables(a_u, a_v, a, witness)
     c = merge.monoid
 

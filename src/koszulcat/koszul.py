@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import ChainComplex, GradedMap, Term
-from .errors import NotCentralError, PreconditionError, WindowError, WrongObjectError
+from .errors import NotCentralError, PreconditionError, WrongObjectError
 from .matrix import Matrix, block_matrix, kernel_basis
 from .monoid import (
     Monoid,
@@ -125,8 +125,7 @@ def build_koszul(a: Monoid, alphas) -> KoszulComplex:
     return KoszulComplex(a, alphas, cx, summands, mult_ops)
 
 
-def koszul_homology_report(kc: KoszulComplex, ps, max_degree=None,
-                           parallel_map=map) -> GradedReport:
+def koszul_homology_report(kc: KoszulComplex, ps, parallel_map=map) -> GradedReport:
     """Homology dimension table over the certified window."""
     cx = kc.complex
     report = GradedReport(
@@ -139,15 +138,8 @@ def koszul_homology_report(kc: KoszulComplex, ps, max_degree=None,
                            detail="%d composite blocks checked" % cells,
                            witness=None if ok else {"cells": [str(b) for b in bad]})
     for p in ps:
-        win = cx.homology_window(p)
-        if max_degree is None:
-            hi = win
-        elif max_degree > win:
-            raise WindowError("requested degree %d exceeds certified window %d for p=%d"
-                              % (max_degree, win, p))
-        else:
-            hi = max_degree
-        dims = cx.homology_dims(p, range(hi + 1), parallel_map=parallel_map)
+        dims = cx.homology_dims(p, range(cx.homology_window(p) + 1),
+                                parallel_map=parallel_map)
         for (x, d), h in sorted(dims.items()):
             report.add_entry(p, x, d, h)
     return report

@@ -189,13 +189,6 @@ class Matrix:
                 rows.append(r)
         return Matrix(self.field, self.nrows * other.nrows, self.ncols * q, rows)
 
-    @staticmethod
-    def commutation(field: Field, p: int, q: int) -> "Matrix":
-        """The swap F^p (x) F^q -> F^q (x) F^p, a (x) b |-> b (x) a."""
-        one = field.one()
-        return Matrix(field, q * p, p * q,
-                      [{i * q + j: one} for j in range(q) for i in range(p)])
-
     def select_columns(self, cols: Sequence[int]) -> "Matrix":
         pos = {c: k for k, c in enumerate(cols)}
         rows = []

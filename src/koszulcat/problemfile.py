@@ -35,6 +35,15 @@ combinations are '+'-separated 'coefficient*name' terms, or '0'.
     module N self                     # the subject as a bimodule
 
     task koszul alpha=x,y max-degree=4
+
+Objects are declared before use: by the one 'objects' line (each name once),
+or on the trivial backend by the 'backend' line, whose one object is '1'.
+A finite presentation has an 'identity' line per object, 'diamond' and
+'symmetry' lines per ordered pair, and each 'rep ... dims' line gives every
+object once.  Each arrow combination lies in the hom space of its directive:
+hom(x, x) for 'identity x', hom(src f, tgt g) for 'compose g f' (f ending
+where g starts), hom(src f <> src g, tgt f <> tgt g) for 'dmor f g' and
+hom(x<>y, y<>x) for 'symmetry x y'.  Violations are ParseErrors naming a line.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .category import CategoryPresentation, Representation, identity_representation
+from .category import UNIT_NAME, CategoryPresentation, Representation, identity_representation
 from .errors import ParseError, StructuralError
 from .field import Field
 from .matrix import Matrix
@@ -109,15 +118,12 @@ class ProblemFile:
         if decl.kind == "table":
             carrier_actions = None
             if decl.acts:
-                where = {}
-                for obj, names in decl.basis.items():
-                    for i, nm in enumerate(names):
-                        where[nm] = (obj, i)
+                where = {nm: (obj, i) for obj, names in decl.basis.items()
+                         for i, nm in enumerate(names)}
                 carrier_actions = {}
                 for mor_name, images in decl.acts.items():
-                    key = _resolve_mor(self.category, mor_name,
-                                       min(ln for ln, _ in images.values()))
-                    x, y, _ = key
+                    x, y, _ = key = _resolve_mor(self.category.hom, mor_name,
+                                                 min(ln for ln, _ in images.values()))
                     mat = Matrix.zeros(self.field, len(decl.basis.get(y, ())),
                                        len(decl.basis.get(x, ())))
                     for src_name, (ln, combo) in images.items():
@@ -162,8 +168,7 @@ class ProblemFile:
             return identity_representation(self.category)
         mors = {}
         for mor_name, (ln, rows) in decl.acts.items():
-            key = _resolve_mor(self.category, mor_name, ln)
-            x, y, _ = key
+            x, y, _ = key = _resolve_mor(self.category.hom, mor_name, ln)
             m = mors[key] = Matrix.from_rows(self.field, rows)
             if (m.nrows, m.ncols) != (decl.dims[y], decl.dims[x]):
                 raise ParseError("action %s has shape %dx%d, expected %dx%d"
@@ -172,11 +177,20 @@ class ProblemFile:
         return Representation(self.category, decl.dims, mors, name=name)
 
 
-def _resolve_mor(cat: CategoryPresentation, name: str, line: int):
-    for (x, y), names in cat.hom.items():
+def _resolve_mor(hom: dict, name: str, line: int, space=None):
+    """The key (x, y, i) of the hom basis arrow `name`, in hom(*space) if given."""
+    for (x, y), names in hom.items():
         if name in names:
+            if space is not None and (x, y) != space:
+                raise ParseError("%s lies in hom(%s, %s), expected hom(%s, %s)"
+                                 % ((name, x, y) + space), line=line)
             return (x, y, names.index(name))
     raise ParseError("no hom basis element named %r" % name, line=line)
+
+
+def _combination(hom: dict, combo: dict, space, line: int) -> dict:
+    """A {name: scalar} combination as {basis index: scalar} of hom(*space)."""
+    return {_resolve_mor(hom, nm, line, space)[2]: c for nm, c in combo.items()}
 
 
 class _Parser:
@@ -187,13 +201,14 @@ class _Parser:
         self.field: Optional[Field] = None
         self.backend = None
         self.objects = []
+        self.objects_line = None
         self.unit = None
-        self.diamond = {}
-        self.hom = {}
-        self.identity = {}
-        self.compose = {}
-        self.dmor = {}
-        self.symmetry = {}
+        self.diamond = {}                   # (x, y) -> z
+        self.hom = {}                       # (x, y) -> basis names
+        self.identity = {}                  # x -> (line, combination)
+        self.compose = {}                   # (g, f) -> (line, combination)
+        self.dmor = {}                      # (f, g) -> (line, combination)
+        self.symmetry = {}                  # (x, y) -> (line, combination)
         self.reps = {}
         self.monoids = {}
         self.main = None
@@ -222,6 +237,21 @@ class _Parser:
             coeff, name = term.split("*", 1)
             out[name.strip()] = self.scalar(coeff.strip())
         return out
+
+    def split(self, line, head, nargs, expected):
+        """The nargs operands and the right side of a 'head a b = rhs' line."""
+        left, _, rhs = line[len(head):].partition("=")
+        args = left.split()
+        if len(args) != nargs or not rhs.split():
+            self.err("expected: " + expected)
+        return (*args, rhs)
+
+    def obj(self, name):
+        """name, which must be a declared object."""
+        if name not in self.objects:
+            self.err("undeclared object %r (objects at %s)" % (
+                name, "line %d" % self.objects_line if self.objects_line else "no line"))
+        return name
 
     def parse(self) -> ProblemFile:
         while self.i < len(self.lines):
@@ -265,55 +295,52 @@ class _Parser:
         if toks[1] not in ("trivial", "finite"):
             self.err("backend must be trivial or finite")
         self.backend = toks[1]
+        if self.backend == "trivial":  # the line declares the one object
+            self.objects, self.objects_line = [UNIT_NAME], self.i + 1
 
     def p_objects(self, toks, line):
-        if len(toks) < 2:
+        names = toks[1:]
+        if not names:
             self.err("expected: objects names...")
-        self.objects = toks[1:]
+        if self.objects_line:
+            self.err("objects already declared at line %d" % self.objects_line)
+        twice = [x for k, x in enumerate(names) if x in names[:k]]
+        if twice:
+            self.err("object %r listed twice" % twice[0])
+        self.objects, self.objects_line = names, self.i + 1
 
     def p_unit(self, toks, line):
-        self.unit = toks[1]
+        self.unit = self.obj(toks[1])
 
     def p_diamond(self, toks, line):
-        if len(toks) != 5 or toks[3] != "=":
-            self.err("expected: diamond x y = z")
-        self.diamond[(toks[1], toks[2])] = toks[4]
+        x, y, z = self.split(line, "diamond", 2, "diamond x y = z")
+        self.diamond[(self.obj(x), self.obj(y))] = self.obj(z.strip())
 
     def p_hom(self, toks, line):
         # an empty hom space is declared by omitting its line
-        if len(toks) < 5 or toks[3] != "=":
-            self.err("expected: hom x y = names...")
-        self.hom[(toks[1], toks[2])] = tuple(toks[4:])
+        x, y, names = self.split(line, "hom", 2, "hom x y = names...")
+        names = tuple(names.split())
+        for k, nm in enumerate(names):
+            if nm in names[:k] or any(nm in other for other in self.hom.values()):
+                self.err("duplicate hom basis name %r" % nm)
+        self.hom[(self.obj(x), self.obj(y))] = names
 
     def p_identity(self, toks, line):
-        _, rest = line.split(None, 1)
-        obj, expr = rest.split("=", 1)
-        self.identity[obj.strip()] = self.lincomb(expr)
+        x, expr = self.split(line, "identity", 1, "identity x = lincomb")
+        self.identity[self.obj(x)] = (self.i + 1, self.lincomb(expr))
 
     def p_compose(self, toks, line):
         # compose g f = lincomb  (g after f)
-        body = line[len("compose"):]
-        left, expr = body.split("=", 1)
-        parts = left.split()
-        if len(parts) != 2:
-            self.err("expected: compose g f = lincomb")
-        self.compose[(parts[0], parts[1])] = self.lincomb(expr)
+        g, f, expr = self.split(line, "compose", 2, "compose g f = lincomb")
+        self.compose[(g, f)] = (self.i + 1, self.lincomb(expr))
 
     def p_dmor(self, toks, line):
-        body = line[len("dmor"):]
-        left, expr = body.split("=", 1)
-        parts = left.split()
-        if len(parts) != 2:
-            self.err("expected: dmor f g = lincomb")
-        self.dmor[(parts[0], parts[1])] = self.lincomb(expr)
+        f, g, expr = self.split(line, "dmor", 2, "dmor f g = lincomb")
+        self.dmor[(f, g)] = (self.i + 1, self.lincomb(expr))
 
     def p_symmetry(self, toks, line):
-        body = line[len("symmetry"):]
-        left, expr = body.split("=", 1)
-        parts = left.split()
-        if len(parts) != 2:
-            self.err("expected: symmetry x y = lincomb")
-        self.symmetry[(parts[0], parts[1])] = self.lincomb(expr)
+        x, y, expr = self.split(line, "symmetry", 2, "symmetry x y = lincomb")
+        self.symmetry[(self.obj(x), self.obj(y))] = (self.i + 1, self.lincomb(expr))
 
     def p_rep(self, toks, line):
         name = toks[1]
@@ -325,17 +352,17 @@ class _Parser:
         dims = {}
         for pair in toks[3:]:
             obj, val = pair.split("=")
+            if self.obj(obj) in dims:
+                self.err("rep %s gives object %r twice" % (name, obj))
             dims[obj] = int(val)
+        for x in self.objects:
+            if x not in dims:
+                self.err("rep %s gives no dimension for object %r" % (name, x))
         self.reps[name] = RepDecl(dims, {})
 
     def p_act(self, toks, line):
         # either 'act <rep> <mor> = rows' or inside a monoid block (handled there)
-        body = line[len("act"):]
-        left, expr = body.split("=", 1)
-        parts = left.split()
-        if len(parts) != 2:
-            self.err("expected: act rep mor = rows")
-        rep, mor = parts
+        rep, mor, expr = self.split(line, "act", 2, "act rep mor = rows")
         if rep not in self.reps or self.reps[rep] == ("identity",):
             self.err("unknown representation %r" % rep)
         rows = []
@@ -367,7 +394,7 @@ class _Parser:
                 basis_lines.append("line %d" % (self.i + 1))
                 if ":" in toks2:
                     sep = toks2.index(":")
-                    decl.basis[toks2[1]] = tuple(toks2[sep + 1:])
+                    decl.basis[self.obj(toks2[1])] = tuple(toks2[sep + 1:])
                 else:
                     if self.backend != "trivial":
                         self.err("finite backend basis needs 'basis obj : names'")
@@ -376,22 +403,14 @@ class _Parser:
                 decl.unit = self.lincomb(raw[len("unit"):])
                 uses.append((self.i + 1, decl.unit))
             elif toks2[0] == "mul":
-                body = raw[len("mul"):]
-                left, expr = body.split("=", 1)
-                parts = left.split()
-                if len(parts) != 2:
-                    self.err("expected: mul a b = lincomb")
-                combo = decl.mul[(parts[0], parts[1])] = self.lincomb(expr)
-                uses.append((self.i + 1, parts + list(combo)))
+                a, b, expr = self.split(raw, "mul", 2, "mul a b = lincomb")
+                combo = decl.mul[(a, b)] = self.lincomb(expr)
+                uses.append((self.i + 1, [a, b] + list(combo)))
             elif toks2[0] == "act":
-                body = raw[len("act"):]
-                left, expr = body.split("=", 1)
-                parts = left.split()
-                if len(parts) != 2:
-                    self.err("expected: act mor basisname = lincomb")
+                mor, src, expr = self.split(raw, "act", 2, "act mor basisname = lincomb")
                 combo = self.lincomb(expr)
-                decl.acts.setdefault(parts[0], {})[parts[1]] = (self.i + 1, combo)
-                uses.append((self.i + 1, [parts[1]] + list(combo)))
+                decl.acts.setdefault(mor, {})[src] = (self.i + 1, combo)
+                uses.append((self.i + 1, [src] + list(combo)))
             else:
                 self.err("unknown monoid directive %r in the block opened at line %d"
                          % (toks2[0], opened))
@@ -457,45 +476,31 @@ class _Parser:
             return CategoryPresentation.trivial(self.field)
         if not self.objects or self.unit is None:
             raise ParseError("finite backend needs 'objects' and 'unit' lines")
-        where = {}
-        for (x, y), names in self.hom.items():
-            for i, nm in enumerate(names):
-                if nm in where:
-                    raise ParseError("duplicate hom basis name %r" % nm)
-                where[nm] = (x, y, i)
-
-        def mor_key(nm):
-            if nm not in where:
-                raise ParseError("unknown hom basis name %r" % nm)
-            return where[nm]
-
-        def to_indexed(table):
-            out = {}
-            for names, combo in table.items():
-                keys = tuple(mor_key(nm) for nm in names)
-                vec = {}
-                for nm, c in combo.items():
-                    kx, ky, ki = mor_key(nm)
-                    vec[ki] = c
-                out[keys] = vec
-            return out
-
-        compose_table = to_indexed(self.compose)
-        dmor_table = to_indexed(self.dmor)
-        identities = {}
-        for obj, combo in self.identity.items():
-            vec = {}
-            for nm, c in combo.items():
-                _, _, ki = mor_key(nm)
-                vec[ki] = c
-            identities[obj] = vec
-        symmetry_table = {}
-        for (x, y), combo in self.symmetry.items():
-            vec = {}
-            for nm, c in combo.items():
-                _, _, ki = mor_key(nm)
-                vec[ki] = c
-            symmetry_table[(x, y)] = vec
+        pairs = [(x, y) for x in self.objects for y in self.objects]
+        for head, table, keys in (("identity", self.identity, self.objects),
+                                  ("diamond", self.diamond, pairs),
+                                  ("symmetry", self.symmetry, pairs)):
+            for key in keys:
+                if key not in table:
+                    raise ParseError("no '%s %s' line for the objects declared here"
+                                     % (head, key if head == "identity" else " ".join(key)),
+                                     line=self.objects_line)
+        hom, dobj = self.hom, self.diamond
+        identities = {x: _combination(hom, combo, (x, x), ln)
+                      for x, (ln, combo) in self.identity.items()}
+        symmetry_table = {(x, y): _combination(hom, combo, (dobj[x, y], dobj[y, x]), ln)
+                          for (x, y), (ln, combo) in self.symmetry.items()}
+        compose_table, dmor_table = {}, {}
+        for (g, f), (ln, combo) in self.compose.items():
+            kg, kf = _resolve_mor(hom, g, ln), _resolve_mor(hom, f, ln)
+            if kf[1] != kg[0]:
+                raise ParseError("cannot compose %s after %s: %s ends at %s, %s starts at %s"
+                                 % (g, f, f, kf[1], g, kg[0]), line=ln)
+            compose_table[(kg, kf)] = _combination(hom, combo, (kf[0], kg[1]), ln)
+        for (f, g), (ln, combo) in self.dmor.items():
+            kf, kg = _resolve_mor(hom, f, ln), _resolve_mor(hom, g, ln)
+            dmor_table[(kf, kg)] = _combination(
+                hom, combo, (dobj[kf[0], kg[0]], dobj[kf[1], kg[1]]), ln)
         return CategoryPresentation(
             backend="finite",
             field=self.field,

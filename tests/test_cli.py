@@ -291,6 +291,79 @@ def test_bad_act_line_exits_two_with_its_number(tmp_path, capsys, old, new, mess
     assert "Traceback" not in err
 
 
+OBJECTS_AT = "(objects at line 7)"
+
+
+# (old, new, the line the error names, message); new "" deletes the old line
+@pytest.mark.parametrize("old, new, named, message", [
+    ("hom e g = u_eg", "hom e q = u_eg", None, "undeclared object 'q' " + OBJECTS_AT),
+    ("unit e", "unit q", None, "undeclared object 'q' " + OBJECTS_AT),
+    ("diamond g g = e", "diamond g g = q", None, "undeclared object 'q' " + OBJECTS_AT),
+    ("identity g = 1*u_gg", "identity q = 1*u_gg", None,
+     "undeclared object 'q' " + OBJECTS_AT),
+    ("symmetry g g = 1*u_ee", "symmetry g q = 1*u_ee", None,
+     "undeclared object 'q' " + OBJECTS_AT),
+    ("rep reg dims e=2 g=2", "rep reg dims e=2 q=2", None,
+     "undeclared object 'q' " + OBJECTS_AT),
+    ("objects e g", "objects e g e", None, "object 'e' listed twice"),
+    ("main I", "main I\nobjects e", "objects e", "objects already declared at line 7"),
+    ("hom g g = u_gg", "hom g g = u_gg u_ee", None, "duplicate hom basis name 'u_ee'"),
+    ("identity g = 1*u_gg", "", "objects e g",
+     "no 'identity g' line for the objects declared here"),
+    ("diamond g e = g", "", "objects e g", "no 'diamond g e' line for the objects declared here"),
+    ("symmetry g e = 1*u_gg", "", "objects e g",
+     "no 'symmetry g e' line for the objects declared here"),
+    ("rep reg dims e=2 g=2", "rep reg dims e=2", None,
+     "rep reg gives no dimension for object 'g'"),
+    ("rep reg dims e=2 g=2", "rep reg dims e=2 g=2 e=2", None,
+     "rep reg gives object 'e' twice"),
+    ("identity g = 1*u_gg", "identity g = 1*u_ee", None,
+     "u_ee lies in hom(e, e), expected hom(g, g)"),
+    ("compose u_eg u_ge = 1*u_gg", "compose u_eg u_ge = 1*u_ee", None,
+     "u_ee lies in hom(e, e), expected hom(g, g)"),
+    ("compose u_eg u_ge = 1*u_gg", "compose u_eg u_eg = 1*u_gg", None,
+     "cannot compose u_eg after u_eg: u_eg ends at g, u_eg starts at e"),
+    ("dmor u_eg u_ge = 1*u_gg", "dmor u_eg u_ge = 1*u_ee", None,
+     "u_ee lies in hom(e, e), expected hom(g, g)"),
+    ("symmetry e g = 1*u_gg", "symmetry e g = 1*u_ee", None,
+     "u_ee lies in hom(e, e), expected hom(g, g)"),
+    ("compose u_eg u_ge = 1*u_gg", "compose u_eg u_xx = 1*u_gg", None,
+     "no hom basis element named 'u_xx'"),
+], ids=["hom-undeclared-object", "unit-undeclared-object", "diamond-undeclared-object",
+        "identity-undeclared-object", "symmetry-undeclared-object",
+        "rep-dims-undeclared-object", "object-listed-twice", "second-objects-line",
+        "duplicate-hom-name", "missing-identity", "missing-diamond",
+        "missing-symmetry", "rep-dims-missing-object", "rep-dims-object-twice",
+        "identity-wrong-hom", "compose-wrong-hom", "compose-not-composable",
+        "dmor-wrong-hom", "symmetry-wrong-hom", "compose-unknown-arrow"])
+def test_bad_category_line_exits_two_with_its_number(tmp_path, capsys, old, new, named,
+                                                     message):
+    with open(pfile("c2conv.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\n%s\n" % old in text
+    text = text.replace("\n%s\n" % old, "\n%s\n" % new if new else "\n")
+    line = text.splitlines().index(named or new) + 1
+    path = tmp_path / "bad_category.kz"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line %d: %s" % (line, message) in err
+    assert "Traceback" not in err
+
+
+def test_trivial_backend_declares_the_one_object(tmp_path, capsys):
+    with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "rep.kz"
+    path.write_text(text + "rep F dims 1=2\nact F id = 1 0 ; 0 1\n")
+    assert main(["validate", str(path)]) == 0
+    path.write_text(text + "rep F dims e=2\n")
+    assert main(["validate", str(path)]) == 2
+    line = len(text.splitlines()) + 1
+    assert "line %d: undeclared object 'e' (objects at line 3)" % line \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["validate", "koszul", "hh", "syzygy"])
 def test_main_naming_undeclared_monoid_exits_two(tmp_path, capsys, verb):
     with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
