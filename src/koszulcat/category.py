@@ -374,11 +374,10 @@ def _columns(field: Field, nrows: int, coeffs) -> Matrix:
 class DaySummand:
     """The summand hom(y<>z, x) (x) F(y) (x) G(z) of the Day ambient at x.
 
-    Its Kronecker coordinates start at row `offset` of the ambient.
+    Its (y, z) is its key in `DayTensor.layout[x]`; its Kronecker
+    coordinates start at row `offset` of the ambient.
     """
 
-    y: str
-    z: str
     hom_dim: int
     dim_f: int
     dim_g: int
@@ -515,7 +514,7 @@ def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) 
         off = 0
         for y in cat.objects:
             for z in cat.objects:
-                lay[(y, z)] = DaySummand(y, z, cat.hom_dim(cat.dobj(y, z), x),
+                lay[(y, z)] = DaySummand(cat.hom_dim(cat.dobj(y, z), x),
                                          f.dims[y], g.dims[z], off)
                 off += lay[(y, z)].size
         layout[x] = lay
@@ -598,7 +597,7 @@ def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Represent
         amb = [[] for _ in copies]  # amb[c][i]: where base coordinate i sits in copy c
         off = 0
         for (y, z), s in base.layout[x].items():
-            layout[x][(y, z)] = DaySummand(y, z, s.hom_dim, kf * s.dim_f, kg * s.dim_g, off)
+            layout[x][(y, z)] = DaySummand(s.hom_dim, kf * s.dim_f, kg * s.dim_g, off)
             for h in range(s.hom_dim):
                 for a in range(s.dim_f):
                     for b in range(s.dim_g):

@@ -11,7 +11,7 @@ matrix identity dh + hd = id on every certified cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import DimensionError, StructuralError, WindowError
 from .matrix import (
@@ -25,9 +25,24 @@ from .matrix import (
 
 @dataclass
 class Term:
+    """A graded term: its cell dimensions, and the copies it is made of.
+
+    A term of copies has one copy of `base` (anything with `dims` and
+    `dim(obj, deg)`: a carrier or a `GradedTensor`) per entry of `summands`,
+    laid out copy-major within every cell; `Term.copies` is the one place its
+    dims are counted.  A plain term leaves both fields None.
+    """
+
     label: str
     dims: dict                      # (obj, deg) -> int
-    meta: dict = dc_field(default_factory=dict)
+    summands: list = None
+    base: object = None
+
+    @classmethod
+    def copies(cls, label, base, summands) -> "Term":
+        summands = list(summands)
+        return cls(label, {cell: len(summands) * dim for cell, dim in base.dims.items()},
+                   summands, base)
 
     def dim(self, obj, deg) -> int:
         return self.dims.get((obj, deg), 0)
@@ -109,15 +124,14 @@ class GradedMap:
 class ChainComplex:
     """Terms indexed 0..length with differentials d_p: term p -> term p-1."""
 
-    __slots__ = ("cat", "field", "cap", "terms", "diffs", "label")
+    __slots__ = ("cat", "field", "cap", "terms", "diffs")
 
-    def __init__(self, cat, cap, terms, diffs, label="C"):
+    def __init__(self, cat, cap, terms, diffs):
         self.cat = cat
         self.field = cat.field
         self.cap = cap
         self.terms = list(terms)
         self.diffs = list(diffs)  # diffs[0] is None
-        self.label = label
         if len(self.diffs) != len(self.terms):
             raise DimensionError("need one differential slot per term")
 
@@ -144,24 +158,13 @@ class ChainComplex:
         return self.cap - out_shift
 
     def homology_cell(self, p: int, x, d: int):
-        """dim - rank(out) - rank(in) at one cell, i.e. dim ker - dim im.
-
-        Raises unless boundaries sit inside cycles, tested as out * in = 0
-        (im in lies in ker out exactly when the composite vanishes); that
-        containment is what makes the rank count a dimension.
-        """
-        h = self.terms[p].dim(x, d)
+        """dim ker - dim im at one cell, counted by `cell_homology`."""
         out = inm = None
         if p >= 1 and self.diffs[p] is not None:
             out = self.diffs[p].out_matrix(x, d)
-            h -= rank(out)
         if p + 1 < len(self.terms) and self.diffs[p + 1] is not None:
             inm = self.diffs[p + 1].in_matrix(x, d)
-            h -= rank(inm)
-        if out is not None and inm is not None and not (out * inm).is_zero():
-            raise StructuralError("boundaries escape cycles at p=%d cell (%s,%d)"
-                                  % (p, x, d))
-        return h
+        return cell_homology(self.terms[p].dim(x, d), out, inm, (p, x, d))
 
     def homology_dims(self, p: int, degrees, parallel_map=map):
         """Homology dimensions over a degree window, cellwise."""
@@ -173,6 +176,25 @@ class ChainComplex:
         cells = [(x, d) for d in degrees for x in self.cat.objects]
         dims = list(parallel_map(lambda cell: self.homology_cell(p, *cell), cells))
         return {cell: h for cell, h in zip(cells, dims)}
+
+
+def cell_homology(dim: int, out, inm, where) -> int:
+    """dim - rank(out) - rank(inm) at one cell, i.e. dim ker out - dim im inm.
+
+    out leaves the cell and inm enters it; either may be None (no map).
+    Raises unless boundaries sit inside cycles, tested as out * inm = 0 (im
+    inm lies in ker out exactly when the composite vanishes); that
+    containment is what makes the rank count a dimension.  where is the
+    (p, object, degree) the error names.
+    """
+    if out is not None and inm is not None and not (out * inm).is_zero():
+        raise StructuralError("boundaries escape cycles at p=%d cell (%s,%d)" % where)
+    h = dim
+    if out is not None:
+        h -= rank(out)
+    if inm is not None:
+        h -= rank(inm)
+    return h
 
 
 @dataclass

@@ -130,22 +130,27 @@ class GradedTensor:
                 out[(x, d)] = place(fld, self.dim(x, d + shift), self.dim(x, d), cell)
         return out
 
-    def induced_map_cells(self, target: GradedCarrier, beta_fn) -> dict:
-        """Descend bilinear families degreewise: returns (x, d) -> Matrix.
+    def induced_map_cells(self, target: GradedCarrier, family) -> dict:
+        """Descend a bilinear family degreewise: returns (x, d) -> Matrix.
 
-        beta_fn(d1, d2) must give the family {(y, z): Matrix} into
-        target(y<>z)_{d1+d2}.  Cells whose degree exceeds the target cap are
-        omitted.
+        family(y, d1, z, d2) is the cell L(y)_{d1} (x) R(z)_{d2} ->
+        target(y<>z)_{d1+d2}, the signature of `Monoid.pairing_cell`,
+        `Module.left_cell` and `Module.right_cell`.  Each degree split (d1, d2)
+        descends once through its Day tensor (`DayTensor.induced_map`), which
+        raises StructuralError unless the family is natural there.  Cells
+        whose degree exceeds the target cap are omitted.
         """
+        objs = self.cat.objects
         out = {}
-        betas = {}
+        splits = {}
         for d in range(min(self.cap, target.cap) + 1):
-            for x in self.cat.objects:
+            for x in objs:
                 cell = []
                 for b in self.layout[(x, d)]:
-                    if (b.d1, b.d2) not in betas:
-                        betas[(b.d1, b.d2)] = self.day[(b.d1, b.d2)].induced_map(
-                            target.slice_rep(b.d1 + b.d2), beta_fn(b.d1, b.d2))
-                    cell.append((0, b.offset, betas[(b.d1, b.d2)][x]))
+                    if (b.d1, b.d2) not in splits:
+                        splits[(b.d1, b.d2)] = self.day[(b.d1, b.d2)].induced_map(
+                            target.slice_rep(b.d1 + b.d2),
+                            {(y, z): family(y, b.d1, z, b.d2) for y in objs for z in objs})
+                    cell.append((0, b.offset, splits[(b.d1, b.d2)][x]))
                 out[(x, d)] = place(self.field, target.dim(x, d), self.dim(x, d), cell)
         return out

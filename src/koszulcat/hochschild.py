@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
+from .complexes import ChainComplex, GradedMap, Term, cell_homology, contracting_homotopy
 from .errors import PreconditionError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .koszul import KoszulComplex, build_koszul, koszul_faces, subsets_lex, summand_map
@@ -69,9 +69,7 @@ def certify_tensor_idempotent(a: Monoid) -> TensorIdempotentCertificate:
     direct_ok = True
     deficit = None
     # the multiplication induced on the tensor square, per (object, degree)
-    mu = GradedTensor(a.carrier, a.carrier).induced_map_cells(
-        a.carrier, lambda d1, d2: {(y, z): a.pairing_cell(y, d1, z, d2)
-                                   for y in cat.objects for z in cat.objects})
+    mu = GradedTensor(a.carrier, a.carrier).induced_map_cells(a.carrier, a.pairing_cell)
     for (x, d), mat in sorted(mu.items()):
         r = rank(mat)
         if mat.nrows != mat.ncols or r != mat.nrows:
@@ -362,14 +360,12 @@ def koszul_bimodule_resolution(e: EnvelopingData) -> BimoduleResolution:
                            witness=seq.to_jsonable(field))
     report.add_certificate("change-of-variables-iso", change_of_variables_certificate(e))
 
-    aug_term = Term("A_n", dict(a_n.carrier.dims), meta={"module": a_n.name})
+    aug_term = Term("A_n", dict(a_n.carrier.dims))
     terms = [aug_term] + kc.complex.terms
-    pi_blocks = {}
-    for (x, d), mat in e.pi.items():
-        pi_blocks[(x, d, d)] = mat
-    pi_map = GradedMap(field, kc.complex.terms[0], aug_term, pi_blocks)
+    pi_map = GradedMap(field, kc.complex.terms[0], aug_term,
+                       {(x, d, d): mat for (x, d), mat in e.pi.items()})
     diffs = [None, pi_map] + kc.complex.diffs[1:]
-    aug = ChainComplex(c.cat, e.cap, terms, diffs, label="K_C(alpha)_mu")
+    aug = ChainComplex(c.cat, e.cap, terms, diffs)
 
     ok, cells, bad = aug.dd_certificate()
     report.add_certificate("augmented-d-compose-d-zero", ok,
@@ -402,16 +398,10 @@ def _cochain_phi(e: EnvelopingData, m: Module, p: int):
         left = mult_operator(a_n, t_i, m, side="left")
         right = mult_operator(a_n, t_i, m, side="right")
         diffs[i] = (1, {cell: mat - right.cells[cell] for cell, mat in left.cells.items()})
-    src_subs = subsets_lex(n, p)
-    tgt_subs = subsets_lex(n, p + 1)
-    src_term = Term("Hom(K_%d,M)" % p,
-                    {cell: len(src_subs) * dim for cell, dim in m.carrier.dims.items()},
-                    meta={"summands": src_subs})
-    tgt_term = Term("Hom(K_%d,M)" % (p + 1),
-                    {cell: len(tgt_subs) * dim for cell, dim in m.carrier.dims.items()},
-                    meta={"summands": tgt_subs})
+    src_term, tgt_term = (Term.copies("Hom(K_%d,M)" % q, m.carrier, subsets_lex(n, q))
+                          for q in (p, p + 1))
     faces = [(t, s, sign, i) for s, t, sign, i in koszul_faces(n, p + 1)]
-    return summand_map(a_n.field, src_term, tgt_term, m.carrier, faces, diffs)
+    return summand_map(a_n.field, src_term, tgt_term, faces, diffs)
 
 
 def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
@@ -450,18 +440,14 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
                                detail="all blocks exactly zero")
 
     cells = [(x, d) for d in range(e.cap) for x in a_n.cat.objects]
+    cochains = phi_out.src if phi_out is not None else phi_in.tgt  # Hom(K_p, M)
 
     def cohom(cell):
         x, d = cell
-        h = len(subsets_lex(n, p)) * m.carrier.dim(x, d)
-        if phi_out is not None:
-            h -= rank(phi_out.out_matrix(x, d))
-        if phi_in is not None:
-            h -= rank(phi_in.in_matrix(x, d))
-        if h < 0:
-            raise StructuralError("boundaries outnumber cocycles at p=%d cell (%s,%d)"
-                                  % (p, x, d))
-        return h
+        return cell_homology(cochains.dim(x, d),
+                             phi_out.out_matrix(x, d) if phi_out is not None else None,
+                             phi_in.in_matrix(x, d) if phi_in is not None else None,
+                             (p, x, d))
 
     dims = list(parallel_map(cohom, cells))
     for cell, h in zip(cells, dims):

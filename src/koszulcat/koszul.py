@@ -43,25 +43,25 @@ def koszul_faces(n: int, p: int):
             for s, sub in enumerate(subsets_lex(n, p)) for k, i in enumerate(sub)]
 
 
-def summand_map(field, src_term: Term, tgt_term: Term, base, faces, cells) -> GradedMap:
-    """The map between two terms of copies of `base` given by signed faces.
+def summand_map(field, src_term: Term, tgt_term: Term, faces, cells) -> GradedMap:
+    """The map between two terms of copies given by signed faces.
 
-    Each term is one copy of `base` per entry of its `summands` meta, laid out
-    copy-major within every cell.  `cells[i]` is a pair (shift, {(x, d):
-    Matrix}) of a map on one copy raising the degree by shift; face
-    (s, t, sign, i) places sign * cells[i][(x, d)] at block (t, s) of the
-    cell map (x, d) -> (x, d + shift).  No two faces may share a block.
+    Both terms come from `Term.copies`: each is one copy of its `base` per
+    entry of its `summands`, laid out copy-major within every cell.
+    `cells[i]` is a pair (shift, {(x, d): Matrix}) of a map from one source
+    copy to one target copy raising the degree by shift; face (s, t, sign, i)
+    places sign * cells[i][(x, d)] at block (t, s) of the cell map (x, d) ->
+    (x, d + shift).  No two faces may share a block.
     """
-    n_src = len(src_term.meta["summands"])
-    n_tgt = len(tgt_term.meta["summands"])
     parts = {}
     for s, t, sign, i in faces:
         shift, per_cell = cells[i]
         for (x, d), mat in per_cell.items():
             parts.setdefault((x, d, d + shift), {})[(t, s)] = \
                 mat if sign == 1 else mat.scale(field.from_int(sign))
-    blocks = {(x, ds, dt): block_matrix(field, placed, [base.dim(x, dt)] * n_tgt,
-                                        [base.dim(x, ds)] * n_src)
+    blocks = {(x, ds, dt): block_matrix(field, placed,
+                                        [tgt_term.base.dim(x, dt)] * len(tgt_term.summands),
+                                        [src_term.base.dim(x, ds)] * len(src_term.summands))
               for (x, ds, dt), placed in parts.items()}
     return GradedMap(field, src_term, tgt_term, blocks)
 
@@ -71,7 +71,6 @@ class KoszulComplex:
     monoid: Monoid
     alphas: list
     complex: ChainComplex
-    summands: list  # summands[p] = list of subsets indexing term p
     mult_ops: dict  # alpha index (1-based) -> MultOperator
 
     @property
@@ -79,15 +78,13 @@ class KoszulComplex:
         return len(self.alphas)
 
     @property
+    def summands(self) -> list:
+        """summands[p]: the subsets indexing the copies of term p."""
+        return [t.summands for t in self.complex.terms]
+
+    @property
     def cap(self) -> int:
         return self.complex.cap
-
-
-def _term(a: Monoid, subsets, label) -> Term:
-    dims = {}
-    for (x, d), dim in a.carrier.dims.items():
-        dims[(x, d)] = len(subsets) * dim
-    return Term(label, dims, meta={"summands": list(subsets), "copies_of": a.name})
 
 
 def build_koszul(a: Monoid, alphas) -> KoszulComplex:
@@ -110,19 +107,11 @@ def build_koszul(a: Monoid, alphas) -> KoszulComplex:
     module = regular_bimodule(a)
     mult_ops = {i + 1: mult_operator(a, alpha, module) for i, alpha in enumerate(alphas)}
 
-    terms = []
-    summands = []
-    for p in range(n + 1):
-        subs = subsets_lex(n, p)
-        summands.append(subs)
-        terms.append(_term(a, subs, "K_%d" % p))
-
+    terms = [Term.copies("K_%d" % p, a.carrier, subsets_lex(n, p)) for p in range(n + 1)]
     ops = {i: (op.shift, op.cells) for i, op in mult_ops.items()}
-    diffs = [None] + [summand_map(a.field, terms[p], terms[p - 1], a.carrier,
-                                  koszul_faces(n, p), ops)
+    diffs = [None] + [summand_map(a.field, terms[p], terms[p - 1], koszul_faces(n, p), ops)
                       for p in range(1, n + 1)]
-    cx = ChainComplex(a.cat, a.cap, terms, diffs, label="K_%s(%s)" % (a.name, n))
-    return KoszulComplex(a, alphas, cx, summands, mult_ops)
+    return KoszulComplex(a, alphas, ChainComplex(a.cat, a.cap, terms, diffs), mult_ops)
 
 
 def koszul_homology_report(kc: KoszulComplex, ps, parallel_map=map) -> GradedReport:
@@ -246,27 +235,26 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
     # S' -> S' + {n}.  Indices n and -1 of `small_terms` are the zero term.
     ident = {None: (0, {cell: Matrix.identity(field, dim)
                         for cell, dim in a.carrier.dims.items()})}
-    small_terms = small.complex.terms + [Term("0", {}, meta={"summands": []})]
+    small_terms = small.complex.terms + [Term.copies("0", a.carrier, [])]
     iota, tau, sigma = [], [], []
     for p, big in enumerate(kc.complex.terms):
-        big_index = {s: k for k, s in enumerate(kc.summands[p])}
+        big_index = {s: k for k, s in enumerate(big.summands)}
         below = small_terms[p - 1]
-        below_index = {s: k for k, s in enumerate(below.meta["summands"])}
-        iota.append(summand_map(field, small_terms[p], big, a.carrier,
+        below_index = {s: k for k, s in enumerate(below.summands)}
+        iota.append(summand_map(field, small_terms[p], big,
                                 [(k, big_index[s], 1, None)
-                                 for k, s in enumerate(small_terms[p].meta["summands"])],
+                                 for k, s in enumerate(small_terms[p].summands)],
                                 ident))
-        tau.append(summand_map(field, big, below, a.carrier,
+        tau.append(summand_map(field, big, below,
                                [(k, below_index[s[:-1]], 1, None)
-                                for k, s in enumerate(kc.summands[p]) if s[-1:] == (n,)],
+                                for k, s in enumerate(big.summands) if s[-1:] == (n,)],
                                ident))
-        sigma.append(summand_map(field, below, big, a.carrier,
+        sigma.append(summand_map(field, below, big,
                                  [(k, big_index[s + (n,)], 1, None)
                                   for s, k in below_index.items()],
                                  ident))
     # L: the last multiplication on every copy of a small term
-    l_maps = [summand_map(field, t, t, a.carrier,
-                          [(k, k, 1, n) for k in range(len(t.meta["summands"]))],
+    l_maps = [summand_map(field, t, t, [(k, k, 1, n) for k in range(len(t.summands))],
                           {n: (op_n.shift, op_n.cells)})
               for t in small.complex.terms]
 

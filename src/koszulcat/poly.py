@@ -237,19 +237,17 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     pure = {(y, z): witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
             for y in cat.objects for z in cat.objects for yz in [cat.dobj(y, z)]}
 
-    def beta(d1, d2):
+    def family(y, d1, z, d2):
         """(C_n)(y)_{d1} (x) (D_m)(z)_{d2} -> E_{n+m}(y<>z)_{d1+d2}.
 
         u^i a (x) v^j b |-> u^i v^j W(a (x) b): the exponent tuples
         concatenate, and the base pair goes through the witnessed pure-tensor map.
         """
-        mons1, mons2 = multi_indices(n, d1), multi_indices(m, d2)
-        tgt_index = mono_index(n + m, d1 + d2)
-        return {(y, z): monomial_block_product(mons1, mons2, tgt_index, tuple.__add__, w,
-                                               base_c.carrier.dim(y, 0), base_d.carrier.dim(z, 0))
-                for (y, z), w in pure.items()}
+        return monomial_block_product(multi_indices(n, d1), multi_indices(m, d2),
+                                      mono_index(n + m, d1 + d2), tuple.__add__, pure[(y, z)],
+                                      base_c.carrier.dim(y, 0), base_d.carrier.dim(z, 0))
 
-    phi = gt.induced_map_cells(merged.carrier, beta)
+    phi = gt.induced_map_cells(merged.carrier, family)
     for (x, deg), mat in sorted(phi.items()):
         if mat.nrows != mat.ncols or (mat.nrows and rank(mat) != mat.nrows):
             raise IsoFailureError("Phi fails to be invertible at (%s, %d)" % (x, deg))

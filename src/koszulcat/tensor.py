@@ -192,29 +192,13 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
     M (x)_A A -> M induced by the right action.  Raises if the induced map
     fails to be invertible at some cell.
     """
-    a = coeq.monoid
-    gt = coeq.gt
-
     if side == "left":
-        nmod = coeq.right_module
-
-        def beta(d1, d2):
-            return {(y, z): nmod.left_cell(y, d1, z, d2)
-                    for y in a.cat.objects for z in a.cat.objects}
-
-        target = nmod.carrier
+        mod, family = coeq.right_module, coeq.right_module.left_cell
     elif side == "right":
-        mmod = coeq.left_module
-
-        def beta(d1, d2):
-            return {(y, z): mmod.right_cell(y, d1, z, d2)
-                    for y in a.cat.objects for z in a.cat.objects}
-
-        target = mmod.carrier
+        mod, family = coeq.left_module, coeq.left_module.right_cell
     else:
         raise ValueError("side must be 'left' or 'right'")
-
-    pre = gt.induced_map_cells(target, beta)
+    pre = coeq.gt.induced_map_cells(mod.carrier, family)
     out = {}
     for cell, mat in sorted(pre.items()):
         q = coeq.quots[cell]
@@ -305,7 +289,6 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
         raise WindowError("cap %d cannot certify any differential action" % cap)
 
     gt = GradedTensor(a_n.carrier, m.carrier, cap=cap)
-    base_dims = dict(gt.dims)
 
     # each variable acts on a term as the difference of its multiplications
     # on the two tensor factors
@@ -318,26 +301,19 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
         diff_cells[i] = (1, {cell: mat - rmap[cell]
                              for cell, mat in gt.map_factor(op_a.cells, 1, "left").items()})
 
-    terms = [Term("M", dict(m.carrier.dims), meta={"module": m.name})]
-    subsets = [subsets_lex(n, p) for p in range(n + 1)]
-    for p in range(n + 1):
-        dims = {cell: len(subsets[p]) * base_dims.get(cell, 0)
-                for cell in base_dims}
-        terms.append(Term("K_%d(x)M" % p, dims, meta={"summands": subsets[p]}))
+    terms = [Term("M", dict(m.carrier.dims))] + \
+        [Term.copies("K_%d(x)M" % p, gt, subsets_lex(n, p)) for p in range(n + 1)]
 
     diffs = [None]
     # bottom map: the action of the polynomial monoid on the module
-    act_cells = gt.induced_map_cells(
-        m.carrier,
-        lambda d1, d2: {(y, z): m.left_cell(y, d1, z, d2)
-                        for y in cat.objects for z in cat.objects})
+    act_cells = gt.induced_map_cells(m.carrier, m.left_cell)
     diffs.append(GradedMap(field, terms[1], terms[0],
                            {(x, d, d): mat for (x, d), mat in act_cells.items()}))
 
-    diffs += [summand_map(field, terms[p + 1], terms[p], gt, koszul_faces(n, p), diff_cells)
+    diffs += [summand_map(field, terms[p + 1], terms[p], koszul_faces(n, p), diff_cells)
               for p in range(1, n + 1)]
 
-    cx = ChainComplex(cat, cap, terms, diffs, label="K(x)%s" % m.name)
+    cx = ChainComplex(cat, cap, terms, diffs)
     report = GradedReport(
         task={"op": "syzygy-resolution", "monoid": e.base.name, "n": n,
               "module": m.name},

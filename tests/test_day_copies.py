@@ -16,6 +16,7 @@ from koszulcat.category import (
     day_tensor_copies,
     identity_representation,
 )
+from koszulcat.errors import StructuralError
 from koszulcat.field import QQ, Field
 from koszulcat.gtensor import GradedTensor
 from koszulcat.hochschild import build_enveloping
@@ -128,3 +129,22 @@ def test_quotient_module_keeps_the_eliminated_route(monkeypatch):
     assert res.passed
     assert not routes
     assert calls  # the module's slices are eliminated
+
+
+def test_graded_descent_rejects_a_nonnatural_family():
+    """The pairing descends; scaling its (g, g) cell at degrees (1, 1) breaks naturality.
+
+    Q[t1, t2] over the Day unit of C2: the degree-1 slices are two copies of
+    the base, so the split (1, 1) is a placed Day tensor, not an eliminated one.
+    """
+    a = polynomial_monoid(_base(QQ, "c2unit"), 2, 2)
+    gt = GradedTensor(a.carrier, a.carrier)
+    assert a.carrier.copies[1][1] == 2
+    assert gt.induced_map_cells(a.carrier, a.pairing_cell)
+
+    def family(y, d1, z, d2):
+        cell = a.pairing_cell(y, d1, z, d2)
+        return cell.scale(QQ.from_int(3)) if (y, d1, z, d2) == ("g", 1, "g", 1) else cell
+
+    with pytest.raises(StructuralError, match="bilinear family is not natural; does not descend"):
+        gt.induced_map_cells(a.carrier, family)

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from koszulcat.category import CategoryPresentation
-from koszulcat.errors import PreconditionError
-from koszulcat.field import QQ
+from koszulcat.errors import PreconditionError, StructuralError
+from koszulcat.field import QQ, Field
 from koszulcat.hochschild import (
     build_enveloping,
     certify_tensor_idempotent,
@@ -14,7 +14,15 @@ from koszulcat.hochschild import (
     hochschild_cohomology,
     koszul_bimodule_resolution,
 )
-from koszulcat.monoid import identity_monoid, regular_bimodule, scalar_monoid
+from koszulcat.matrix import Matrix
+from koszulcat.monoid import (
+    Module,
+    identity_monoid,
+    regular_bimodule,
+    scalar_monoid,
+    validate_module,
+)
+from koszulcat.poly import mono_index, multi_indices
 from koszulcat.sample import c2_convolution_category, dual_numbers, s3_group_algebra
 
 CAT = CategoryPresentation.trivial(QQ)
@@ -156,6 +164,38 @@ def test_hh_vanishes_above_n():
         rep = hochschild_cohomology(e, m, p)
         assert all(en.dim == 0 for en in rep.entries)
         assert not any(c.name == "vanishes-above-n" for c in rep.certificates)
+
+
+def _skew_module(a_n):
+    """Q[t1,t2] acting on itself: on the left by the pairing, on the right by T.
+
+    Each t_i acts on the right as T: m -> t1 swap(m), swap exchanging the two
+    exponents, so a monomial of degree k acts as T^k.  Both actions are
+    associative and unital, but they do not commute: not a bimodule.
+    """
+    fld = a_n.field
+    right = {}
+    for d1 in range(a_n.cap + 1):
+        for d2 in range(a_n.cap + 1 - d1):
+            src, tgt = multi_indices(2, d1), mono_index(2, d1 + d2)
+            width, half = len(multi_indices(2, d2)), d2 // 2
+            entries = {}
+            for i, (p, q) in enumerate(src):
+                if d2 % 2:
+                    p, q = q + 1, p
+                for j in range(width):
+                    entries[(tgt[(p + half, q + half)], i * width + j)] = fld.one()
+            right[(U, d1, U, d2)] = Matrix.from_entries(fld, len(tgt), len(src) * width, entries)
+    return Module(a_n, a_n.carrier, "bi", dict(a_n.pairing), right, name="skew")
+
+
+def test_hh_of_a_non_bimodule_raises_instead_of_counting():
+    """Phi_1 Phi_0 != 0 here, so rank counts would not be dimensions."""
+    e = build_enveloping(scalar_monoid(CategoryPresentation.trivial(Field(101))), 2, 3)
+    m = _skew_module(e.a_n)
+    assert {v.axiom for v in validate_module(m).violations} == {"bimodule-compatibility"}
+    with pytest.raises(StructuralError, match=r"boundaries escape cycles at p=1 cell \(1,1\)"):
+        hochschild_cohomology(e, m, 1)
 
 
 def test_hh_negative_degree_rejected():
