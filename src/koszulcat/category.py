@@ -111,39 +111,31 @@ class CategoryPresentation:
     def symmetry_mor(self, x, y) -> Mor:
         return Mor(self.dobj(x, y), self.dobj(y, x), dict(self.symmetry_table[(x, y)]))
 
+    def _extend(self, table, p: Mor, q: Mor) -> dict:
+        """Coefficients of p and q paired by table, extended bilinearly."""
+        fld = self.field
+        out: dict = {}
+        for i, cp in p.coeffs.items():
+            for j, cq in q.coeffs.items():
+                c = fld.mul(cp, cq)
+                for k, v in table.get(((p.src, p.tgt, i), (q.src, q.tgt, j)), {}).items():
+                    s = fld.add(out.get(k, fld.zero()), fld.mul(c, v))
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
+        return out
+
     def compose(self, g: Mor, f: Mor) -> Mor:
         """g after f, extended bilinearly over the structure constants."""
         if f.tgt != g.src:
             raise StructuralError("cannot compose %s->%s after %s->%s"
                                   % (g.src, g.tgt, f.src, f.tgt))
-        fld = self.field
-        out: dict = {}
-        for j, cg in g.coeffs.items():
-            for i, cf in f.coeffs.items():
-                table = self.compose_table.get(((g.src, g.tgt, j), (f.src, f.tgt, i)), {})
-                c = fld.mul(cg, cf)
-                for k, v in table.items():
-                    s = fld.add(out.get(k, fld.zero()), fld.mul(c, v))
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return Mor(f.src, g.tgt, out)
+        return Mor(f.src, g.tgt, self._extend(self.compose_table, g, f))
 
     def diamond(self, f: Mor, g: Mor) -> Mor:
-        fld = self.field
-        out: dict = {}
-        for i, cf in f.coeffs.items():
-            for j, cg in g.coeffs.items():
-                table = self.dmor_table.get(((f.src, f.tgt, i), (g.src, g.tgt, j)), {})
-                c = fld.mul(cf, cg)
-                for k, v in table.items():
-                    s = fld.add(out.get(k, fld.zero()), fld.mul(c, v))
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return Mor(self.dobj(f.src, g.src), self.dobj(f.tgt, g.tgt), out)
+        return Mor(self.dobj(f.src, g.src), self.dobj(f.tgt, g.tgt),
+                   self._extend(self.dmor_table, f, g))
 
     def mor_equal(self, f: Mor, g: Mor) -> bool:
         return f.src == g.src and f.tgt == g.tgt and f.coeffs == g.coeffs
@@ -180,6 +172,13 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
                     rep.add("diamond-associativity", "(%s, %s, %s)" % (x, y, z))
                 rep.checked += 1
 
+    # composites and products of basis arrows, each formed once
+    mors = list(cat.all_basis_mors())
+    pairs = [(f, g) for f in mors for g in mors if g[0] == f[1]]  # g after f
+    composite = {(f, g): cat.compose(cat.basis_mor(*g), cat.basis_mor(*f)) for f, g in pairs}
+    product = {(f, g): cat.diamond(cat.basis_mor(*f), cat.basis_mor(*g))
+               for f in mors for g in mors}
+
     # composition associativity on basis triples
     for (x, y) in sorted(cat.hom):
         for (y2, z) in sorted(cat.hom):
@@ -189,22 +188,18 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
                 if z2 != z:
                     continue
                 for i in range(cat.hom_dim(x, y)):
-                    f = cat.basis_mor(x, y, i)
                     for j in range(cat.hom_dim(y, z)):
-                        g = cat.basis_mor(y, z, j)
                         for k in range(cat.hom_dim(z, w)):
-                            h = cat.basis_mor(z, w, k)
-                            lhs = cat.compose(cat.compose(h, g), f)
-                            rhs = cat.compose(h, cat.compose(g, f))
+                            f, g, h = (x, y, i), (y, z, j), (z, w, k)
+                            lhs = cat.compose(composite[(g, h)], cat.basis_mor(*f))
+                            rhs = cat.compose(cat.basis_mor(*h), composite[(f, g)])
                             if not cat.mor_equal(lhs, rhs):
-                                rep.add("composition-associativity",
-                                        "(%s, %s, %s)" % (cat.mor_name((z, w, k)),
-                                                          cat.mor_name((y, z, j)),
-                                                          cat.mor_name((x, y, i))))
+                                rep.add("composition-associativity", "(%s, %s, %s)"
+                                        % tuple(cat.mor_name(key) for key in (h, g, f)))
                             rep.checked += 1
 
     # unit laws of composition
-    for (x, y, i) in cat.all_basis_mors():
+    for (x, y, i) in mors:
         f = cat.basis_mor(x, y, i)
         if not cat.mor_equal(cat.compose(f, cat.identity_mor(x)), f):
             rep.add("right-identity", cat.mor_name((x, y, i)))
@@ -213,26 +208,13 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
         rep.checked += 2
 
     # functoriality of the product on morphisms, on composable basis quadruples
-    for (x1, y1, i1) in cat.all_basis_mors():
-        for (y1b, z1, j1) in cat.all_basis_mors():
-            if y1b != y1:
-                continue
-            for (x2, y2, i2) in cat.all_basis_mors():
-                for (y2b, z2, j2) in cat.all_basis_mors():
-                    if y2b != y2:
-                        continue
-                    f1 = cat.basis_mor(x1, y1, i1)
-                    g1 = cat.basis_mor(y1, z1, j1)
-                    f2 = cat.basis_mor(x2, y2, i2)
-                    g2 = cat.basis_mor(y2, z2, j2)
-                    lhs = cat.diamond(cat.compose(g1, f1), cat.compose(g2, f2))
-                    rhs = cat.compose(cat.diamond(g1, g2), cat.diamond(f1, f2))
-                    if not cat.mor_equal(lhs, rhs):
-                        rep.add("diamond-functoriality",
-                                "(%s o %s) <> (%s o %s)"
-                                % (cat.mor_name((y1, z1, j1)), cat.mor_name((x1, y1, i1)),
-                                   cat.mor_name((y2, z2, j2)), cat.mor_name((x2, y2, i2))))
-                    rep.checked += 1
+    for f1, g1 in pairs:
+        for f2, g2 in pairs:
+            lhs = cat.diamond(composite[(f1, g1)], composite[(f2, g2)])
+            if not cat.mor_equal(lhs, cat.compose(product[(g1, g2)], product[(f1, f2)])):
+                rep.add("diamond-functoriality", "(%s o %s) <> (%s o %s)"
+                        % tuple(cat.mor_name(key) for key in (g1, f1, g2, f2)))
+            rep.checked += 1
     # identity compatibility of the product
     for x in objs:
         for y in objs:
@@ -249,12 +231,10 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
             if not cat.mor_equal(cat.compose(s_yx, s_xy), cat.identity_mor(cat.dobj(x, y))):
                 rep.add("symmetry-involutive", "(%s, %s)" % (x, y))
             rep.checked += 1
-    for (x, xp, i) in cat.all_basis_mors():
-        for (y, yp, j) in cat.all_basis_mors():
-            f = cat.basis_mor(x, xp, i)
-            g = cat.basis_mor(y, yp, j)
-            lhs = cat.compose(cat.symmetry_mor(xp, yp), cat.diamond(f, g))
-            rhs = cat.compose(cat.diamond(g, f), cat.symmetry_mor(x, y))
+    for (x, xp, i) in mors:
+        for (y, yp, j) in mors:
+            lhs = cat.compose(cat.symmetry_mor(xp, yp), product[((x, xp, i), (y, yp, j))])
+            rhs = cat.compose(product[((y, yp, j), (x, xp, i))], cat.symmetry_mor(x, y))
             if not cat.mor_equal(lhs, rhs):
                 rep.add("symmetry-naturality",
                         "(%s, %s)" % (cat.mor_name((x, xp, i)), cat.mor_name((y, yp, j))))

@@ -103,6 +103,10 @@ def main(argv=None) -> int:
         return _fail("file declares field %s, flag says %s"
                      % (problem.field.descriptor(), args.field), 2)
     try:
+        if problem.backend == "finite" and args.verb != "validate":
+            axioms = validate_presentation(problem.category)
+            if not axioms.ok:  # every verb but validate needs a lawful category
+                return _fail("%s: %s" % (axioms.subject, axioms.violations[0]), 2)
         parallel_map = make_parallel_map(resolve_threads(args.threads))
         cap = _task_value(args, problem, "max-degree", default=4)
         handler = {

@@ -31,24 +31,25 @@ from .matrix import Matrix, Subspace, descend, hstack, kernel, kernel_basis, quo
 from .report import ValidationReport
 
 
-def fix_left(field: Field, vec: Sequence, dim_right: int) -> Matrix:
-    """Matrix of b -> vec (x) b on Kronecker bases."""
-    m = Matrix.zeros(field, len(vec) * dim_right, dim_right)
-    for i, c in enumerate(vec):
-        if c:
-            for k in range(dim_right):
-                m.rows[i * dim_right + k][k] = c
-    return m
+def fix_slot(cell: Matrix, vec: Sequence, dim: int, side: str) -> Matrix:
+    """b -> cell(vec (x) b) ("left") or cell(b (x) vec) ("right"), cell on Kronecker columns.
 
-
-def fix_right(field: Field, dim_left: int, vec: Sequence) -> Matrix:
-    """Matrix of b -> b (x) vec on Kronecker bases."""
-    m = Matrix.zeros(field, dim_left * len(vec), dim_left)
-    for k in range(dim_left):
-        for j, c in enumerate(vec):
-            if c:
-                m.rows[k * len(vec) + j][k] = c
-    return m
+    One pass over cell's entries adds vec[i] times each column whose fixed slot is i.
+    """
+    f = cell.field
+    out = []
+    for r in cell.rows:
+        acc: dict = {}
+        for j, v in r.items():
+            i, k = divmod(j, dim) if side == "left" else divmod(j, len(vec))[::-1]
+            if vec[i]:
+                s = f.add(acc.get(k, f.zero()), f.mul(v, vec[i]))
+                if s:
+                    acc[k] = s
+                else:
+                    acc.pop(k, None)
+        out.append(acc)
+    return Matrix(f, cell.nrows, dim, out)
 
 
 class GradedCarrier:
@@ -339,11 +340,8 @@ def _unit_laws(rep: ValidationReport, car: GradedCarrier, unit: tuple, laws):
         dim = car.dim(x, d)
         ident = Matrix.identity(field, dim)
         for name, side, cell in laws:
-            if side == "left":
-                got = cell(u, 0, x, d) * fix_left(field, unit, dim)
-            else:
-                got = cell(x, d, u, 0) * fix_right(field, dim, unit)
-            if got != ident:
+            fixed = cell(u, 0, x, d) if side == "left" else cell(x, d, u, 0)
+            if fix_slot(fixed, unit, dim, side) != ident:
                 rep.add(name, "(%s, %d)" % (x, d))
             rep.checked += 1
 
@@ -514,8 +512,8 @@ class MultOperator:
 
 def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperator:
     """L_elt (or the right-hand analogue) for an element supported at the unit."""
-    cat, field = a.cat, a.field
-    if elt.obj != cat.unit:
+    u = a.cat.unit
+    if elt.obj != u:
         raise WrongObjectError("element lives at %s, expected the unit object" % elt.obj)
     car = m.carrier
     e = elt.degree
@@ -523,12 +521,8 @@ def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperat
     for (x, d) in car.cells():
         if d + e > car.cap:
             continue
-        dim = car.dim(x, d)
-        if side == "left":
-            mat = m.left_cell(cat.unit, e, x, d) * fix_left(field, list(elt.coords), dim)
-        else:
-            mat = m.right_cell(x, d, cat.unit, e) * fix_right(field, dim, list(elt.coords))
-        cells[(x, d)] = mat
+        cell = m.left_cell(u, e, x, d) if side == "left" else m.right_cell(x, d, u, e)
+        cells[(x, d)] = fix_slot(cell, elt.coords, car.dim(x, d), side)
     return MultOperator(elt, e, side, cells)
 
 
@@ -545,8 +539,8 @@ def _ideal_columns(a: Monoid, gens: Sequence[Element], x, d):
     for g in gens:
         width = car.dim(x, d - g.degree) if g.degree <= d else 0
         if width:
-            blocks.append(a.pairing_cell(x, d - g.degree, u, g.degree) *
-                          fix_right(field, width, list(g.coords)))
+            blocks.append(fix_slot(a.pairing_cell(x, d - g.degree, u, g.degree),
+                                   g.coords, width, "right"))
         ends.append(ends[-1] + width)
     return hstack(blocks), ends
 

@@ -1,12 +1,13 @@
 """Tensor product over a monoid and the relative syzygy resolution.
 
 The tensor over a monoid is the pointwise cokernel of the action-difference
-map: each cell of the plain tensor is quotiented by the span of the vectors
-(m.a) (x) n - m (x) (a.n), generated from basis triples flattened through the
-Day presentation, so one code path serves both backends.  The syzygy builder
-realizes the resolution terms as plain tensors of the polynomial monoid with
-the module, differentials induced by one-sided variable multiplications, and
-certifies exactness and pointwise splitness; the terms are induced by construction.
+map: each cell of the plain tensor is quotiented by the span of the classes
+[h; m.a, n] - [h; m, a.n], over basis triples and the basis arrows h of
+hom(y<>y2<>z, x), placed in the Day presentation, so one code path serves
+both backends.  The syzygy builder realizes the resolution terms as plain
+tensors of the polynomial monoid with the module, differentials induced by
+one-sided variable multiplications, and certifies exactness and pointwise
+splitness; the terms are induced by construction.
 """
 
 from __future__ import annotations
@@ -55,51 +56,45 @@ class CoequalizerPresentation:
 def _delta_relations(a: Monoid, m: Module, n: Module, gt: GradedTensor, x, d) -> Matrix:
     """Columns spanning the action-difference image inside one tensor cell.
 
-    For each basis triple, the block (m.a) (x) n - m (x) (a.n) over the
-    coordinates m (x) a (x) n is P1 (h (x) sigma_r (x) I_n) at block dm + da
-    minus P2 (h (x) I_m (x) sigma_l) at block dm, P1 and P2 the Day
-    projections of the two blocks.
+    The relations [h; m.a, n] - [h; m, a.n], one per basis arrow h of
+    hom(y<>y2<>z, x) (strict associativity makes it both summands' hom
+    space), span those of every other arrow, as they are linear in h.  Per
+    degree split, I_hom (x) sigma_r (x) I_n lands in summand (y<>y2, z) of
+    Day block dm + da and -(I_hom (x) I_m (x) sigma_l) in summand (y, y2<>z)
+    of Day block dm; each Day block is projected once.
     """
     cat, field = a.cat, a.field
+    cell = gt.layout[(x, d)]
     blocks = []
     ncols = 0
-    cell = gt.layout[(x, d)]
     for dm in range(d + 1):
         for da in range(d + 1 - dm):
             dn = d - dm - da
+            day1, day2 = gt.day[(dm + da, dn)], gt.day[(dm, da + dn)]
+            amb1, amb2, col0 = [], [], ncols
             for y in cat.objects:
                 dim_m = m.carrier.dim(y, dm)
-                if not dim_m:
-                    continue
                 for y2 in cat.objects:
-                    dim_a = a.carrier.dim(y2, da)
-                    if not dim_a:
+                    if not dim_m or not a.carrier.dim(y2, da):
                         continue
-                    yy2 = cat.dobj(y, y2)
                     sig_r = m.right_cell(y, dm, y2, da)
                     for z in cat.objects:
                         dim_n = n.carrier.dim(z, dn)
-                        if not dim_n:
+                        s1 = day1.layout[x][(cat.dobj(y, y2), z)]
+                        if not dim_n or not s1.hom_dim:
                             continue
-                        y2z = cat.dobj(y2, z)
+                        s2 = day2.layout[x][(y, cat.dobj(y2, z))]
                         act1 = sig_r.kron(Matrix.identity(field, dim_n))
-                        act2 = Matrix.identity(field, dim_m).kron(n.left_cell(y2, da, z, dn))
-                        day1 = gt.day[(dm + da, dn)]
-                        day2 = gt.day[(dm, da + dn)]
-                        for w in cat.objects:
-                            for hp in range(cat.hom_dim(yy2, w)):
-                                hprime = cat.basis_mor(yy2, w, hp)
-                                for h in range(cat.hom_dim(cat.dobj(w, z), x)):
-                                    hh = cat.compose(
-                                        cat.basis_mor(cat.dobj(w, z), x, h),
-                                        cat.diamond(hprime, cat.identity_mor(z)))
-                                    if not hh.coeffs:
-                                        continue
-                                    blocks.append((cell[dm + da].offset, ncols,
-                                                   day1.pure_map(x, yy2, z, hh) * act1))
-                                    blocks.append((cell[dm].offset, ncols,
-                                                   -(day2.pure_map(x, y, y2z, hh) * act2)))
-                                    ncols += act1.ncols
+                        amb1.append(s1.block(act1, ncols - col0))
+                        amb2.append(s2.block(Matrix.identity(field, dim_m).kron(
+                            n.left_cell(y2, da, z, dn)), ncols - col0))
+                        ncols += s1.hom_dim * act1.ncols
+            if ncols > col0:
+                q1, q2 = day1.quot[x], day2.quot[x]
+                blocks.append((cell[dm + da].offset, col0,
+                               q1.projection * place(field, q1.ambient, ncols - col0, amb1)))
+                blocks.append((cell[dm].offset, col0,
+                               -(q2.projection * place(field, q2.ambient, ncols - col0, amb2))))
     return place(field, gt.dim(x, d), ncols, blocks)
 
 
@@ -134,7 +129,9 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
     """Descend an outer one-sided action to the coequalizer (trivial backend).
 
     On the block M_{d1} (x) N_{d2} of a cell the raw action is act (x) I_N
-    (columns outer (x) tensor) or I_M (x) act (columns tensor (x) outer).
+    with columns outer (x) tensor, so act's column block k goes to column
+    k dim(cell) + offset of the block; or it is I_M (x) act with columns
+    tensor (x) outer, one contiguous block at column offset dim(outer).
     Raises when the raw action fails to preserve the relation subspace, which
     would mean the supplied outer action does not commute with the inner one.
     """
@@ -145,11 +142,6 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
     u = cat.unit
     gt = coeq.gt
     dcar = outer.monoid.carrier
-
-    def widen(m, ident_o):
-        # m on the tensor columns beside the identity on the outer ones
-        return ident_o.kron(m) if on_left_factor else m.kron(ident_o)
-
     out = {}
     for d in range(gt.cap + 1):
         for d2 in range(dcar.cap + 1):
@@ -159,25 +151,27 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
             if not dim_o:
                 continue
             src_dim = gt.dim(u, d)
-            tgt_dim = gt.dim(u, d + d2)
-            ident_o = Matrix.identity(field, dim_o)
-            raw = Matrix.zeros(field, tgt_dim, dim_o * src_dim)
+            blocks = []
             for b in gt.layout[(u, d)]:
-                select_b = place(field, b.dim, src_dim,
-                                 [(0, b.offset, Matrix.identity(field, b.dim))])
                 if on_left_factor:
                     tb = gt.layout[(u, d + d2)][b.d1 + d2]
                     act = outer.cells[(u, d2, u, b.d1)].kron(
                         Matrix.identity(field, coeq.right_module.carrier.dim(u, b.d2)))
+                    blocks += [(tb.offset, k * src_dim + b.offset,
+                                act.select_columns(range(k * b.dim, (k + 1) * b.dim)))
+                               for k in range(dim_o)]
                 else:
                     tb = gt.layout[(u, d + d2)][b.d1]
-                    act = Matrix.identity(field, coeq.left_module.carrier.dim(u, b.d1)).kron(
-                        outer.cells[(u, b.d2, u, d2)])
-                raw = raw + place(field, tgt_dim, act.ncols, [(tb.offset, 0, act)]) * \
-                    widen(select_b, ident_o)
+                    blocks.append((tb.offset, b.offset * dim_o, Matrix.identity(
+                        field, coeq.left_module.carrier.dim(u, b.d1)).kron(
+                            outer.cells[(u, b.d2, u, d2)])))
+            raw = place(field, gt.dim(u, d + d2), dim_o * src_dim, blocks)
+            ident_o = Matrix.identity(field, dim_o)
             q_src = coeq.quots[(u, d)]
-            desc = descend(coeq.quots[(u, d + d2)].projection * raw,
-                           widen(q_src.sub.basis, ident_o), widen(q_src.section, ident_o))
+            # the source's relations and section, beside the identity on the outer columns
+            wide = [ident_o.kron(m) if on_left_factor else m.kron(ident_o)
+                    for m in (q_src.sub.basis, q_src.section)]
+            desc = descend(coeq.quots[(u, d + d2)].projection * raw, *wide)
             if desc is None:
                 raise StabilityError("outer %s action does not preserve the relations"
                                      % ("left" if on_left_factor else "right"))

@@ -351,6 +351,32 @@ def test_bad_category_line_exits_two_with_its_number(tmp_path, capsys, old, new,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tensor-idem"], ["hh", "-n", "1", "-p", "1", "--max-degree", "2"],
+    ["syzygy", "-n", "1", "--module", "R", "--max-degree", "2"], ["commutant"],
+    ["tensor-over", "--module", "R,R"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("deleted, instance", [
+    ("dmor u_ge u_ge = 1*u_ee", "(u_ge o u_eg) <> (u_ge o u_eg)"),
+    ("dmor u_gg u_gg = 1*u_ee", "(u_gg o u_eg) <> (u_gg o u_eg)"),
+], ids=["u_ge-u_ge", "u_gg-u_gg"])
+def test_unlawful_category_exits_two_before_any_verb(tmp_path, capsys, argv, deleted,
+                                                      instance):
+    # validate reports the violation and exits 1; every other verb refuses
+    with open(pfile("c2conv.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "\n%s\n" % deleted in text
+    path = tmp_path / "c2broken.kz"
+    path.write_text(text.replace("\n%s\n" % deleted, "\n"))
+    report = tmp_path / "r.json"
+    assert main([argv[0], str(path)] + argv[1:] + ["--report", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: category c2broken.kz: diamond-functoriality at %s\n" % instance
+    assert out == "" and not report.exists()
+    assert main(["validate", str(path)]) == 1
+    assert "violated: diamond-functoriality at %s" % instance in capsys.readouterr().out
+
+
 def test_trivial_backend_declares_the_one_object(tmp_path, capsys):
     with open(pfile("trivial_q.kz"), encoding="utf-8") as fh:
         text = fh.read()

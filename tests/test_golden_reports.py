@@ -67,6 +67,8 @@ CLI_CASES = [
                    "--max-degree", "3"], 0),
     ("syzygy_c2conv", ["syzygy", "problems/c2conv.kz", "-n", "1", "--module", "R",
                        "--max-degree", "3"], 0),
+    ("tensor_over_poly_xy", ["tensor-over", "problems/poly_xy.kz", "--module", "M,Mx",
+                             "--max-degree", "4"], 0),
 ]
 
 F101 = Field(101)
@@ -188,6 +190,14 @@ def _tensor_over_identity_lines(field):
     return lines
 
 
+def _tensor_over_poly_lines(base, n, cap):
+    """A (x)_A A/(t1) over the polynomial monoid on base: dims and projections per cell."""
+    a = polynomial_monoid(base, n, cap)
+    coeq = tensor_over_monoid(regular_bimodule(a), _first_variable_quotient(a))
+    return ["dims %r" % sorted(coeq.dims().items()),
+            "map projection %s" % _digest({cell: q.projection for cell, q in coeq.quots.items()})]
+
+
 def _square_last(a):
     *rest, last = _variables(a)
     return rest + [a.multiply(last, last)]
@@ -221,6 +231,7 @@ LIB_CASES = {
     "syzygy_cyclic_c2_f101": lambda: _syzygy_lines(_c2_base(F101), 2, 3,
                                                    _first_variable_quotient),
     "tensor_over_identity_c2_f101": lambda: _tensor_over_identity_lines(F101),
+    "tensor_over_poly_c2_f101": lambda: _tensor_over_poly_lines(_c2_base(F101), 2, 3),
 }
 
 

@@ -1,18 +1,20 @@
 """Monoid core: validation, commutants, generated ideals, quotients, regularity."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from koszulcat.category import CategoryPresentation
 from koszulcat.errors import NotCentralError, StabilityError, WrongObjectError
-from koszulcat.field import QQ
+from koszulcat.field import QQ, Field
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
     Element,
     Module,
     Monoid,
     commutant,
+    fix_slot,
     generated_submodule,
     identity_monoid,
     is_central,
@@ -223,11 +225,37 @@ def test_mult_operator_requires_unit_object():
         mult_operator(ident, stray, regular_bimodule(ident))
 
 
+def _vec_column(field, vec):
+    return Matrix.from_columns(field, len(vec), [vec])
+
+
+def fix_right(field, dim_left, vec):
+    """Matrix of b -> b (x) vec on Kronecker bases, an oracle for `fix_slot`."""
+    return Matrix.identity(field, dim_left).kron(_vec_column(field, vec))
+
+
+def fix_left(field, vec, dim_right):
+    """Matrix of b -> vec (x) b on Kronecker bases, an oracle for `fix_slot`."""
+    return _vec_column(field, vec).kron(Matrix.identity(field, dim_right))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+def test_fix_slot_is_the_product_with_the_fixed_vector(field):
+    rng = random.Random(19)
+    for _ in range(60):
+        width, dim, nrows = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 4)
+        cell = Matrix.from_entries(field, nrows, width * dim,
+                                   {(i, j): field.from_int(rng.choice([0, 0, 1, -1, 3]))
+                                    for i in range(nrows) for j in range(width * dim)})
+        vec = [field.from_int(rng.choice([0, 1, 2, -5])) for _ in range(width)]
+        assert fix_slot(cell, vec, dim, "left") == cell * fix_left(field, vec, dim)
+        assert fix_slot(cell, vec, dim, "right") == cell * fix_right(field, dim, vec)
+
+
 def test_central_mult_operator_is_module_morphism():
     # left multiplication by a commutant element commutes with every right
     # multiplication, cellwise (over a noncommutative base for good measure)
     from koszulcat.poly import polynomial_monoid, variable_element
-    from koszulcat.monoid import fix_right
 
     a = polynomial_monoid(s3_group_algebra(QQ), 1, 2)
     t = variable_element(a, 1)

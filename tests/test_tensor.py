@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from koszulcat.category import CategoryPresentation
+from koszulcat.category import CategoryPresentation, DayTensor
 from koszulcat.errors import StabilityError, StructuralError, WindowError
-from koszulcat.field import QQ
+from koszulcat.field import QQ, Field
 from koszulcat.hochschild import build_enveloping
-from koszulcat.matrix import Matrix
+from koszulcat.matrix import Matrix, Subspace, place, quotient
 from koszulcat.monoid import (
     Module,
     degree_zero_carrier,
@@ -36,6 +36,7 @@ from koszulcat.tensor import (
 
 CAT = CategoryPresentation.trivial(QQ)
 U = CAT.unit
+F101 = Field(101)
 
 
 def cyclic_quotient(a, gens):
@@ -87,6 +88,23 @@ def test_outer_action_that_breaks_the_relations_is_a_stability_failure(side):
     with pytest.raises(StabilityError,
                        match="outer %s action does not preserve the relations" % side):
         tensor_over_monoid(reg, reg, **kwargs)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_outer_multiplication_descends_to_the_multiplication(side):
+    # A = Q[t1, t2] multiplying one factor of A (x)_A A from outside: through
+    # the unit-law iso A (x)_A A -> A the induced action is A's multiplication
+    a = polynomial_monoid(scalar_monoid(CAT), 2, 3)
+    reg = regular_bimodule(a)
+    outer = OuterStructure(a, side, dict(a.pairing))
+    coeq = tensor_over_monoid(reg, reg, **{("m_outer" if side == "left" else "n_outer"): outer})
+    iso = unit_law_maps(coeq, "right")
+    acts = coeq.outer_left if side == "left" else coeq.outer_right
+    assert len(acts) == 10
+    for (_, d1, _, d2), act in acts.items():
+        ident = Matrix.identity(QQ, a.carrier.dim(U, d1 if side == "left" else d2))
+        widened = ident.kron(iso[(U, d2)]) if side == "left" else iso[(U, d1)].kron(ident)
+        assert iso[(U, d1 + d2)] * act == a.pairing_cell(U, d1, U, d2) * widened
 
 
 def test_polynomial_cyclic_quotient_tensor():
@@ -222,6 +240,88 @@ def test_three_monoid_associativity_cross_check():
     t_nd = tensor_over_monoid(n_as_right_d, regular_bimodule(d_mon))
     assert {c: q.dim for c, q in t_nd.quots.items()} == dict(carrier.dims)
     assert t_left.dims() == inner_dims
+
+
+def _composite_relations(a, m, n, gt, x, d):
+    """The relation columns of one tensor cell, spanned through every composite arrow.
+
+    For each intermediate object w, basis arrow hp: y<>y2 -> w and basis
+    arrow h: w<>z -> x, the relation [h (hp<>z); m.a, n] - [h (hp<>z); m, a.n]
+    is read through the pure-tensor maps of the two Day blocks.  This spans
+    the same relations as `tensor._delta_relations`, which uses the basis of
+    hom(y<>y2<>z, x) alone.
+    """
+    cat, field = a.cat, a.field
+    blocks, ncols = [], 0
+    cell = gt.layout[(x, d)]
+    for dm in range(d + 1):
+        for da in range(d + 1 - dm):
+            dn = d - dm - da
+            for y in cat.objects:
+                for y2 in cat.objects:
+                    for z in cat.objects:
+                        dim_m, dim_n = m.carrier.dim(y, dm), n.carrier.dim(z, dn)
+                        if not (dim_m and a.carrier.dim(y2, da) and dim_n):
+                            continue
+                        yy2, y2z = cat.dobj(y, y2), cat.dobj(y2, z)
+                        act1 = m.right_cell(y, dm, y2, da).kron(Matrix.identity(field, dim_n))
+                        act2 = Matrix.identity(field, dim_m).kron(n.left_cell(y2, da, z, dn))
+                        for w in cat.objects:
+                            for hp in range(cat.hom_dim(yy2, w)):
+                                for h in range(cat.hom_dim(cat.dobj(w, z), x)):
+                                    hh = cat.compose(cat.basis_mor(cat.dobj(w, z), x, h),
+                                                     cat.diamond(cat.basis_mor(yy2, w, hp),
+                                                                 cat.identity_mor(z)))
+                                    if not hh.coeffs:
+                                        continue
+                                    blocks.append((cell[dm + da].offset, ncols, gt.day[(
+                                        dm + da, dn)].pure_map(x, yy2, z, hh) * act1))
+                                    blocks.append((cell[dm].offset, ncols, -(gt.day[(
+                                        dm, da + dn)].pure_map(x, y, y2z, hh) * act2)))
+                                    ncols += act1.ncols
+    return place(field, gt.dim(x, d), ncols, blocks)
+
+
+def _c2_tensor_cases(field):
+    """(M, N) pairs over the C2 Day unit, where every Day quotient is proper."""
+    cat = c2_convolution_category(field)
+    ident = identity_monoid(cat)
+    cases = []
+    for nvars in (1, 2):
+        a = polynomial_monoid(ident, nvars, 3)
+        reg, cyc = regular_bimodule(a), cyclic_quotient(a, [variable_element(a, 1)])
+        cases += [(reg, reg), (reg, cyc), (cyc, cyc)]
+    m = module_over_identity(degree_zero_carrier(c2_regular_representation(cat), "reg"), ident)
+    return cases + [(m, m)]
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_relations_from_the_hom_basis_match_the_composite_route(field):
+    for m, n in _c2_tensor_cases(field):
+        coeq = tensor_over_monoid(m, n)
+        for (x, d), q in sorted(coeq.quots.items()):
+            old = quotient(coeq.gt.dim(x, d), Subspace.from_matrix_columns(
+                _composite_relations(m.monoid, m, n, coeq.gt, x, d)))
+            assert (q.dim, q.projection, q.section, q.sub.basis, list(q.sub.pivots)) == \
+                (old.dim, old.projection, old.section, old.sub.basis, list(old.sub.pivots))
+
+
+def test_relations_use_no_composite_or_pure_map(monkeypatch):
+    # on prebuilt Day tensors (a warm memo), the relations compose no arrow and
+    # read no pure-tensor map; the composite route does both
+    m, n = _c2_tensor_cases(F101)[4]
+    tensor_over_monoid(m, n)
+    calls = []
+    for owner, name in ((DayTensor, "pure_map"), (CategoryPresentation, "compose"),
+                        (CategoryPresentation, "diamond")):
+        def counted(self, *args, _name=name, _orig=getattr(owner, name)):
+            calls.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(owner, name, counted)
+    coeq = tensor_over_monoid(m, n)
+    assert calls == []
+    _composite_relations(m.monoid, m, n, coeq.gt, "e", 2)
+    assert {"pure_map", "compose", "diamond"} <= set(calls)
 
 
 # -- syzygy resolutions --------------------------------------------------------------
