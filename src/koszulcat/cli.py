@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Verbs: validate | koszul | regular-check | commutant | tensor-idem | hh |
-syzygy | tensor-over.  Exit codes: 0 when every certificate passes, 1 on a
+syzygy | tensor-over.  Each verb and its handler are declared once, on the
+verb's subparser.  Exit codes: 0 when every certificate passes, 1 on a
 mathematical failure (with a witness in the report), 2 on input errors.
 Reports print as aligned tables on stdout; --report writes the canonical
-machine-readable form.
+machine-readable form.  `main` may be called repeatedly in one process: the
+parser is built on first use and shared by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -41,13 +44,16 @@ from .tensor import build_syzygy_resolution, tensor_over_monoid, unit_law_maps
 MATH_FAILURE = (IsoFailureError, NotCentralError, StabilityError)
 
 
+@functools.lru_cache(maxsize=None)
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="koszulcat",
                                  description="certified homological algebra "
                                              "for monoids in functor categories")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def verb(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("file", help="problem file")
         p.add_argument("--field", help="expected field descriptor, e.g. Q or 'F 5'")
         p.add_argument("--max-degree", type=int, default=None,
@@ -57,22 +63,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", help="write the machine-readable report here")
         return p
 
-    common(sub.add_parser("validate", help="check every axiom of the declared data"))
-    k = common(sub.add_parser("koszul", help="build the complex, certify, report homology"))
+    verb("validate", cmd_validate, "check every axiom of the declared data")
+    k = verb("koszul", cmd_koszul, "build the complex, certify, report homology")
     k.add_argument("--alpha", help="comma-separated central elements")
     k.add_argument("--check-resolution", action="store_true")
-    r = common(sub.add_parser("regular-check", help="regular-sequence certificate"))
+    r = verb("regular-check", cmd_regular_check, "regular-sequence certificate")
     r.add_argument("--alpha", help="comma-separated central elements")
-    common(sub.add_parser("commutant", help="commutant dimensions per object and degree"))
-    common(sub.add_parser("tensor-idem", help="tensor idempotence certificate"))
-    h = common(sub.add_parser("hh", help="Hochschild cohomology of the polynomial monoid"))
+    verb("commutant", cmd_commutant, "commutant dimensions per object and degree")
+    verb("tensor-idem", cmd_tensor_idem, "tensor idempotence certificate")
+    h = verb("hh", cmd_hh, "Hochschild cohomology of the polynomial monoid")
     h.add_argument("-n", type=int, dest="nvars", help="number of variables")
     h.add_argument("-p", type=int, dest="codegree", help="cohomological degree")
     h.add_argument("--module", help="coefficient module (default: the monoid itself)")
-    s = common(sub.add_parser("syzygy", help="split resolution of a module"))
+    s = verb("syzygy", cmd_syzygy, "split resolution of a module")
     s.add_argument("-n", type=int, dest="nvars", help="number of variables")
     s.add_argument("--module", help="module to resolve", required=False)
-    t = common(sub.add_parser("tensor-over", help="tensor product over the subject monoid"))
+    t = verb("tensor-over", cmd_tensor_over, "tensor product over the subject monoid")
     t.add_argument("--module", help="two module names, comma separated")
     return ap
 
@@ -109,17 +115,7 @@ def main(argv=None) -> int:
                 return _fail("%s: %s" % (axioms.subject, axioms.violations[0]), 2)
         parallel_map = make_parallel_map(resolve_threads(args.threads))
         cap = _task_value(args, problem, "max-degree", default=4)
-        handler = {
-            "validate": cmd_validate,
-            "koszul": cmd_koszul,
-            "regular-check": cmd_regular_check,
-            "commutant": cmd_commutant,
-            "tensor-idem": cmd_tensor_idem,
-            "hh": cmd_hh,
-            "syzygy": cmd_syzygy,
-            "tensor-over": cmd_tensor_over,
-        }[args.verb]
-        report, code = handler(args, problem, cap, parallel_map)
+        report, code = args.handler(args, problem, cap, parallel_map)
     except MATH_FAILURE as exc:
         return _fail(str(exc), 1)
     except ParseError as exc:

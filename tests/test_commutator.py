@@ -17,6 +17,7 @@ from itertools import product
 
 import pytest
 
+from c2_graded import c2_group_algebra
 from koszulcat.category import CategoryPresentation, validate_presentation
 from koszulcat.field import QQ, Field
 from koszulcat.matrix import Matrix
@@ -28,7 +29,6 @@ from koszulcat.monoid import (
     identity_monoid,
     is_central,
     is_commutative,
-    monoid_from_table,
     scalar_monoid,
     validate_monoid,
 )
@@ -39,31 +39,6 @@ F101 = Field(101)
 FIELDS = pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
 MONOID_PY = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          "..", "src", "koszulcat", "monoid.py")
-
-
-def c2_graded_category(field, sign):
-    """Objects e and g, identity arrows only, the group law as object product;
-    the symmetry is `sign` on g (x) g and the identity elsewhere."""
-    objs, one = ("e", "g"), field.one()
-    return CategoryPresentation(
-        backend="finite", field=field, objects=objs, unit="e",
-        hom={(x, x): ("id_" + x,) for x in objs},
-        compose_table={((x, x, 0), (x, x, 0)): {0: one} for x in objs},
-        identities={x: {0: one} for x in objs},
-        dobj_table={("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"},
-        dmor_table={((x, x, 0), (y, y, 0)): {0: one} for x in objs for y in objs},
-        symmetry_table={(x, y): {0: field.from_int(sign) if x == y == "g" else one}
-                        for x in objs for y in objs},
-        name="c2graded%+d" % sign)
-
-
-def c2_group_algebra(field, sign):
-    """one at e, theta at g, theta theta = one."""
-    one = field.one()
-    mul = {("one", "one"): {"one": one}, ("one", "theta"): {"theta": one},
-           ("theta", "one"): {"theta": one}, ("theta", "theta"): {"one": one}}
-    return monoid_from_table(c2_graded_category(field, sign), {"e": ("one",), "g": ("theta",)},
-                             mul, {"one": one}, name="C2")
 
 
 # -- the oracle -------------------------------------------------------------------

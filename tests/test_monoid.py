@@ -26,6 +26,7 @@ from koszulcat.monoid import (
     quotient_module,
     regular_bimodule,
     scalar_monoid,
+    times_bracket,
     validate_module,
     validate_monoid,
 )
@@ -250,6 +251,25 @@ def test_fix_slot_is_the_product_with_the_fixed_vector(field):
         vec = [field.from_int(rng.choice([0, 1, 2, -5])) for _ in range(width)]
         assert fix_slot(cell, vec, dim, "left") == cell * fix_left(field, vec, dim)
         assert fix_slot(cell, vec, dim, "right") == cell * fix_right(field, dim, vec)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+def test_times_bracket_is_the_product_with_the_kronecker_factor(field):
+    rng = random.Random(23)
+    values = [field.parse(t) for t in ("0", "0", "1", "-1", "3", "1/2", "-3/2")]
+    for _ in range(80):
+        left, right = rng.randint(1, 3), rng.randint(1, 3)
+        nr, nc, nrows = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4)
+        inner = Matrix.from_entries(field, nr, nc, {(i, j): rng.choice(values)
+                                                    for i in range(nr) for j in range(nc)})
+        outer = Matrix.from_entries(field, nrows, left * nr * right,
+                                    {(i, j): rng.choice(values) for i in range(nrows)
+                                     for j in range(left * nr * right)})
+        got = times_bracket(outer, inner, left, right)
+        kron = Matrix.identity(field, left).kron(inner).kron(Matrix.identity(field, right))
+        assert got == outer * kron
+        # integral rationals come back as ints, as from every field operation
+        assert all(v.__class__ is int or v.denominator != 1 for r in got.rows for v in r.values())
 
 
 def test_central_mult_operator_is_module_morphism():

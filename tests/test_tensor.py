@@ -1,9 +1,11 @@
 """Tensor over a monoid, restriction compatibility, syzygy resolutions."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from c2_graded import c2_group_algebra
 from koszulcat.category import CategoryPresentation, DayTensor
 from koszulcat.errors import StabilityError, StructuralError, WindowError
 from koszulcat.field import QQ, Field
@@ -322,6 +324,46 @@ def test_relations_use_no_composite_or_pure_map(monkeypatch):
     assert calls == []
     _composite_relations(m.monoid, m, n, coeq.gt, "e", 2)
     assert {"pure_map", "compose", "diamond"} <= set(calls)
+
+
+def _self_tensor_dims(obj, law, table):
+    """dim (A (x)_A A)(x) per object x of a discrete category, from plain data.
+
+    obj maps each basis element to its object, law is the object product and
+    table[(u, v)] the basis element u v (structure constant 1).  The Day
+    convolution at x sums A(y) (x) A(z) over y z = x, and every triple u, a, v
+    with (y y2) z = x gives the relation [u a, v] - [u, a v].
+    """
+    dims = {}
+    for x in sorted(set(law.values())):
+        pairs = [(u, v) for u, v in product(obj, repeat=2) if law[obj[u], obj[v]] == x]
+        rels = []
+        for u, a, v in product(obj, repeat=3):
+            if law[law[obj[u], obj[a]], obj[v]] == x:
+                vec = [0] * len(pairs)
+                vec[pairs.index((table[u, a], v))] += 1
+                vec[pairs.index((u, table[a, v]))] -= 1
+                rels.append(vec)
+        dims[x] = len(pairs) - _naive_rank(rels, len(pairs))
+    return dims
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_self_tensor_of_c2_group_algebra_is_the_algebra(sign):
+    # A(g) = theta is not generated from A(e), so at x = e the relation
+    # [theta theta, one] - [theta, theta one] exists only with a = theta at
+    # y2 = g: without it the cell at e would have dimension 2
+    obj = {"one": "e", "theta": "g"}
+    law = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
+    table = {("one", "one"): "one", ("one", "theta"): "theta",
+             ("theta", "one"): "theta", ("theta", "theta"): "one"}
+    expected = _self_tensor_dims(obj, law, table)
+    assert expected == {"e": 1, "g": 1}  # A (x)_A A = A
+    reg = regular_bimodule(c2_group_algebra(QQ, sign))
+    coeq = tensor_over_monoid(reg, reg)
+    assert {x: coeq.dim(x, 0) for x in expected} == expected
+    unit_law_maps(coeq, "left")
+    unit_law_maps(coeq, "right")
 
 
 # -- syzygy resolutions --------------------------------------------------------------
