@@ -6,11 +6,17 @@ that does not come out even; every operation turns an integral `Fraction`
 back into an `int`, so integer data never pay for boxing.  Prime-field
 scalars are ints in [0, p).  A `Field` value tags every matrix and carrier
 in the package; mixing fields raises `FieldError`.
+
+Elimination over Q is fraction-free: `integral_rows` scales each row to
+integers once, the elimination in `koszulcat.matrix` works on those
+integer rows, and `divide_row` makes the one division per entry at the end.
+Over F_p both hooks keep the field's own arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import FieldError
 
@@ -20,6 +26,29 @@ Scalar = object  # char 0: int if integral, else Fraction; char p: int in [0, p)
 def _integral(x):
     """A rational `Fraction` with denominator 1 as its `int`, else `x` itself."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _integer_row(row):
+    """A copy of the rational row `row` times the lcm of its denominators.
+
+    Integral entries are seen while copying: a row of ints (or of
+    `Fraction`s with denominator 1, which become ints) is returned after one
+    pass.
+    """
+    out = {}
+    den = 1
+    for j, v in row.items():
+        if v.__class__ is not int:
+            d = v.denominator
+            if d == 1:
+                v = v.numerator
+            elif den % d:
+                den = den // gcd(den, d) * d
+        out[j] = v
+    if den == 1:
+        return out
+    return {j: v * den if v.__class__ is int else v.numerator * (den // v.denominator)
+            for j, v in out.items()}
 
 
 def _is_prime(p: int) -> bool:
@@ -115,6 +144,35 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    # -- rows for elimination ---------------------------------------------
+
+    def integral_rows(self, rows):
+        """Copies of the sparse rows (dicts, zeros omitted) ready to eliminate.
+
+        Over Q each copy is its row scaled to integers by the lcm of the
+        row's denominators, so every entry is an `int`; over F_p each copy
+        equals its row.  Scaling by a nonzero integer keeps each row's span
+        and nonzero pattern.
+        """
+        if self.char:
+            return [dict(r) for r in rows]
+        return [_integer_row(r) for r in rows]
+
+    def divide_row(self, row, a):
+        """The sparse row `row` divided entrywise by the nonzero scalar `a`.
+
+        Over Q, `row` holds ints and an entry is an `int` exactly when the
+        quotient is integral.
+        """
+        if self.char:
+            inv = pow(a, self.char - 2, self.char)
+            return row if inv == 1 else {j: v * inv % self.char for j, v in row.items()}
+        if a == 1:
+            return row
+        if a == -1:
+            return {j: -v for j, v in row.items()}
+        return {j: v // a if not v % a else Fraction(v, a) for j, v in row.items()}
 
     # -- serialization -----------------------------------------------------
 

@@ -298,8 +298,8 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
     report.add_certificate("restriction-formula", ok_restrict)
 
     # connecting map on explicitly lifted cycles Z (one column per cycle of
-    # d'): d(sigma Z) is iota((-1)^(p-1) L Z) at the shift of alpha_n and zero
-    # at every other shift
+    # d', scaled to integers over Q): d(sigma Z) is iota((-1)^(p-1) L Z) at
+    # the shift of alpha_n and zero at every other shift
     ok_delta = True
     checked = 0
     sh = op_n.shift
@@ -308,8 +308,7 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
         win = min(small.complex.homology_window(p - 1), kc.cap - sh)
         for x in a.cat.objects:
             for d in range(win + 1):
-                out = small.complex.diffs[p - 1].out_matrix(x, d)
-                z = Matrix.from_columns(field, out.ncols, kernel_basis(out))
+                z = _cycle_columns(small.complex.diffs[p - 1].out_matrix(x, d))
                 for s in shifts:
                     if d_sigma[p].block(x, d, d + s) * z != iota_l[p].block(x, d, d + s) * z:
                         ok_delta = False
@@ -318,6 +317,18 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
                            detail="%d lifted cycles checked" % checked,
                            witness={"cycles_checked": checked})
     return SplitWitness(kc, small, iota, tau, sigma, report)
+
+
+def _cycle_columns(out: Matrix) -> Matrix:
+    """The kernel basis of `out` as columns, each scaled by the field to integers.
+
+    Over Q every column is a nonzero multiple of its `kernel_basis` vector,
+    so A Z = B Z holds exactly when it holds for the kernel basis, and the
+    products with Z are integer products.  Over F_p Z is the kernel basis.
+    """
+    f = out.field
+    cols = f.integral_rows([{j: v for j, v in enumerate(vec) if v} for vec in kernel_basis(out)])
+    return Matrix(f, len(cols), out.ncols, cols).transpose()
 
 
 def _graded_maps_equal(a: GradedMap, b: GradedMap) -> bool:

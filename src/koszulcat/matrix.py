@@ -1,15 +1,19 @@
 """Exact sparse linear algebra: kernels, images, quotients, sections, Kronecker.
 
 Matrices are stored row-sparse (one dict per row, zeros omitted).  Every
-reduction is one Gaussian elimination in exact field arithmetic (over Q ints
-until a division leaves a remainder, then `Fraction`; reduced ints over F_p;
-see `koszulcat.field` and `_echelon`).  Pivot rows are chosen by
-minimal fill (fewest nonzeros, ties by position), so every reduction is
-deterministic and results are bit-reproducible regardless of thread count.
+reduction is one elimination loop (`_echelon`, entered through `rank` and
+`rref`).  Over Q it is fraction-free: the field scales each row to integers
+once, every update keeps the rows integral, and `rref` divides once per
+entry at the end, so a result entry is an `int` exactly when it is
+integral.  Over F_p the rows are reduced ints.  Pivot rows are chosen by
+minimal fill (fewest nonzeros, ties by position); scaling a row by a nonzero
+integer keeps its nonzero pattern, so every reduction is deterministic and
+results are bit-reproducible regardless of thread count.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, NotSurjectiveError, StructuralError
@@ -278,16 +282,61 @@ def block_matrix(field: Field, blocks, row_dims: Sequence[int], col_dims: Sequen
 # -- elimination core --------------------------------------------------------
 
 
+def _clear(row: dict, prow: dict, col: int, p: int, pinv):
+    """`row` with its entry at `col` cleared against the pivot row `prow`.
+
+    Over F_p (pinv the inverse of the pivot a = prow[col]) this is
+    row - (b * pinv) * prow mod p, with b = row[col].  Over Q both are
+    integer rows: with g = gcd(a, b) the update is (a/g) * row - (b/g) * prow,
+    which stays integral, and a row that was actually scaled (|a/g| != 1)
+    is divided by the gcd of its entries.  Either way the result is a
+    nonzero multiple of the Gaussian row, with the same nonzero pattern.
+    `row` may be updated in place.
+    """
+    b = row.pop(col)
+    if p:
+        q = b * pinv % p
+        for j, pv in prow.items():
+            if j != col:
+                v = (row.get(j, 0) - q * pv) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        return row
+    a = prow[col]
+    q, rem = divmod(b, a)
+    if rem:
+        g = gcd(a, b)
+        row = {j: v * (a // g) for j, v in row.items()}
+        q = b // g
+    for j, pv in prow.items():
+        if j != col:
+            v = row.get(j, 0) - q * pv
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+    if rem and row:
+        c = gcd(*row.values())
+        if c > 1:
+            row = {j: v // c for j, v in row.items()}
+    return row
+
+
 def _echelon(field: Field, rows: list, ncols: int):
     """Forward-eliminate a copy of `rows`; returns (pivot columns, pivot rows).
 
-    One Gaussian elimination in exact field arithmetic, the same for Q and
-    F_p.  At each column the pivot is the candidate row (an unused row that
-    meets the column) with the fewest nonzeros, ties broken by position; the
-    other candidates are the only rows that need an update.  Pivot rows are
-    returned in pivot order, not normalized.
+    One elimination loop for Q and F_p.  Over Q it is fraction-free: the
+    field scales each row to integers once (`Field.integral_rows`) and
+    `_clear` keeps them integral, so every row is a nonzero multiple of the
+    Gaussian one.  At each column the pivot is the candidate row (an unused
+    row that meets the column) with the fewest nonzeros, ties broken by
+    position; the other candidates are the only rows that need an update.
+    Pivot rows are returned in pivot order, not normalized.
     """
-    work = [dict(r) for r in rows]
+    work = field.integral_rows(rows)
+    p = field.char
     pivcols = []
     pivrows = []
     used = [False] * len(work)
@@ -300,45 +349,30 @@ def _echelon(field: Field, rows: list, ncols: int):
         pivcols.append(col)
         pivrows.append(piv)
         prow = work[piv]
-        pinv = field.inv(prow[col])
+        pinv = field.inv(prow[col]) if p else None
         for i in cand:
-            if i == piv:
-                continue
-            row = work[i]
-            q = field.mul(row.pop(col), pinv)
-            for j, pv in prow.items():
-                if j == col:
-                    continue
-                v = field.sub(row.get(j, 0), field.mul(q, pv))
-                if v:
-                    row[j] = v
-                else:
-                    row.pop(j, None)
+            if i != piv:
+                work[i] = _clear(work[i], prow, col, p, pinv)
     return pivcols, [work[i] for i in pivrows]
 
 
 def rref(field: Field, rows: list, ncols: int):
-    """Reduced row echelon form; returns (pivot columns, reduced rows)."""
+    """Reduced row echelon form; returns (pivot columns, reduced rows).
+
+    Back-substitution runs on the unnormalized pivot rows of `_echelon`
+    (integer rows over Q); each reduced row is then divided by its pivot
+    entry, one division per entry.
+    """
     pivcols, ech = _echelon(field, rows, ncols)
-    # normalize pivots to 1, then eliminate above
-    for k, col in enumerate(pivcols):
-        inv = field.inv(ech[k][col])
-        ech[k] = {j: field.mul(inv, v) for j, v in ech[k].items()}
-    for k in range(len(pivcols) - 1, -1, -1):
+    p = field.char
+    for k in range(len(pivcols) - 1, 0, -1):
         col = pivcols[k]
         prow = ech[k]
+        pinv = field.inv(prow[col]) if p else None
         for i in range(k):
-            fac = ech[i].get(col)
-            if not fac:
-                continue
-            row = ech[i]
-            for j, pv in prow.items():
-                v = field.sub(row.get(j, field.zero()), field.mul(fac, pv))
-                if v:
-                    row[j] = v
-                else:
-                    row.pop(j, None)
-    return pivcols, ech
+            if col in ech[i]:
+                ech[i] = _clear(ech[i], prow, col, p, pinv)
+    return pivcols, [field.divide_row(r, r[col]) for r, col in zip(ech, pivcols)]
 
 
 def rank(m: Matrix) -> int:

@@ -291,8 +291,6 @@ def monoid_from_table(cat: CategoryPresentation, basis: dict, mul, unit,
         for (x, y, i) in cat.all_basis_mors():
             if x == y and cat.identities[x].get(i):
                 actions[((x, y, i), 0)] = Matrix.identity(field, dims[(x, 0)])
-            elif cat.is_trivial:
-                actions[((x, y, i), 0)] = Matrix.identity(field, dims[(x, 0)])
             else:
                 raise StructuralError("finite backend monoid needs carrier_actions")
     carrier = GradedCarrier(cat, 0, False, dims, actions, basis_names)

@@ -5,15 +5,23 @@ min-fill elimination must reproduce, entry for entry, the one computed here
 by dense Gauss-Jordan elimination with the first nonzero entry as pivot.
 Inputs are seeded: empty and zero matrices, row-mixed low-rank matrices,
 fractional entries over Q, and F_2, F_5, F_101.
+
+Over Q the elimination runs on integer rows.  Further seeded Q inputs (entries
+up to 10^12, denominators 2, 3, 7 and 10^6 + 3, integral `Fraction`s, rows
+that are exact multiples of others) are checked against the textbook form,
+and their pivot choices against `reference_echelon`, the min-fill loop in
+plain `Fraction` arithmetic.  Every Q output scalar is an `int` exactly when
+it is integral.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from koszulcat.field import QQ, Field
-from koszulcat.matrix import Matrix, kernel_basis, rank, rref
+from koszulcat.matrix import Matrix, _echelon, kernel_basis, rank, rref
 
 FIELDS = [QQ, Field(2), Field(5), Field(101)]
 
@@ -114,3 +122,131 @@ def test_rank_at_larger_sizes():
             data = random_data(field, rng, nrows, ncols)
             m = Matrix.from_rows(field, data)
             assert rank(m) == len(textbook_rref(field.char, data, ncols)[0])
+
+
+# -- fraction-free elimination over Q -------------------------------------------
+
+DENOMINATORS = (2, 3, 7, 10**6 + 3)
+BIG = 10**12
+
+
+def big_scalar(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-BIG, BIG)
+    if kind == 1:
+        return Fraction(rng.randint(-BIG, BIG), rng.choice(DENOMINATORS))
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), 1)  # integral, but boxed
+    if kind == 3:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+
+
+def big_q_cases(seed, count):
+    """Seeded dense data over Q; some rows are exact multiples of earlier rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        data = [[big_scalar(rng) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        for i in range(1, nrows):
+            if rng.random() < 0.3:
+                c = big_scalar(rng) or Fraction(-5, 7)
+                data[i] = [c * v for v in data[rng.randrange(i)]]
+        yield data, ncols
+
+
+def sparse(data):
+    return [{j: v for j, v in enumerate(r) if v} for r in data]
+
+
+def check_int_exactly_when_integral(values):
+    for v in values:
+        assert (v.__class__ is int) == (Fraction(v).denominator == 1), v
+        assert v.__class__ in (int, Fraction)
+
+
+def reference_echelon(rows, ncols):
+    """(pivot columns, pivot row indices, final rows) of the min-fill loop over Q.
+
+    The Gaussian loop in plain `Fraction` arithmetic: at each column the pivot
+    is the unused candidate row with the fewest nonzeros, ties by position,
+    and every other candidate becomes row - (b/a) * pivot row.
+    """
+    work = [{j: Fraction(v) for j, v in r.items()} for r in rows]
+    pivcols, pivrows = [], []
+    used = [False] * len(work)
+    for col in range(ncols):
+        cand = [i for i in range(len(work)) if not used[i] and col in work[i]]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda i: (len(work[i]), i))
+        used[piv] = True
+        pivcols.append(col)
+        pivrows.append(piv)
+        prow = work[piv]
+        for i in cand:
+            if i == piv:
+                continue
+            row = work[i]
+            q = row.pop(col) / prow[col]
+            for j, pv in prow.items():
+                if j != col:
+                    v = row.get(j, 0) - q * pv
+                    if v:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+    return pivcols, pivrows, work
+
+
+def test_q_rref_matches_textbook_on_large_mixed_entries():
+    checked = 0
+    for data, ncols in big_q_cases(7200, 200):
+        rows = sparse(data)
+        before = [dict(r) for r in rows]
+        want_piv, want_rows = textbook_rref(0, data, ncols)
+        pivcols, reduced = rref(QQ, rows, ncols)
+        assert rows == before
+        assert pivcols == want_piv
+        assert reduced == sparse(want_rows)
+        for r in reduced:
+            check_int_exactly_when_integral(r.values())
+        m = Matrix(QQ, len(rows), ncols, rows)
+        assert rank(m) == len(want_piv)
+        for vec in kernel_basis(m):
+            check_int_exactly_when_integral(vec)
+        checked += 1
+    assert checked == 200
+
+
+def test_q_pivots_match_the_reference_fraction_loop(monkeypatch):
+    # the integer rows `_echelon` works on, seen through the field hook
+    seen = []
+    integral_rows = Field.integral_rows
+
+    def spy(self, rows):
+        seen.append(integral_rows(self, rows))
+        return seen[-1]
+
+    monkeypatch.setattr(Field, "integral_rows", spy)
+    checked = 0
+    for data, ncols in chain(cases(QQ, 7000), big_q_cases(7100, 200)):
+        rows = sparse(data)
+        want_cols, want_pivrows, want_work = reference_echelon(rows, ncols)
+        pivcols, pivrows = _echelon(QQ, rows, ncols)
+        work = seen[-1]
+        assert pivcols == want_cols
+        assert [next(i for i, r in enumerate(work) if r is pr) for pr in pivrows] == want_pivrows
+        for got, want in zip(work, want_work):
+            # every row, pivot or not, is a nonzero integer multiple of the
+            # reference row, with the same nonzero pattern
+            assert got.keys() == want.keys()
+            assert all(v.__class__ is int for v in got.values())
+            if got:
+                j = next(iter(got))
+                c = got[j] / want[j]
+                assert all(v == c * want[k] for k, v in got.items())
+        checked += 1
+    assert checked == 354

@@ -13,9 +13,10 @@ from koszulcat.category import CategoryPresentation
 from koszulcat.complexes import ChainComplex, GradedMap, Term
 from koszulcat.errors import NotCentralError, PreconditionError, WindowError
 from koszulcat.field import QQ
-from koszulcat.matrix import Matrix
+from koszulcat.matrix import Matrix, kernel_basis
 from koszulcat.monoid import scalar_monoid
 from koszulcat.koszul import (
+    _cycle_columns,
     build_koszul,
     check_resolution,
     koszul_homology_report,
@@ -24,6 +25,7 @@ from koszulcat.koszul import (
 )
 from koszulcat.poly import polynomial_monoid, variable_element
 from koszulcat.sample import dual_numbers
+from test_homology_rank import linear_form
 
 CAT = CategoryPresentation.trivial(QQ)
 U = CAT.unit
@@ -118,7 +120,7 @@ def test_homology_check_survives_optimize():
         from koszulcat.complexes import ChainComplex, GradedMap, Term
         from koszulcat.errors import StructuralError
         from koszulcat.field import QQ
-        from koszulcat.matrix import Matrix
+        from koszulcat.matrix import Matrix, kernel_basis
 
         cat = CategoryPresentation.trivial(QQ)
         u = cat.unit
@@ -292,6 +294,73 @@ def test_pascal_split_mixed_degrees():
     kc = build_koszul(a, [t1, a.multiply(t2, t2)])
     sw = pascal_split(kc)
     assert sw.passed
+
+
+def _forms_complex():
+    """Three Q forms whose kernel bases are fractional (no coefficient is +-1)."""
+    a = poly(3, 3)
+    ts = variables(a)
+    return build_koszul(a, [linear_form(QQ, ts, c) for c in ((2, 3, 5), (7, -4, 3), (3, 5, -2))])
+
+
+def _small_cycle_cells(kc):
+    """(p, x, d, out) for every cell whose cycles pascal_split lifts."""
+    small = build_koszul(kc.monoid, kc.alphas[:-1])
+    sh = kc.mult_ops[kc.n].shift
+    for p in range(2, kc.n + 1):
+        win = min(small.complex.homology_window(p - 1), kc.cap - sh)
+        for x in kc.monoid.cat.objects:
+            for d in range(win + 1):
+                yield p, x, d, small.complex.diffs[p - 1].out_matrix(x, d)
+
+
+def test_integer_cycle_columns_are_multiples_of_the_kernel_basis():
+    kc = _forms_complex()
+    columns = scaled = 0
+    for _, _, _, out in _small_cycle_cells(kc):
+        z = _cycle_columns(out)
+        basis = kernel_basis(out)
+        assert (z.nrows, z.ncols) == (out.ncols, len(basis))
+        for k, vec in enumerate(basis):
+            col = z.column(k)
+            assert all(v.__class__ is int for v in col)
+            j = next(j for j, v in enumerate(vec) if v)
+            c = QQ.div(col[j], vec[j])
+            assert c and col == tuple(QQ.mul(c, v) for v in vec)
+            scaled += c != 1
+        columns += z.ncols
+    cert = {c.name: c for c in pascal_split(kc).report.certificates}["connecting-map-formula"]
+    assert columns == cert.witness["cycles_checked"]
+    assert columns > 0 and scaled > 0  # the Q input really has fractional cycles
+
+
+def test_connecting_map_fault_fails_with_integer_cycles(monkeypatch):
+    # add one entry to a block of iota((-1)^(p-1) L) that pascal_split
+    # multiplies by Z, in a column where a cycle is nonzero
+    kc = _forms_complex()
+    cert = {c.name: c for c in pascal_split(kc).report.certificates}["connecting-map-formula"]
+    assert cert.passed and cert.witness["cycles_checked"] > 0
+    p, x, d, z = next((p, x, d, z) for p, x, d, out in _small_cycle_cells(kc)
+                      for z in [_cycle_columns(out)] if z.ncols)
+    j = next(j for j, r in enumerate(z.rows) if r)
+    key = (x, d, d + kc.mult_ops[kc.n].shift)
+    scaled = []
+    scale = GradedMap.scale
+
+    def faulty_scale(self, c):
+        out = scale(self, c)
+        scaled.append(out)
+        if len(scaled) == p - 1:  # pascal_split scales iota L once per p = 2..n
+            block = out.block(*key)
+            fault = Matrix.from_entries(QQ, block.nrows, block.ncols, {(0, j): 1})
+            out.blocks[key] = block + fault
+        return out
+
+    monkeypatch.setattr(GradedMap, "scale", faulty_scale)
+    faulty = {c.name: c for c in pascal_split(kc).report.certificates}["connecting-map-formula"]
+    assert len(scaled) == kc.n - 1
+    assert not faulty.passed
+    assert faulty.witness == cert.witness
 
 
 def test_resolution_over_prime_field():
