@@ -4,14 +4,18 @@ A term is a family of cell dimensions; a differential is a `GradedMap` whose
 blocks may raise the internal degree by several different shifts (one per
 generator degree).  Homology is computed independently per (object, degree)
 cell; a cell is certified only when every block leaving it stays under the
-cap.  Contracting homotopies are built chainwise by one solve per term,
-h_p from d_{p+1} h_p = 1 - h_{p-1} d_p, so a split certificate is an exact
-matrix identity dh + hd = id on every certified cell.
+cap.  A complex ranks each block of a single-shift differential once: the
+block entering cell (p, x, d) is the block leaving (p+1, x, d - s), and
+both cells read the one rank.  Contracting homotopies are built chainwise
+by one solve per term, h_p from d_{p+1} h_p = 1 - h_{p-1} d_p, so a split
+certificate is an exact matrix identity dh + hd = id on every certified
+cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DimensionError, StructuralError, WindowError
 from .matrix import (
@@ -124,7 +128,7 @@ class GradedMap:
 class ChainComplex:
     """Terms indexed 0..length with differentials d_p: term p -> term p-1."""
 
-    __slots__ = ("cat", "field", "cap", "terms", "diffs")
+    __slots__ = ("cat", "field", "cap", "terms", "diffs", "_ranks")
 
     def __init__(self, cat, cap, terms, diffs):
         self.cat = cat
@@ -134,6 +138,7 @@ class ChainComplex:
         self.diffs = list(diffs)  # diffs[0] is None
         if len(self.diffs) != len(self.terms):
             raise DimensionError("need one differential slot per term")
+        self._ranks = {}  # (p, obj, source degree) -> rank of that block of d_p
 
     @property
     def length(self) -> int:
@@ -158,13 +163,36 @@ class ChainComplex:
         return self.cap - out_shift
 
     def homology_cell(self, p: int, x, d: int):
-        """dim ker - dim im at one cell, counted by `cell_homology`."""
-        out = inm = None
-        if p >= 1 and self.diffs[p] is not None:
-            out = self.diffs[p].out_matrix(x, d)
-        if p + 1 < len(self.terms) and self.diffs[p + 1] is not None:
-            inm = self.diffs[p + 1].in_matrix(x, d)
-        return cell_homology(self.terms[p].dim(x, d), out, inm, (p, x, d))
+        """dim ker - dim im at one cell, counted by `cell_homology`.
+
+        A single-shift differential's block is ranked through `_block_rank`,
+        keyed by its source cell; a multi-shift one stacks its blocks and
+        ranks the stack at every cell.
+        """
+        out = inm = out_rank = in_rank = None
+        d_out = self.diffs[p] if p >= 1 else None
+        d_in = self.diffs[p + 1] if p + 1 < len(self.terms) else None
+        if d_out is not None:
+            out = d_out.out_matrix(x, d)
+            if len(d_out.shifts) == 1:
+                out_rank = partial(self._block_rank, p, x, d)
+        if d_in is not None:
+            inm = d_in.in_matrix(x, d)
+            if len(d_in.shifts) == 1:
+                in_rank = partial(self._block_rank, p + 1, x, d - d_in.single_shift())
+        return cell_homology(self.terms[p].dim(x, d), out, inm, (p, x, d), out_rank, in_rank)
+
+    def _block_rank(self, p: int, x, ds: int, m: Matrix) -> int:
+        """rank(m) for m the block of single-shift d_p leaving cell (x, ds).
+
+        Memoised on this complex, so the cell it leaves and the cell it
+        enters share one elimination.
+        """
+        key = (p, x, ds)
+        r = self._ranks.get(key)
+        if r is None:
+            r = self._ranks[key] = rank(m)
+        return r
 
     def homology_dims(self, p: int, degrees, parallel_map=map):
         """Homology dimensions over a degree window, cellwise."""
@@ -178,22 +206,25 @@ class ChainComplex:
         return {cell: h for cell, h in zip(cells, dims)}
 
 
-def cell_homology(dim: int, out, inm, where) -> int:
+def cell_homology(dim: int, out, inm, where, out_rank=None, in_rank=None) -> int:
     """dim - rank(out) - rank(inm) at one cell, i.e. dim ker out - dim im inm.
 
     out leaves the cell and inm enters it; either may be None (no map).
     Raises unless boundaries sit inside cycles, tested as out * inm = 0 (im
     inm lies in ker out exactly when the composite vanishes); that
-    containment is what makes the rank count a dimension.  where is the
-    (p, object, degree) the error names.
+    containment is what makes the rank count a dimension.  The test runs on
+    every cell, before any rank.  where is the (p, object, degree) the error
+    names.  out_rank and in_rank, when given, take the two ranks in place of
+    `rank`; `ChainComplex` passes its per-complex memo, so a single-shift
+    block is ranked once per complex.
     """
     if out is not None and inm is not None and not (out * inm).is_zero():
         raise StructuralError("boundaries escape cycles at p=%d cell (%s,%d)" % where)
     h = dim
     if out is not None:
-        h -= rank(out)
+        h -= rank(out) if out_rank is None else out_rank(out)
     if inm is not None:
-        h -= rank(inm)
+        h -= rank(inm) if in_rank is None else in_rank(inm)
     return h
 
 

@@ -585,6 +585,22 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
             for (x, d) in a.carrier.cells()}
 
 
+def _cell_quotients(car: GradedCarrier, sub: dict) -> dict:
+    """cell -> `matrix.quotient` of the carrier's cell by sub's subspace there."""
+    return {cell: quotient(car.dim(*cell), sub[cell]) for cell in car.cells()}
+
+
+def _induced(tgt, mat: Matrix, basis: Matrix, section: Matrix, what: str, args) -> Matrix:
+    """The map tgt.projection * mat induces on a source quotient (basis, section).
+
+    Raises StabilityError naming what % args when it does not descend.
+    """
+    out = descend(tgt.projection * mat, basis, section)
+    if out is None:
+        raise StabilityError(("submodule not stable under " + what) % args)
+    return out
+
+
 @dataclass
 class QuotientModule:
     module: Module
@@ -604,21 +620,15 @@ def quotient_module(m: Module, sub: dict) -> QuotientModule:
     a = m.monoid
     cat, field, car = m.cat, m.field, m.carrier
     acar = a.carrier
-    quots = {cell: quotient(car.dim(*cell), sub[cell]) for cell in car.cells()}
+    quots = _cell_quotients(car, sub)
     dims = {cell: q.dim for cell, q in quots.items()}
-
-    def induced(tgt, mat, basis, section, what, args):
-        out = descend(quots[tgt].projection * mat, basis, section)
-        if out is None:
-            raise StabilityError(("submodule not stable under " + what) % args)
-        return out
 
     actions = {}
     for (key, d), mat in car.actions.items():
         x, y, _ = key
         q = quots[(x, d)]
-        actions[(key, d)] = induced((y, d), mat, q.sub.basis, q.section,
-                                    "arrow %s at (%s,%d)", (cat.mor_name(key), x, d))
+        actions[(key, d)] = _induced(quots[(y, d)], mat, q.sub.basis, q.section,
+                                     "arrow %s at (%s,%d)", (cat.mor_name(key), x, d))
     left = None
     right = None
     if m.left is not None:
@@ -626,16 +636,18 @@ def quotient_module(m: Module, sub: dict) -> QuotientModule:
         for (x, d1, y, d2), mat in m.left.items():
             ident = Matrix.identity(field, acar.dim(x, d1))
             q = quots[(y, d2)]
-            left[(x, d1, y, d2)] = induced(
-                (cat.dobj(x, y), d1 + d2), mat, ident.kron(q.sub.basis), ident.kron(q.section),
+            left[(x, d1, y, d2)] = _induced(
+                quots[(cat.dobj(x, y), d1 + d2)], mat,
+                ident.kron(q.sub.basis), ident.kron(q.section),
                 "left action of (%s,%d) at (%s,%d)", (x, d1, y, d2))
     if m.right is not None:
         right = {}
         for (x, d1, y, d2), mat in m.right.items():
             ident = Matrix.identity(field, acar.dim(y, d2))
             q = quots[(x, d1)]
-            right[(x, d1, y, d2)] = induced(
-                (cat.dobj(x, y), d1 + d2), mat, q.sub.basis.kron(ident), q.section.kron(ident),
+            right[(x, d1, y, d2)] = _induced(
+                quots[(cat.dobj(x, y), d1 + d2)], mat,
+                q.sub.basis.kron(ident), q.section.kron(ident),
                 "right action of (%s,%d) at (%s,%d)", (y, d2, x, d1))
     carrier = GradedCarrier(cat, car.cap, car.truncated, dims, actions)
     mod = Module(a, carrier, m.side, left, right, name="%s/sub" % m.name)
@@ -670,24 +682,37 @@ class RegularityCertificate:
         return out
 
 
-def is_regular(a: Monoid, elt: Element, m: Module) -> RegularityCertificate:
-    """Certify that elt acts injectively on every cell of m within the window.
+def is_regular(a: Monoid, elt: Element, m: Module,
+               sub: Optional[dict] = None) -> RegularityCertificate:
+    """Certify that elt acts injectively on every cell of m (of m/sub) within the window.
 
     Requires elt central (the definition lives in the commutant); reports the
-    first nonzero annihilated vector as the witness.  `is_regular_sequence`
-    decides stages by dimension count and calls this only on a failing stage.
+    first nonzero annihilated vector as the witness.  With sub, a subspace
+    per cell, each cell of m is quotiented by it (`matrix.quotient`) and only
+    the cells of L_elt are descended, raising StabilityError where one does
+    not descend; no quotient module is built.  `is_regular_sequence` decides
+    stages by dimension count and calls this only on a failing stage.
     """
     if not is_central(a, elt):
         raise NotCentralError("element at (%s, degree %d) is not in the commutant"
                               % (elt.obj, elt.degree))
     op = mult_operator(a, elt, m, side="left")
+    cells = op.cells
+    if sub is not None:
+        quots = _cell_quotients(m.carrier, sub)
+        cells = {}
+        for (x, d), mat in op.cells.items():
+            q = quots[(x, d)]
+            cells[(x, d)] = _induced(quots[(x, d + op.shift)], mat, q.sub.basis, q.section,
+                                     "multiplication by (%s,%d) at (%s,%d)",
+                                     (elt.obj, elt.degree, x, d))
     window = m.carrier.cap - elt.degree
     checked = 0
     for d in range(window + 1):
         for x in a.cat.objects:
-            if (x, d) not in op.cells:
+            if (x, d) not in cells:
                 continue
-            mat = op.cells[(x, d)]
+            mat = cells[(x, d)]
             checked += 1
             vecs = kernel_basis(mat)
             if vecs:
@@ -724,7 +749,8 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
     to the symmetry.  One `rref` per cell gives every prefix dimension: its
     pivot columns are the generator columns independent of those before them.
     Stage i checks g_i's centrality before its object.  Only a failing stage
-    builds A/I, where `is_regular` finds the witness.  final_dims is dim A -
+    builds the ideal I, and `is_regular` finds the witness by scanning L_g on
+    A/I cell by cell; no quotient bimodule is built.  final_dims is dim A -
     dim A<gens> per cell.
     """
     car, unit = a.carrier, a.cat.unit
@@ -748,8 +774,7 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
             stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
                                                 car.truncated))
             continue
-        ideal = generated_submodule(a, gens[:i])
-        stages.append(is_regular(a, g, quotient_module(regular_bimodule(a), ideal).module))
+        stages.append(is_regular(a, g, regular_bimodule(a), generated_submodule(a, gens[:i])))
         if stages[-1].regular:
             raise StructuralError("stage %d: dimension count and kernel scan disagree" % i)
         failed = i

@@ -15,6 +15,7 @@ To record the goldens again from the current code, run
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -37,6 +38,7 @@ from koszulcat.monoid import (
     degree_zero_carrier,
     generated_submodule,
     identity_monoid,
+    is_regular_sequence,
     quotient_module,
     regular_bimodule,
     scalar_monoid,
@@ -44,6 +46,7 @@ from koszulcat.monoid import (
 from koszulcat.poly import multi_indices, polynomial_monoid, variable_element
 from koszulcat.sample import c2_convolution_category, c2_regular_representation
 from koszulcat.tensor import build_syzygy_resolution, module_over_identity, tensor_over_monoid
+from test_homology_rank import linear_form
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -157,6 +160,17 @@ def _pascal_lines(field, n, cap, alphas_of):
     return lines
 
 
+def _regular_sequence_lines(field):
+    """(t1 t2, t1^2) over Q[t1, t2, t3] at cap 4: stage 1 fails at degree 1,
+    after a cell that passes, with witness t2."""
+    a = _poly(field, 3, 4)
+    t1, t2, _ = _variables(a)
+    cert = is_regular_sequence(a, [a.multiply(t1, t2), a.multiply(t1, t1)])
+    return ["sequence " + json.dumps(cert.to_jsonable(field), sort_keys=True,
+                                     separators=(",", ":")),
+            "dims %r" % sorted(cert.final_dims.items())]
+
+
 def _bimodule_lines(base, n, cap):
     res = koszul_bimodule_resolution(build_enveloping(base, n, cap))
     return ["report " + res.report.to_json_str()] + _complex_lines(res.complex)
@@ -208,6 +222,12 @@ def _repeat_first(a):
     return variables + variables[:1]
 
 
+def _rank_two_triple(a):
+    """Three dense forms in general position, the third 1 * first - 2 * second."""
+    rows = [[2, -3, 5], [-1, 4, 3], [4, -11, -1]]
+    return [linear_form(a.field, _variables(a), row) for row in rows]
+
+
 def _first_variable_quotient(a):
     return _cyclic_quotient(a, _variables(a)[:1])
 
@@ -216,6 +236,9 @@ def _first_variable_quotient(a):
 LIB_CASES = {
     "check_resolution_q": lambda: _check_resolution_lines(QQ, 2, 4, _variables),
     "check_resolution_f101": lambda: _check_resolution_lines(F101, 2, 4, _repeat_first),
+    "check_resolution_rank_two_q": lambda: _check_resolution_lines(QQ, 3, 3, _rank_two_triple),
+    "regular_sequence_witness_q": lambda: _regular_sequence_lines(QQ),
+    "regular_sequence_witness_f101": lambda: _regular_sequence_lines(F101),
     "pascal_split_q": lambda: _pascal_lines(QQ, 3, 4, _variables),
     "pascal_split_f101": lambda: _pascal_lines(F101, 2, 5, _square_last),
     "bimodule_resolution_q": lambda: _bimodule_lines(_base(QQ), 2, 3),

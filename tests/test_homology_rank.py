@@ -2,7 +2,9 @@
 
 `ChainComplex.homology_cell` returns dim - rank(out) - rank(in) after testing
 out * in = 0.  Here it is compared with dim ker(out) - rank(in), the kernel
-taken by `matrix.kernel`, on seeded random complexes with d o d = 0.
+taken by `matrix.kernel`, on seeded random complexes with d o d = 0.  A route
+guard counts the ranks a complex takes: each block of a single-shift
+differential once, on that complex alone.
 """
 
 import random
@@ -10,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import koszulcat.complexes as complexes_mod
 from koszulcat.category import CategoryPresentation
 from koszulcat.complexes import ChainComplex, GradedMap, Term
 from koszulcat.errors import StructuralError
@@ -111,3 +114,58 @@ def test_mixed_degree_resolution_still_raises():
     t1, t2, t3 = (variable_element(a, i) for i in (1, 2, 3))
     with pytest.raises(StructuralError, match=r"boundaries escape cycles at p=1 cell \(1,1\)"):
         check_resolution(a, [t1, t2, a.multiply(t1, t3)])
+
+
+# -- each single-shift block is ranked once per complex -------------------------
+
+
+def counting_rank(monkeypatch):
+    """Count `koszulcat.complexes.rank` calls; returns the list of ranked matrices."""
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(complexes_mod, "rank", counted)
+    return seen
+
+
+def general_position_forms(field, nvars, cap, rows):
+    a = polynomial_monoid(scalar_monoid(CategoryPresentation.trivial(field)), nvars, cap)
+    ts = [variable_element(a, i + 1) for i in range(nvars)]
+    return a, [linear_form(field, ts, row) for row in rows]
+
+
+# four forms over Q[t1..t4]: no zero coefficient, no vanishing 2x2 minor of any pair
+DENSE_ROWS = [[1, 2, -3, 4], [3, -1, 2, 5], [-2, 5, 1, 3], [4, 3, -5, -1]]
+
+
+def test_check_resolution_ranks_each_block_once(monkeypatch):
+    """At Q[t1..t4] cap 6 the homology cells ask for 49 ranks: 28 single-shift
+    blocks (27 distinct matrices; two zero-column blocks share a shape), each
+    read by the cell it leaves and the cell it enters."""
+    a, alphas = general_position_forms(QQ, 4, 6, DENSE_ROWS)
+    seen = counting_rank(monkeypatch)
+    cert = check_resolution(a, alphas)
+    assert cert.passed and cert.regular
+    assert len(seen) == 28
+    distinct = {(m.nrows, m.ncols, tuple(tuple(sorted(r.items())) for r in m.rows))
+                for m in seen}
+    assert len(distinct) == 27
+
+
+@FIELDS
+def test_complexes_built_alike_share_no_ranks(field, monkeypatch):
+    a, alphas = general_position_forms(field, 3, 3, [[1, 2, -3], [3, -1, 2]])
+    first, second = (build_koszul(a, alphas).complex for _ in range(2))
+    seen = counting_rank(monkeypatch)
+    dims = [first.homology_dims(p, range(first.homology_window(p) + 1)) for p in range(3)]
+    calls = len(seen)
+    assert calls
+    assert [second.homology_dims(p, range(second.homology_window(p) + 1))
+            for p in range(3)] == dims
+    assert len(seen) == 2 * calls
+    for p in range(3):
+        first.homology_dims(p, range(first.homology_window(p) + 1))
+    assert len(seen) == 2 * calls

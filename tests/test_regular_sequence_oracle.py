@@ -1,7 +1,8 @@
 """Regular sequences by dimension count against the quotient-per-prefix definition.
 
 `is_regular_sequence` decides each stage by comparing dimensions of prefix
-ideals and builds a quotient module only where a stage fails.  The oracle
+ideals; only a failing stage scans multiplication by its generator on A/I,
+descended cell by cell, without building the quotient bimodule.  The oracle
 here is the definition itself: the quotient bimodule A/<g_1..g_{i-1}> for
 every prefix, `is_regular` of g_i on it, and the dimensions of A/<gens>.
 
@@ -16,7 +17,7 @@ import pytest
 
 import koszulcat.monoid as monoid_mod
 from koszulcat.category import CategoryPresentation
-from koszulcat.errors import NotCentralError, WrongObjectError
+from koszulcat.errors import NotCentralError, StabilityError, WrongObjectError
 from koszulcat.field import QQ, Field
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
@@ -286,3 +287,58 @@ def test_error_precedence_is_stage_by_stage():
         cert = run(a, [total, t12])
         assert cert.failed_stage == 0 and len(cert.stages) == 1
         assert cert.stages[0].witness is not None
+
+
+# -- the failing stage scans L_g on A/I without building the quotient bimodule --
+
+
+def scalar_failing(field):
+    """(t1 t2, t1^2) on Q[t1,t2,t3] at cap 4: stage 1 fails in degree 1, after
+    a cell that passes."""
+    a = polynomial_monoid(scalar_monoid(CategoryPresentation.trivial(field)), 3, 4)
+    t1, t2, _ = (variable_element(a, i) for i in (1, 2, 3))
+    return a, [a.multiply(t1, t2), a.multiply(t1, t1)]
+
+
+def c2_unit_failing(field):
+    """t1 twice over the C2 Day unit: stage 1 fails."""
+    a = polynomial_monoid(identity_monoid(c2_convolution_category(field)), 2, 3)
+    t1 = variable_element(a, 1)
+    return a, [t1, t1]
+
+
+BASES = pytest.mark.parametrize("build", [scalar_failing, c2_unit_failing],
+                                ids=["scalar", "c2unit"])
+
+
+@FIELDS
+@BASES
+def test_failing_stage_builds_no_quotient_module(field, build, monkeypatch):
+    """The failing stage enters `monoid.is_regular` once and never builds A/I."""
+    a, gens = build(field)
+    want, _ = definition(a, gens)
+    calls = []
+    scan = monoid_mod.is_regular
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the failing stage must not build a quotient module")
+
+    monkeypatch.setattr(monoid_mod, "is_regular", counted)
+    monkeypatch.setattr(monoid_mod, "quotient_module", forbidden)
+    cert = is_regular_sequence(a, gens)
+    assert cert.to_jsonable(field) == want
+    assert cert.failed_stage == 1 and cert.stages[1].cells_checked >= 1
+    assert len(calls) == 1
+
+
+@FIELDS
+@BASES
+def test_failing_stage_raises_when_multiplication_does_not_descend(field, build, monkeypatch):
+    a, gens = build(field)
+    monkeypatch.setattr(monoid_mod, "descend", lambda *args: None)
+    with pytest.raises(StabilityError, match="multiplication by"):
+        is_regular_sequence(a, gens)
