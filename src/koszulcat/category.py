@@ -12,9 +12,13 @@ Representations assign a space dimension to each object and a matrix to each
 hom basis element.  Day convolution of two representations is computed as a
 pointwise quotient of the direct sum over object pairs of
 hom(y <> z, x) (x) F(y) (x) G(z) by the naturality relations generated by the
-hom basis elements, with induced functorial actions.  When both factors are
-copies of smaller representations (polynomial slices), `day_tensor_copies`
-places copies of their Day convolution instead of eliminating.
+hom basis elements, with induced functorial actions.  Every Day tensor of a
+graded tensor goes through `day_tensor_copies`: each factor is some number
+of copies of a base representation (a polynomial slice is #monomials copies
+of its base slice, any other slice one copy of itself), and the result is
+placed copies of the base pair's Day convolution, eliminated once.  It
+records where each copy's quotient coordinates went (`DayTensor.coords`),
+so maps out of the copies are placed by the same rule.
 
 The basis order is decided once.  Kronecker products put the left factor
 slowest (`Matrix.kron`).  The Day ambient at x lists the summands by object
@@ -388,18 +392,21 @@ class DayTensor:
 
     layout[x] maps each object pair (y, z) to its `DaySummand` in the
     ambient at x; quot[x] is the quotient of that ambient by the relations.
-    `day_tensor` hands one instance to every caller with the same
-    representation data, so rep.name is the first caller's; no report
-    reads it.
+    coords[x][c][j] is where quotient coordinate j of the base Day tensor
+    sits in copy c (see `day_tensor_copies`); an eliminated Day tensor is
+    its own one copy.  `day_tensor` hands one instance to every caller with
+    the same representation data, so rep.name is the first caller's; no
+    report reads it.
     """
 
-    __slots__ = ("cat", "layout", "quot", "rep")
+    __slots__ = ("cat", "layout", "quot", "rep", "coords")
 
-    def __init__(self, cat, layout, quot, rep):
+    def __init__(self, cat, layout, quot, rep, coords):
         self.cat = cat
         self.layout = layout  # x -> {(y, z): DaySummand}
         self.quot = quot      # x -> QuotientPresentation
         self.rep = rep
+        self.coords = coords  # x -> [copy -> [base quotient coordinate -> coordinate]]
 
     def pure_map(self, x, y, z, h: Mor) -> Matrix:
         """F(y) (x) G(z) -> (F (x) G)(x), a (x) b |-> the class of h (x) a (x) b.
@@ -529,7 +536,8 @@ def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) 
         actions[(x, xp, k)] = quot[xp].projection * amb * quot[x].section
     rep = Representation(cat, dims, actions,
                          name="(%s(x)%s)" % (f.name, g.name))
-    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep,
+                                  {x: [range(q.dim)] for x, q in quot.items()})
     return cat.day_memo[key]
 
 
@@ -556,13 +564,17 @@ def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Represent
     """Day(F^kf, G^kg), placed from `day_tensor(cat, f, g)` with no elimination.
 
     F^kf is kf copies of F, copy index slowest (arrows act by I_kf (x) F(phi)),
-    as in a polynomial slice.  Base coordinate (h, a, b) of summand (y, z), in
-    copy (v, w), sits at local (h kf dim F(y) + v dim F(y) + a) kg dim G(z) +
-    w dim G(z) + b.  The relations are copies of Day(F, G)'s on disjoint
-    coordinates, each in ambient order, and the RREF of a span is unique; so
-    pivots, canonical basis, projection, section and actions are Day(F, G)'s,
-    relabelled, with the quotient coordinates in ambient order.  `cat.day_memo`
-    keys the result by the data of f and g plus kf and kg.
+    as in a polynomial slice.  One side may be a single copy, as for a
+    polynomial slice against a module slice; kf = kg = 1 is `day_tensor`
+    itself.  Base coordinate (h, a, b) of summand (y, z), in copy (v, w),
+    sits at local (h kf dim F(y) + v dim F(y) + a) kg dim G(z) + w dim G(z) + b.
+    The relations are copies of Day(F, G)'s on disjoint coordinates, each in
+    ambient order, and the RREF of a span is unique; so pivots, canonical
+    basis, projection, section and actions are Day(F, G)'s, relabelled, with
+    the quotient coordinates in ambient order.  Copy (v, w) is copy
+    c = v kg + w, and `coords[x][c][j]` is where base quotient coordinate j
+    lands in it.  `cat.day_memo` keys the result by the data of f and g plus
+    kf and kg.
     """
     if kf == kg == 1:
         return day_tensor(cat, f, g)
@@ -598,7 +610,7 @@ def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Represent
                for (x, xp, k), m in base.rep.actions.items()}
     rep = Representation(cat, {x: quot[x].dim for x in cat.objects}, actions,
                          name="(%s^%d(x)%s^%d)" % (f.name, kf, g.name, kg))
-    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep, coords)
     return cat.day_memo[key]
 
 

@@ -8,18 +8,28 @@ the trivial backend every Day quotient is the identity, so a block is the
 plain Kronecker product L_{d1} (x) R_{d2}, left factor slowest.  Maps are
 assembled from Kronecker products placed at these offsets (`matrix.place`).
 
-When both factors are polynomial carriers, each slice Day tensor is placed
-from the base slices' by `day_tensor_copies` (memo key: both base keys plus
-the monomial counts); other slices are eliminated by `day_tensor`.
+Every slice Day tensor comes from `day_tensor_copies`: a factor's slice is
+(base slice, #monomials) for a polynomial carrier (`GradedCarrier.copies`)
+and (the slice itself, 1) for any other, so the Day tensor of two base
+slices is eliminated once and every split is placed copies of it, whether
+both factors, one (A_n (x) M) or neither are polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import day_tensor, day_tensor_copies
+from .category import day_tensor_copies
 from .matrix import Matrix, place
 from .monoid import GradedCarrier
+
+
+def _slice_copies(car: GradedCarrier, d: int) -> tuple:
+    """(base slice, #copies) of the degree-d slice of car."""
+    if car.copies:
+        base, counts = car.copies
+        return base, counts.get(d, 0)
+    return car.slice_rep(d), 1
 
 
 @dataclass
@@ -50,15 +60,12 @@ class GradedTensor:
                 cap = min(cap, right.cap)
         self.cap = cap
         self.day = {}
+        rights = [_slice_copies(right, d2) for d2 in range(self.cap + 1)]
         for d1 in range(self.cap + 1):
+            f, kf = _slice_copies(left, d1)
             for d2 in range(self.cap + 1 - d1):
-                if left.copies and right.copies:
-                    (f, kf), (g, kg) = left.copies, right.copies
-                    self.day[(d1, d2)] = day_tensor_copies(self.cat, f, g, kf.get(d1, 0),
-                                                           kg.get(d2, 0))
-                else:
-                    self.day[(d1, d2)] = day_tensor(self.cat, left.slice_rep(d1),
-                                                    right.slice_rep(d2))
+                g, kg = rights[d2]
+                self.day[(d1, d2)] = day_tensor_copies(self.cat, f, g, kf, kg)
         self.layout = {}
         self.dims = {}
         for d in range(self.cap + 1):

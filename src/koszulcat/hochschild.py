@@ -31,7 +31,6 @@ from .monoid import (
 )
 from .poly import (
     MergeResult,
-    add_exponents,
     default_var_names,
     merge_variables,
     mono_index,
@@ -305,8 +304,7 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
     # untouched by the substitution so it suffices to check the monomial layer
     for d1 in range(cap + 1):
         for d2 in range(cap + 1 - d1):
-            conv = monomial_block_product(multi_indices(2 * n, d1), multi_indices(2 * n, d2),
-                                          mono_index(2 * n, d1 + d2), add_exponents,
+            conv = monomial_block_product(2 * n, d1, 2 * n, d2, "add",
                                           Matrix.identity(field, 1), 1, 1)
             lhs = psi[d1 + d2] * conv
             rhs = conv * psi[d1].kron(psi[d2])

@@ -135,13 +135,18 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionError("cannot multiply %dx%d by %dx%d"
                                  % (self.nrows, self.ncols, other.nrows, other.ncols))
+        # the field arithmetic is written inline: reduction mod p, and over Q
+        # `Field.add`, which returns an integral sum as an int
         f = self.field
+        p = f.char
+        add = f.add
+        orows = other.rows
         out = []
         for ra in self.rows:
             acc: dict = {}
             for k, a in ra.items():
-                for j, b in other.rows[k].items():
-                    s = f.add(acc.get(j, f.zero()), f.mul(a, b))
+                for j, b in orows[k].items():
+                    s = (acc.get(j, 0) + a * b) % p if p else add(acc.get(j, 0), a * b)
                     if s:
                         acc[j] = s
                     else:

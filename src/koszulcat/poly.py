@@ -6,11 +6,14 @@ base coordinates fastest: u a sits at index index(u) * dim + index(a).
 Variables all have degree one; the base sits in degree zero.  Products that
 would exceed the cap are discarded and the carrier is flagged truncated.
 
-Every map of the form u a (x) v b |-> combine(u, v) inner(a (x) b) is built by
-`monomial_block_product`: the pairing (exponents add, inner is the base
-pairing), the merge map of `merge_variables` (exponents concatenate, inner is
-the witnessed pure-tensor map) and the monomial layer of the change of
-variables in `koszulcat.hochschild` (inner is 1x1).
+Where the product of two monomials goes is read from one table per
+(n1, d1, n2, d2, combine), `monomial_product_table`, built on first use.
+`monomial_block_product` builds every map u a (x) v b |-> combine(u, v)
+inner(a (x) b) from it: the pairing (exponents add, inner is the base
+pairing) and the monomial layer of the change of variables in
+`koszulcat.hochschild` (inner is 1x1).  The merge map of `merge_variables`
+(exponents concatenate) is placed from the same table, with the witnessed
+pure-tensor map descended once on the base Day tensor.
 """
 
 from __future__ import annotations
@@ -43,29 +46,51 @@ def mono_index(n: int, d: int) -> dict:
     return {m: i for i, m in enumerate(multi_indices(n, d))}
 
 
-def monomial_block_product(mons1, mons2, tgt_index: dict, combine, inner: Matrix,
-                           d1: int, d2: int) -> Matrix:
+@lru_cache(maxsize=None)
+def monomial_product_table(n1: int, d1: int, n2: int, d2: int, combine: str) -> tuple:
+    """(#target monomials, t): t[i1][i2] indexes combine(u, v) in its degree.
+
+    u and v are the i1-th of multi_indices(n1, d1) and the i2-th of
+    multi_indices(n2, d2).  combine "add" adds exponents (n1 == n2, so the
+    target has n1 variables); "concat" concatenates them (n1 + n2 variables).
+    Either way the target degree is d1 + d2.  Built on first use, shared by
+    every object pair and monoid; importing the package builds none.
+    """
+    if combine == "add":
+        tgt, op = mono_index(n1, d1 + d2), add_exponents
+    else:
+        tgt, op = mono_index(n1 + n2, d1 + d2), tuple.__add__
+    mons2 = multi_indices(n2, d2)
+    return len(tgt), tuple(tuple(tgt[op(u, v)] for v in mons2) for u in multi_indices(n1, d1))
+
+
+def monomial_block_product(n1: int, d1: int, n2: int, d2: int, combine: str, inner: Matrix,
+                           dim1: int, dim2: int) -> Matrix:
     """The matrix of u a (x) v b |-> combine(u, v) inner(a (x) b) on monomial-block bases.
 
-    The source is (mons1 blocks of d1 base coordinates) (x) (mons2 blocks of d2),
-    Kronecker order; the target is tgt_index blocks of inner.nrows coordinates;
-    inner maps F^d1 (x) F^d2.  Built entry by entry, in one pass.
+    The source is (degree-d1 monomials in n1 variables, blocks of dim1 base
+    coordinates) (x) (degree-d2 monomials in n2 variables, blocks of dim2),
+    Kronecker order; the target is the monomial blocks of degree d1 + d2,
+    each of inner.nrows coordinates, placed by `monomial_product_table`;
+    inner maps F^dim1 (x) F^dim2.  Built entry by entry, in one pass.
     """
+    ntgt, table = monomial_product_table(n1, d1, n2, d2, combine)
     dt = inner.nrows
-    width2 = len(mons2) * d2
+    width2 = len(multi_indices(n2, d2)) * dim2
     entries = []  # (target row, source column offset within a block pair, value)
     for r, row in enumerate(inner.rows):
         for c, val in row.items():
-            p, q = divmod(c, d2)
+            p, q = divmod(c, dim2)
             entries.append((r, p * width2 + q, val))
-    rows = [dict() for _ in range(len(tgt_index) * dt)]
-    for i1, u in enumerate(mons1):
-        for i2, v in enumerate(mons2):
-            t = tgt_index[combine(u, v)] * dt
-            c0 = i1 * d1 * width2 + i2 * d2
+    rows = [dict() for _ in range(ntgt * dt)]
+    for i1, targets in enumerate(table):
+        c1 = i1 * dim1 * width2
+        for i2, t in enumerate(targets):
+            t *= dt
+            c0 = c1 + i2 * dim2
             for r, c, val in entries:
                 rows[t + r][c0 + c] = val
-    return Matrix(inner.field, len(rows), len(mons1) * d1 * width2, rows)
+    return Matrix(inner.field, len(rows), len(table) * dim1 * width2, rows)
 
 
 def add_exponents(u: tuple, v: tuple) -> tuple:
@@ -150,8 +175,7 @@ def polynomial_monoid(a: Monoid, n: int, cap: int, var_names=None) -> Monoid:
             for x in cat.objects:
                 for y in cat.objects:
                     pairing[(x, d1, y, d2)] = monomial_block_product(
-                        multi_indices(n, d1), multi_indices(n, d2), mono_index(n, d1 + d2),
-                        add_exponents, a.pairing_cell(x, 0, y, 0),
+                        n, d1, n, d2, "add", a.pairing_cell(x, 0, y, 0),
                         a.carrier.dim(x, 0), a.carrier.dim(y, 0))
 
     name = "%s[%s]" % (a.name, ",".join(names))
@@ -209,9 +233,14 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
 
     witness[x] is the matrix of (C_base (x) D_base)(x) -> E(x) on Day
     coordinates of the degree-0 slices.  The identification Phi sends the
-    monomial block pair (u^i, v^j) to the block u^i v^j through the witness;
-    it is verified invertible degreewise and unit-preserving.  On the trivial
-    backend the monoid-morphism property of Phi is verified cellwise as well.
+    monomial block pair (u^i, v^j) to the block u^i v^j through the witness.
+    The witnessed pure-tensor map descends once, on the base Day tensor
+    (`DayTensor.induced_map`, which raises StructuralError unless it is
+    natural); every split of C[u] (x) D[v] is copies of that Day tensor, one
+    per monomial pair, so Phi places the descended map per pair
+    (`_place_merge`).  Phi is verified invertible degreewise and
+    unit-preserving; on the trivial backend the monoid-morphism property of
+    Phi is verified cellwise as well.
     """
     info_c = c.poly_info
     info_d = d.poly_info
@@ -236,18 +265,8 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     gt = GradedTensor(c.carrier, d.carrier, cap=cap)
     pure = {(y, z): witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
             for y in cat.objects for z in cat.objects for yz in [cat.dobj(y, z)]}
-
-    def family(y, d1, z, d2):
-        """(C_n)(y)_{d1} (x) (D_m)(z)_{d2} -> E_{n+m}(y<>z)_{d1+d2}.
-
-        u^i a (x) v^j b |-> u^i v^j W(a (x) b): the exponent tuples
-        concatenate, and the base pair goes through the witnessed pure-tensor map.
-        """
-        return monomial_block_product(multi_indices(n, d1), multi_indices(m, d2),
-                                      mono_index(n + m, d1 + d2), tuple.__add__, pure[(y, z)],
-                                      base_c.carrier.dim(y, 0), base_d.carrier.dim(z, 0))
-
-    phi = gt.induced_map_cells(merged.carrier, family)
+    phi = _place_merge(gt, merged.carrier, day0.induced_map(e_base.carrier.slice_rep(0), pure),
+                       n, m)
     for (x, deg), mat in sorted(phi.items()):
         if mat.nrows != mat.ncols or (mat.nrows and rank(mat) != mat.nrows):
             raise IsoFailureError("Phi fails to be invertible at (%s, %d)" % (x, deg))
@@ -262,6 +281,41 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     if hom_checked:
         hom_ok = _check_phi_multiplicative(c, d, merged, gt, phi)
     return MergeResult(merged, phi, gt, unit_preserved, hom_checked, hom_ok)
+
+
+def _place_merge(gt: GradedTensor, target: GradedCarrier, base_phi: dict, n: int, m: int) -> dict:
+    """Phi per cell (x, d): copy (u^i, v^j) of base_phi[x] at rows of block u^i v^j.
+
+    Block (d1, d2) of a cell of gt is one copy of the base Day tensor per
+    pair of monomials of degrees d1 (n variables) and d2 (m variables), pairs
+    in Kronecker order; `DayTensor.coords` gives the columns of each copy and
+    `monomial_product_table` the merged monomial, whose block of target rows
+    holds E(x) coordinates.  A factor that is not polynomial over its base
+    has no copies above degree 0, so a nonzero block there is refused.
+    """
+    out = {}
+    for d in range(min(gt.cap, target.cap) + 1):
+        for x in gt.cat.objects:
+            bp = base_phi[x]
+            dim_e = bp.nrows
+            rows = [dict() for _ in range(target.dim(x, d))]
+            for b in gt.layout[(x, d)]:
+                if not b.dim:
+                    continue
+                _, table = monomial_product_table(n, b.d1, m, b.d2, "concat")
+                targets = [t for row in table for t in row]
+                coords = gt.day[(b.d1, b.d2)].coords[x]
+                if len(coords) != len(targets):
+                    raise StructuralError("merge factors are not polynomial over their bases "
+                                          "at degrees (%d, %d)" % (b.d1, b.d2))
+                for t, at in zip(targets, coords):
+                    t *= dim_e
+                    for r, row in enumerate(bp.rows):
+                        tgt_row = rows[t + r]
+                        for j, v in row.items():
+                            tgt_row[b.offset + at[j]] = v
+            out[(x, d)] = Matrix(gt.field, len(rows), gt.dim(x, d), rows)
+    return out
 
 
 def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,

@@ -2,8 +2,9 @@
 
 A degree slice of a polynomial carrier is #monomials copies of its base
 slice, so `day_tensor_copies` builds Day(F^kf, G^kg) from Day(F, G) with no
-elimination.  The oracle is `day_tensor` on the slices themselves, run on a
-cleared memo so that it eliminates.
+elimination, also when only one side is polynomial (A_n (x) M).  The oracle
+is `day_tensor` on the slices themselves, run on a cleared memo so that it
+eliminates.
 """
 
 import pytest
@@ -109,26 +110,73 @@ def test_enveloping_eliminates_only_the_base_pair(monkeypatch, kind):
     assert counts == [len(base.cat.objects)] * 2
 
 
-def test_quotient_module_keeps_the_eliminated_route(monkeypatch):
-    base = _base(F101, "c2unit")
-    env = build_enveloping(base, 2, 3)
+def _cyclic(field, kind):
+    """The enveloping data of A_3 at cap 3 and the cyclic module A_3 / (t1).
+
+    The module's carrier is not a term of copies, and its degree-d slice
+    (d + 1 monomials in t2, t3) is a representation of its own for d > 0.
+    """
+    env = build_enveloping(_base(field, kind), 3, 3)
     a = env.a_n
     cyclic = quotient_module(regular_bimodule(a),
                              generated_submodule(a, [variable_element(a, 1)])).module
     assert a.carrier.copies is not None and cyclic.carrier.copies is None
-    routes = []
-    real = category.day_tensor_copies
+    return env, cyclic
 
-    def counted(*args):
-        routes.append(args)
-        return real(*args)
 
-    monkeypatch.setattr("koszulcat.gtensor.day_tensor_copies", counted)
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("kind", ["scalar", "c2unit"])
+@pytest.mark.parametrize("side", ["poly-left", "poly-right"])
+def test_one_sided_copies_match_elimination(field, kind, side):
+    """Polynomial slices against module slices: copy counts 0..3 and every split of A_n (x) M."""
+    env, cyclic = _cyclic(field, kind)
+    cat, car, mod = env.a_n.cat, env.a_n.carrier, cyclic.carrier
+    f = car.copies[0]
+    checked = 0
+    for d in range(mod.cap + 1):
+        g = mod.slice_rep(d)
+        for k in range(4):
+            placed = day_tensor_copies(cat, f, g, k, 1) if side == "poly-left" \
+                else day_tensor_copies(cat, g, f, 1, k)
+            cat.day_memo.clear()
+            _assert_same(placed, day_tensor(cat, _copies(f, k), g) if side == "poly-left"
+                         else day_tensor(cat, g, _copies(f, k)))
+            checked += 1
+    left, right = (car, mod) if side == "poly-left" else (mod, car)
+    gt = GradedTensor(left, right, cap=mod.cap + 1)  # the top slices have no copies
+    for (d1, d2), placed in sorted(gt.day.items()):
+        cat.day_memo.clear()
+        _assert_same(placed, day_tensor(cat, left.slice_rep(d1), right.slice_rep(d2)))
+        checked += 1
+    assert checked == 4 * (mod.cap + 1) + (mod.cap + 2) * (mod.cap + 3) // 2
+
+
+@pytest.mark.parametrize("kind", ["scalar", "c2unit"])
+def test_module_tensor_eliminates_only_base_pairs(monkeypatch, kind):
+    """While A_n (x) M is built, `day_tensor` only ever sees the base slice on the A_n side.
+
+    Each distinct module slice is eliminated once against it, one quotient
+    per object, instead of once per degree split.
+    """
+    env, cyclic = _cyclic(F101, kind)
+    cat, f = env.a_n.cat, env.a_n.carrier.copies[0]
+    seen = []
+    real = category.day_tensor
+
+    def recording(cat_, left, right):
+        seen.append(left)
+        return real(cat_, left, right)
+
+    monkeypatch.setattr(category, "day_tensor", recording)
+    cat.day_memo.clear()
     calls = _count_quotients(monkeypatch)
     res = build_syzygy_resolution(env, cyclic)
     assert res.passed
-    assert not routes
-    assert calls  # the module's slices are eliminated
+    assert seen and all(category._rep_key(left) == category._rep_key(f) for left in seen)
+    slices = {category._rep_key(cyclic.carrier.slice_rep(d)) for d in range(res.tensor.cap + 1)}
+    assert len(slices) == res.tensor.cap + 1
+    assert len(calls) == len(cat.objects) * len(slices) < \
+        len(cat.objects) * (res.tensor.cap + 1) * (res.tensor.cap + 2) // 2
 
 
 def test_graded_descent_rejects_a_nonnatural_family():

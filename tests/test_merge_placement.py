@@ -1,0 +1,167 @@
+"""The merge isomorphism Phi is placed from one descent on the base Day tensor.
+
+`poly.merge_variables` descends the witnessed pure-tensor map once, on the
+Day tensor of the two base slices, and places the result at block u^i v^j
+for every monomial pair (u^i, v^j).  The oracle is the function-family
+route: the bilinear family u^i a (x) v^j b |-> u^i v^j W(a (x) b), written
+out here entry by entry, descended split by split through
+`GradedTensor.induced_map_cells`.
+"""
+
+import copy
+
+import pytest
+
+from koszulcat import category, poly
+from koszulcat.category import CategoryPresentation
+from koszulcat.errors import IsoFailureError, StructuralError
+from koszulcat.field import QQ, Field
+from koszulcat.hochschild import build_enveloping, certify_tensor_idempotent
+from koszulcat.matrix import Matrix
+from koszulcat.monoid import identity_monoid, scalar_monoid
+from koszulcat.poly import merge_variables, mono_index, multi_indices, polynomial_monoid
+from koszulcat.sample import c2_convolution_category
+
+F101 = Field(101)
+FIELDS = [pytest.param(F101, id="F101"), pytest.param(QQ, id="Q")]
+KINDS = ["scalar", "c2unit"]
+
+
+def _base(field, kind):
+    if kind == "scalar":
+        return scalar_monoid(CategoryPresentation.trivial(field))
+    return identity_monoid(c2_convolution_category(field))
+
+
+def _factors(base, n, m, cap):
+    c = polynomial_monoid(base, n, cap, var_names=tuple("u%d" % i for i in range(n)))
+    d = polynomial_monoid(base, m, cap, var_names=tuple("v%d" % i for i in range(m)))
+    return c, d
+
+
+def _witness(base):
+    mu = certify_tensor_idempotent(base).mu_cells
+    return {x: mu[(x, 0)] for x in base.cat.objects}
+
+
+def _reference_phi(res, c, d, base, witness):
+    """Phi by the function-family route: one descent per degree split."""
+    cat, field = base.cat, base.field
+    n, m = c.poly_info.nvars, d.poly_info.nvars
+    day0 = res.tensor.day[(0, 0)]
+
+    def family(y, d1, z, d2):
+        yz = cat.dobj(y, z)
+        pure = witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
+        dy, dz, de = base.carrier.dim(y, 0), base.carrier.dim(z, 0), pure.nrows
+        mons1, mons2 = multi_indices(n, d1), multi_indices(m, d2)
+        tgt = mono_index(n + m, d1 + d2)
+        entries = {}
+        for i1, u in enumerate(mons1):
+            for i2, v in enumerate(mons2):
+                t = tgt[u + v]
+                for r, row in enumerate(pure.rows):
+                    for col, val in row.items():
+                        a, b = divmod(col, dz)
+                        entries[(t * de + r,
+                                  ((i1 * dy + a) * len(mons2) + i2) * dz + b)] = val
+        return Matrix.from_entries(field, len(tgt) * de, len(mons1) * dy * len(mons2) * dz,
+                                   entries)
+
+    return res.tensor.induced_map_cells(res.monoid.carrier, family)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (1, 2), (2, 1)])
+@pytest.mark.parametrize("cap", [3, 4])
+def test_placed_phi_matches_descent_per_split(field, kind, n, m, cap):
+    base = _base(field, kind)
+    c, d = _factors(base, n, m, cap)
+    witness = _witness(base)
+    res = merge_variables(c, d, base, witness)
+    ref = _reference_phi(res, c, d, base, witness)
+    assert sorted(res.phi) == sorted(ref) and len(ref) == (cap + 1) * len(base.cat.objects)
+    for cell, mat in ref.items():
+        got = res.phi[cell]
+        assert (got.nrows, got.ncols) == (mat.nrows, mat.ncols), cell
+        assert got.rows == mat.rows, cell
+        assert all(v for row in got.rows for v in row.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("cap", [3, 4])
+def test_merge_descends_once(monkeypatch, kind, cap):
+    """One `DayTensor.induced_map` call per merge; the per-split route made (cap+1)(cap+2)/2."""
+    base = _base(F101, kind)
+    c, d = _factors(base, 2, 2, cap)
+    witness = _witness(base)
+    calls = []
+    real = category.DayTensor.induced_map
+
+    def counted(self, target, beta):
+        calls.append(self)
+        return real(self, target, beta)
+
+    monkeypatch.setattr(category.DayTensor, "induced_map", counted)
+    res = merge_variables(c, d, base, witness)
+    assert len(calls) == 1 and calls[0] is res.tensor.day[(0, 0)]
+    assert res.unit_preserved
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("obj", ["e", "g"])
+def test_witness_scaled_on_one_object_does_not_descend(field, obj):
+    base = _base(field, "c2unit")
+    c, d = _factors(base, 1, 1, 3)
+    witness = _witness(base)
+    witness[obj] = witness[obj].scale(field.from_int(3))
+    with pytest.raises(StructuralError, match="bilinear family is not natural; does not descend"):
+        merge_variables(c, d, base, witness)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaled_witness_fails_unit_preservation(kind):
+    """2W is natural and invertible, so Phi is placed; it sends 1 (x) 1 to 2, not 1."""
+    base = _base(F101, kind)
+    cert = certify_tensor_idempotent(base)
+    env = build_enveloping(base, 1, 3, idem_cert=cert)
+    assert env.report.all_passed
+    for x in base.cat.objects:
+        cert.mu_cells[(x, 0)] = cert.mu_cells[(x, 0)].scale(F101.from_int(2))
+    env = build_enveloping(base, 1, 3, idem_cert=cert)
+    failed = {c.name for c in env.report.certificates if not c.passed}
+    # the trivial backend also checks that Phi is multiplicative; 2W is not
+    assert failed == ({"merge-unit-preserved", "merge-multiplicative"} if kind == "scalar"
+                      else {"merge-unit-preserved"})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_collapsed_monomial_table_fails_invertibility(monkeypatch, kind):
+    """Placing two monomial pairs on one merged block leaves Phi singular."""
+    base = _base(F101, kind)
+    c, d = _factors(base, 1, 1, 3)
+    witness = _witness(base)
+    real = poly.monomial_product_table
+
+    def collapsed(n1, d1, n2, d2, combine):
+        ntgt, table = real(n1, d1, n2, d2, combine)
+        if combine != "concat":  # only Phi's placement is faulted
+            return ntgt, table
+        return ntgt, tuple(tuple(0 for _ in row) for row in table)
+
+    monkeypatch.setattr(poly, "monomial_product_table", collapsed)
+    with pytest.raises(IsoFailureError, match=r"Phi fails to be invertible at \(\w+, 1\)"):
+        merge_variables(c, d, base, witness)
+
+
+def test_factor_without_copies_above_degree_zero_is_refused():
+    """A factor with cells above degree 0 but no monomial copies cannot be placed."""
+    base = _base(QQ, "scalar")
+    c, d = _factors(base, 1, 1, 2)
+    plain = copy.copy(d)  # d's cells, but neither polynomial data nor copies
+    plain.poly_info = None
+    plain.carrier = copy.copy(d.carrier)
+    plain.carrier.copies = None
+    with pytest.raises(StructuralError, match="not polynomial over their bases"):
+        merge_variables(c, plain, base, _witness(base))
