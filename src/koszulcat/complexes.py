@@ -4,18 +4,18 @@ A term is a family of cell dimensions; a differential is a `GradedMap` whose
 blocks may raise the internal degree by several different shifts (one per
 generator degree).  Homology is computed independently per (object, degree)
 cell; a cell is certified only when every block leaving it stays under the
-cap.  A complex ranks each block of a single-shift differential once: the
-block entering cell (p, x, d) is the block leaving (p+1, x, d - s), and
-both cells read the one rank.  Contracting homotopies are built chainwise
-by one solve per term, h_p from d_{p+1} h_p = 1 - h_{p-1} d_p, so a split
-certificate is an exact matrix identity dh + hd = id on every certified
-cell.
+cap.  A single-shift map ranks each of its blocks once: the block entering
+cell (x, d) is the block leaving (x, d - s), and both cells read the one
+rank.  Contracting homotopies are built chainwise by one solve per term,
+h_p from d_{p+1} h_p = 1 - h_{p-1} d_p, each checked as it is built, so a
+split certificate is an exact matrix identity dh + hd = id on every
+certified cell.  `certify_split` is the one place a resolution is certified
+split exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import DimensionError, StructuralError, WindowError
 from .matrix import (
@@ -53,9 +53,13 @@ class Term:
 
 
 class GradedMap:
-    """Blockwise map between graded terms, keyed (obj, src_deg, tgt_deg)."""
+    """Blockwise map between graded terms, keyed (obj, src_deg, tgt_deg).
 
-    __slots__ = ("field", "src", "tgt", "blocks", "shifts")
+    A single-shift map keeps the rank of each block it has ranked in `ranks`,
+    keyed by source cell, so the memo lives and dies with the map.
+    """
+
+    __slots__ = ("field", "src", "tgt", "blocks", "shifts", "ranks")
 
     def __init__(self, field, src: Term, tgt: Term, blocks: dict):
         self.field = field
@@ -71,6 +75,7 @@ class GradedMap:
             self.blocks[(x, ds, dt)] = m
             shifts.add(dt - ds)
         self.shifts = frozenset(shifts) if shifts else frozenset({0})
+        self.ranks = {}  # (obj, source degree) -> rank of the block leaving it
 
     def block(self, x, ds, dt) -> Matrix:
         m = self.blocks.get((x, ds, dt))
@@ -92,6 +97,20 @@ class GradedMap:
         """All blocks entering cell (x, d), side by side over ascending source degree."""
         parts = [self.block(x, d - s, d) for s in sorted(self.shifts) if d - s >= 0]
         return hstack(parts) if parts else Matrix.zeros(self.field, self.tgt.dim(x, d), 0)
+
+    def out_rank(self, x, d) -> int:
+        """rank(out_matrix(x, d)), kept per source cell when the map has one shift."""
+        if len(self.shifts) != 1:
+            return rank(self.out_matrix(x, d))
+        if (x, d) not in self.ranks:
+            self.ranks[(x, d)] = rank(self.block(x, d, d + self.single_shift()))
+        return self.ranks[(x, d)]
+
+    def in_rank(self, x, d) -> int:
+        """rank(in_matrix(x, d)); with one shift s, the rank of the block leaving (x, d - s)."""
+        if len(self.shifts) != 1:
+            return rank(self.in_matrix(x, d))
+        return self.out_rank(x, d - self.single_shift())
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self after inner; only stored-block paths contribute."""
@@ -128,7 +147,7 @@ class GradedMap:
 class ChainComplex:
     """Terms indexed 0..length with differentials d_p: term p -> term p-1."""
 
-    __slots__ = ("cat", "field", "cap", "terms", "diffs", "_ranks")
+    __slots__ = ("cat", "field", "cap", "terms", "diffs")
 
     def __init__(self, cat, cap, terms, diffs):
         self.cat = cat
@@ -138,7 +157,6 @@ class ChainComplex:
         self.diffs = list(diffs)  # diffs[0] is None
         if len(self.diffs) != len(self.terms):
             raise DimensionError("need one differential slot per term")
-        self._ranks = {}  # (p, obj, source degree) -> rank of that block of d_p
 
     @property
     def length(self) -> int:
@@ -163,36 +181,10 @@ class ChainComplex:
         return self.cap - out_shift
 
     def homology_cell(self, p: int, x, d: int):
-        """dim ker - dim im at one cell, counted by `cell_homology`.
-
-        A single-shift differential's block is ranked through `_block_rank`,
-        keyed by its source cell; a multi-shift one stacks its blocks and
-        ranks the stack at every cell.
-        """
-        out = inm = out_rank = in_rank = None
+        """dim ker - dim im at one cell, counted by `cell_homology`."""
         d_out = self.diffs[p] if p >= 1 else None
         d_in = self.diffs[p + 1] if p + 1 < len(self.terms) else None
-        if d_out is not None:
-            out = d_out.out_matrix(x, d)
-            if len(d_out.shifts) == 1:
-                out_rank = partial(self._block_rank, p, x, d)
-        if d_in is not None:
-            inm = d_in.in_matrix(x, d)
-            if len(d_in.shifts) == 1:
-                in_rank = partial(self._block_rank, p + 1, x, d - d_in.single_shift())
-        return cell_homology(self.terms[p].dim(x, d), out, inm, (p, x, d), out_rank, in_rank)
-
-    def _block_rank(self, p: int, x, ds: int, m: Matrix) -> int:
-        """rank(m) for m the block of single-shift d_p leaving cell (x, ds).
-
-        Memoised on this complex, so the cell it leaves and the cell it
-        enters share one elimination.
-        """
-        key = (p, x, ds)
-        r = self._ranks.get(key)
-        if r is None:
-            r = self._ranks[key] = rank(m)
-        return r
+        return cell_homology(self.terms[p].dim(x, d), d_out, d_in, x, d, p)
 
     def homology_dims(self, p: int, degrees, parallel_map=map):
         """Homology dimensions over a degree window, cellwise."""
@@ -206,25 +198,22 @@ class ChainComplex:
         return {cell: h for cell, h in zip(cells, dims)}
 
 
-def cell_homology(dim: int, out, inm, where, out_rank=None, in_rank=None) -> int:
-    """dim - rank(out) - rank(inm) at one cell, i.e. dim ker out - dim im inm.
+def cell_homology(dim: int, d_out, d_in, x, d: int, p: int) -> int:
+    """dim ker out - dim im in at cell (x, d), counted as dim - rank(out) - rank(in).
 
-    out leaves the cell and inm enters it; either may be None (no map).
-    Raises unless boundaries sit inside cycles, tested as out * inm = 0 (im
-    inm lies in ker out exactly when the composite vanishes); that
-    containment is what makes the rank count a dimension.  The test runs on
-    every cell, before any rank.  where is the (p, object, degree) the error
-    names.  out_rank and in_rank, when given, take the two ranks in place of
-    `rank`; `ChainComplex` passes its per-complex memo, so a single-shift
-    block is ranked once per complex.
+    out = d_out.out_matrix(x, d) leaves the cell and in = d_in.in_matrix(x, d)
+    enters it; either map may be None.  Raises first unless out * in = 0 (im in
+    lies in ker out), the containment that makes the rank count a dimension.
+    The ranks come from the maps; p is the index the error names.
     """
-    if out is not None and inm is not None and not (out * inm).is_zero():
-        raise StructuralError("boundaries escape cycles at p=%d cell (%s,%d)" % where)
+    if d_out is not None and d_in is not None and \
+            not (d_out.out_matrix(x, d) * d_in.in_matrix(x, d)).is_zero():
+        raise StructuralError("boundaries escape cycles at p=%d cell (%s,%d)" % (p, x, d))
     h = dim
-    if out is not None:
-        h -= rank(out) if out_rank is None else out_rank(out)
-    if inm is not None:
-        h -= rank(inm) if in_rank is None else in_rank(inm)
+    if d_out is not None:
+        h -= d_out.out_rank(x, d)
+    if d_in is not None:
+        h -= d_in.in_rank(x, d)
     return h
 
 
@@ -240,7 +229,8 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
 
     Works when every differential has a single degree shift.  Chains are
     anchored at term-0 cells; a chain anchored at degree d0 within the cap is
-    entirely stored, so the certificate covers every anchored cell.
+    entirely stored, so the certificate covers every anchored cell.  Within a
+    chain, a term with no solution is reported before a failed identity.
     """
     field = cx.field
     shifts = [None] + [cx.diffs[p].single_shift() for p in range(1, len(cx.terms))]
@@ -258,48 +248,64 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
                     mats.append(Matrix.zeros(field, spaces[p - 1], 0))
                 else:
                     mats.append(cx.diffs[p].block(x, degs[p], degs[p - 1]))
-            hs = _chain_homotopy(field, spaces, mats)
+            hs, bad = _chain_homotopy(field, spaces, mats)
             if hs is None:
                 return HomotopyCertificate(False, checked,
                                            "no contracting homotopy along chain (%s, %d)"
                                            % (x, d0))
-            # exact identity check dh + hd = id on every cell of the chain
-            for p in range(len(cx.terms)):
-                if degs[p] < 0 or spaces[p] == 0:
-                    continue
-                total = Matrix.zeros(field, spaces[p], spaces[p])
-                if p < len(cx.terms) - 1:
-                    total = total + mats[p + 1] * hs[p]
-                if p >= 1:
-                    total = total + hs[p - 1] * mats[p]
-                if total != Matrix.identity(field, spaces[p]):
-                    return HomotopyCertificate(False, checked,
-                                               "dh + hd != id at term %d cell (%s, %d)"
-                                               % (p, x, degs[p]))
-                checked += 1
+            # every nonzero cell below the first failing term (all when none fails)
+            checked += sum(1 for v in spaces[:bad] if v)
+            if bad is not None:
+                return HomotopyCertificate(False, checked,
+                                           "dh + hd != id at term %d cell (%s, %d)"
+                                           % (bad, x, degs[bad]))
     return HomotopyCertificate(True, checked, "dh + hd = id on all %d cells" % checked)
 
 
 def _chain_homotopy(field, spaces, mats):
-    """Homotopy for one exact chain 0 -> V_N -> ... -> V_0 -> 0.
+    """Homotopy for one chain 0 -> V_N -> ... -> V_0 -> 0, checked as it is built.
 
-    mats[p]: V_p -> V_{p-1}.  Returns [h_0, ..., h_{N-1}] with
-    h_p: V_p -> V_{p+1}, or None when the chain is not exact.
+    mats[p]: V_p -> V_{p-1}.  Returns (hs, bad): hs = [h_0, ..., h_{N-1}]
+    with h_p: V_p -> V_{p+1}, or None when the chain is not exact; bad is the
+    first term at which dh + hd = id fails, or None.
 
-    Construction: h_{-1} = 0 and h_p solves d_{p+1} h_p = 1 - h_{p-1} d_p.
-    When the identity holds at p-1, the right-hand side e is idempotent with
-    d_p e = 0 and e = 1 on ker d_p, so its image is exactly the cycles Z_p;
-    a solution exists exactly when every cycle of V_p is a boundary.
+    Construction: h_{-1} = 0 and h_p solves d_{p+1} h_p = e_p, where
+    e_p = 1 - h_{p-1} d_p.  When the identity holds at p-1, e_p is idempotent
+    with d_p e_p = 0 and e_p = 1 on ker d_p, so its image is exactly the
+    cycles Z_p; a solution exists exactly when every cycle of V_p is a
+    boundary.  The identity at p < N is d_{p+1} h_p = e_p, checked against
+    the solver's answer; at the top it is e_N = 0, which needs ker d_N = 0.
     """
-    hs = []
-    for p in range(len(spaces) - 1):
-        rhs = Matrix.identity(field, spaces[p])
+    hs, bad = [], None
+    top = len(spaces) - 1
+    for p in range(top + 1):
+        e = Matrix.identity(field, spaces[p])
         if p >= 1:
-            rhs = rhs - hs[p - 1] * mats[p]
-        h = solve_matrix(mats[p + 1], rhs)
-        if h is None:
-            return None  # some cycle is not a boundary: not exact here
-        hs.append(h)
-    # ker(d_top) = 0 is needed too; the dh + hd = id check in the caller
-    # detects any failure there.
-    return hs
+            e = e - hs[p - 1] * mats[p]
+        if p == top:
+            ok = e.is_zero()
+        else:
+            h = solve_matrix(mats[p + 1], e)
+            if h is None:
+                return None, None  # some cycle is not a boundary: not exact here
+            hs.append(h)
+            ok = mats[p + 1] * h == e
+        if not ok and bad is None:
+            bad = p
+    return hs, bad
+
+
+def certify_split(report, cx: ChainComplex, dd_name: str):
+    """Certify in `report` that cx is a complex with a contracting homotopy.
+
+    Adds the d o d = 0 certificate under `dd_name`, the `contracting-homotopy`
+    certificate with its `cells_checked` witness, and one entry per term cell.
+    """
+    ok, cells, _ = cx.dd_certificate()
+    report.add_certificate(dd_name, ok, detail="%d composite blocks" % cells)
+    hcert = contracting_homotopy(cx)
+    report.add_certificate("contracting-homotopy", hcert.ok, detail=hcert.detail,
+                           witness={"cells_checked": hcert.cells_checked})
+    for p, term in enumerate(cx.terms):
+        for (x, d) in sorted(term.dims):
+            report.add_entry(p, x, d, term.dim(x, d))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .complexes import ChainComplex, GradedMap, Term, cell_homology, contracting_homotopy
+from .complexes import ChainComplex, GradedMap, Term, cell_homology, certify_split
 from .errors import PreconditionError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .koszul import KoszulComplex, build_koszul, koszul_faces, subsets_lex, summand_map
@@ -365,17 +365,7 @@ def koszul_bimodule_resolution(e: EnvelopingData) -> BimoduleResolution:
     diffs = [None, pi_map] + kc.complex.diffs[1:]
     aug = ChainComplex(c.cat, e.cap, terms, diffs)
 
-    ok, cells, bad = aug.dd_certificate()
-    report.add_certificate("augmented-d-compose-d-zero", ok,
-                           detail="%d composite blocks" % cells)
-
-    hcert = contracting_homotopy(aug)
-    report.add_certificate("contracting-homotopy", hcert.ok, detail=hcert.detail,
-                           witness={"cells_checked": hcert.cells_checked})
-
-    for p, term in enumerate(terms):
-        for (x, d) in sorted(term.dims):
-            report.add_entry(p, x, d, term.dim(x, d))
+    certify_split(report, aug, "augmented-d-compose-d-zero")
     return BimoduleResolution(e, aug, kc, report)
 
 
@@ -441,11 +431,7 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
     cochains = phi_out.src if phi_out is not None else phi_in.tgt  # Hom(K_p, M)
 
     def cohom(cell):
-        x, d = cell
-        return cell_homology(cochains.dim(x, d),
-                             phi_out.out_matrix(x, d) if phi_out is not None else None,
-                             phi_in.in_matrix(x, d) if phi_in is not None else None,
-                             (p, x, d))
+        return cell_homology(cochains.dim(*cell), phi_out, phi_in, *cell, p)
 
     dims = list(parallel_map(cohom, cells))
     for cell, h in zip(cells, dims):

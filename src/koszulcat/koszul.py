@@ -105,8 +105,13 @@ def build_koszul(a: Monoid, alphas) -> KoszulComplex:
         if not is_central(a, alpha):
             raise NotCentralError("alpha_%d is not in the commutant" % (i + 1))
     module = regular_bimodule(a)
-    mult_ops = {i + 1: mult_operator(a, alpha, module) for i, alpha in enumerate(alphas)}
+    return _assemble_koszul(a, alphas, {i + 1: mult_operator(a, alpha, module)
+                                        for i, alpha in enumerate(alphas)})
 
+
+def _assemble_koszul(a: Monoid, alphas: list, mult_ops: dict) -> KoszulComplex:
+    """K_A(alpha) from the multiplication operators of its elements, keyed 1..n."""
+    n = len(alphas)
     terms = [Term.copies("K_%d" % p, a.carrier, subsets_lex(n, p)) for p in range(n + 1)]
     ops = {i: (op.shift, op.cells) for i, op in mult_ops.items()}
     diffs = [None] + [summand_map(a.field, terms[p], terms[p - 1], koszul_faces(n, p), ops)
@@ -222,7 +227,7 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
         raise PreconditionError("the decomposition needs at least two elements")
     a = kc.monoid
     field = a.field
-    small = build_koszul(a, kc.alphas[:-1])
+    small = _assemble_koszul(a, kc.alphas[:-1], {i: kc.mult_ops[i] for i in range(1, n)})
     op_n = kc.mult_ops[n]
 
     report = GradedReport(

@@ -99,22 +99,26 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, self.field.add)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, self.field.sub)
+
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        """self op other in one pass over other's entries, dropping entries that cancel."""
         self._check_shape(other)
-        f = self.field
+        zero = self.field.zero()
         rows = []
         for ra, rb in zip(self.rows, other.rows):
             r = dict(ra)
             for j, v in rb.items():
-                s = f.add(r.get(j, f.zero()), v)
+                s = op(r.get(j, zero), v)
                 if s:
                     r[j] = s
                 else:
                     r.pop(j, None)
             rows.append(r)
-        return Matrix(f, self.nrows, self.ncols, rows)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.field.from_int(-1))
+        return Matrix(self.field, self.nrows, self.ncols, rows)
 
     def __neg__(self) -> "Matrix":
         return self.scale(self.field.from_int(-1))

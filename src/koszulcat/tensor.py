@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .category import unit_action
-from .complexes import ChainComplex, GradedMap, Term, contracting_homotopy
+from .complexes import ChainComplex, GradedMap, Term, certify_split
 from .errors import IsoFailureError, StabilityError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
@@ -314,12 +314,5 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
         field=field.descriptor(),
         window={"cap": cap, "truncated": True},
     )
-    ok, cells, _ = cx.dd_certificate()
-    report.add_certificate("d-compose-d-zero", ok, detail="%d composite blocks" % cells)
-    hcert = contracting_homotopy(cx)
-    report.add_certificate("contracting-homotopy", hcert.ok, detail=hcert.detail,
-                           witness={"cells_checked": hcert.cells_checked})
-    for p, term in enumerate(terms):
-        for (x, d) in sorted(term.dims):
-            report.add_entry(p, x, d, term.dim(x, d))
+    certify_split(report, cx, "d-compose-d-zero")
     return SyzygyResolution(e, m, cx, gt, report)

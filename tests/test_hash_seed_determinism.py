@@ -1,7 +1,9 @@
-"""CLI output does not depend on the string-hash seed.
+"""CLI output does not depend on the string-hash seed or on `python -O`.
 
-Each command runs in a fresh interpreter under PYTHONHASHSEED 0 and 1; exit
-codes, stdout and the `--report` bytes must be equal.  The commands cover a
+Each command runs in a fresh interpreter under PYTHONHASHSEED 0 and 1, and
+under `python -O`, which strips asserts, so a certificate that checked only
+through an assert would change its verdict; exit codes, stdout and the
+`--report` bytes must be equal.  The commands cover a
 quotient module (the failing stage of `koszul` on the dual numbers), the
 tensor over a monoid and a syzygy resolution on the finite backend.
 """
@@ -23,10 +25,10 @@ COMMANDS = [
 ]
 
 
-def run_under_seed(argv, seed, report):
+def run_under_seed(argv, seed, report, *flags):
     env = dict(os.environ, PYTHONHASHSEED=str(seed),
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--report", str(report)],
+    proc = subprocess.run([sys.executable, *flags, "-c", RUN_CLI, *argv, "--report", str(report)],
                           cwd=ROOT, env=env, capture_output=True, timeout=120)
     with open(report, "rb") as fh:
         return proc.returncode, proc.stdout, fh.read()
@@ -37,3 +39,11 @@ def test_cli_output_is_equal_across_hash_seeds(argv, tmp_path):
     runs = [run_under_seed(argv, seed, tmp_path / ("seed%d.json" % seed)) for seed in (0, 1)]
     assert runs[0] == runs[1]
     assert runs[0][2]  # a report was written
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_cli_output_is_equal_under_optimize(argv, tmp_path):
+    plain = run_under_seed(argv, 0, tmp_path / "plain.json")
+    optimized = run_under_seed(argv, 0, tmp_path / "optimized.json", "-O")
+    assert optimized == plain
+    assert plain[2]

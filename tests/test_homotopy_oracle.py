@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import koszulcat.complexes
 import koszulcat.matrix
 from koszulcat.category import CategoryPresentation
 from koszulcat.complexes import (
@@ -92,7 +93,7 @@ def as_complex(field, spaces, mats):
 def test_split_exact_chain_gets_a_contracting_homotopy(field, seed):
     rng = random.Random(seed)
     spaces, mats = split_exact_chain(field, rng, random_ranks(rng))
-    hs = _chain_homotopy(field, spaces, mats)
+    hs, _ = _chain_homotopy(field, spaces, mats)
     assert hs is not None and len(hs) == len(spaces) - 1
     for p in range(len(spaces)):
         assert identity_defect(field, spaces, mats, hs, p).is_zero(), p
@@ -115,7 +116,7 @@ def test_zeroed_column_makes_the_chain_fail(field, seed):
     j = rng.choice([j for j in range(d.ncols) if any(j in row for row in d.rows)])
     mats[p] = Matrix(field, d.nrows, d.ncols,
                      [{k: v for k, v in row.items() if k != j} for row in d.rows])
-    assert _chain_homotopy(field, spaces, mats) is None
+    assert _chain_homotopy(field, spaces, mats)[0] is None
     cert = contracting_homotopy(as_complex(field, spaces, mats))
     assert not cert.ok
     assert cert.detail == "no contracting homotopy along chain (1, 0)"
@@ -134,6 +135,35 @@ def test_non_injective_top_fails_the_identity_check(field, seed):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
+@pytest.mark.parametrize("seed", range(10))
+def test_wrong_solver_answer_fails_the_identity_check(monkeypatch, field, seed):
+    """One entry added to the solve for h_{N-1} fails dh + hd = id at term N-1.
+
+    d_N is injective, so d_N h_{N-1} moves off e_{N-1}; no later solve runs,
+    so the identity check is the failure reported."""
+    rng = random.Random(seed)
+    spaces, mats = split_exact_chain(field, rng, [rng.randint(1, 3)
+                                                  for _ in range(rng.randint(1, 4))])
+    below_top = len(spaces) - 2
+    real_solve = koszulcat.complexes.solve_matrix
+    solved = []
+
+    def perturbed(m, b):
+        h = real_solve(m, b)
+        solved.append(h)
+        if len(solved) - 1 == below_top:
+            h = h + Matrix.from_entries(field, h.nrows, h.ncols, {(0, 0): field.one()})
+        return h
+
+    monkeypatch.setattr(koszulcat.complexes, "solve_matrix", perturbed)
+    cert = contracting_homotopy(as_complex(field, spaces, mats))
+    assert len(solved) == len(spaces) - 1
+    assert not cert.ok
+    assert cert.detail == "dh + hd != id at term %d cell (1, 0)" % below_top
+    assert cert.cells_checked == below_top  # every term below is nonzero and passed
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F101"])
 def test_one_elimination_per_term_below_the_top(monkeypatch, field):
     calls = []
     real_rref = koszulcat.matrix.rref
@@ -147,5 +177,5 @@ def test_one_elimination_per_term_below_the_top(monkeypatch, field):
     for _ in range(5):
         spaces, mats = split_exact_chain(field, rng, random_ranks(rng))
         calls.clear()
-        assert _chain_homotopy(field, spaces, mats) is not None
+        assert _chain_homotopy(field, spaces, mats)[0] is not None
         assert len(calls) == len(spaces) - 1

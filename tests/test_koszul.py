@@ -256,6 +256,28 @@ def test_pascal_split_three_variables_ladder():
             "connecting-map-formula", "tau-iota-zero", "tau-sigma-identity"} <= names
 
 
+def test_pascal_split_reuses_the_multiplication_operators(monkeypatch):
+    """The smaller complex is assembled from the operators of the bigger one."""
+    import koszulcat.koszul as koszul_mod
+    import koszulcat.monoid as monoid_mod
+
+    a = poly(3, 4)
+    kc = build_koszul(a, variables(a))
+    rebuilt = build_koszul(a, variables(a)[:-1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mult_operator called inside pascal_split")
+
+    monkeypatch.setattr(koszul_mod, "mult_operator", refuse)
+    monkeypatch.setattr(monoid_mod, "mult_operator", refuse)
+    sw = pascal_split(kc)
+    assert sw.passed
+    assert all(sw.small.mult_ops[i] is kc.mult_ops[i] for i in (1, 2))
+    assert sw.small.summands == rebuilt.summands
+    for mine, theirs in zip(sw.small.complex.diffs[1:], rebuilt.complex.diffs[1:]):
+        assert mine.blocks == theirs.blocks
+
+
 def test_pascal_split_on_nonregular_monoid():
     # the decomposition is structural; it holds for non-regular tuples too
     a = polynomial_monoid(dual_numbers(QQ), 2, 3)

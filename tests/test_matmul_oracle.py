@@ -5,7 +5,8 @@ The product writes its arithmetic inline (reduction mod p; over Q one
 seeded sparse matrices over Q with mixed denominators and over F_101,
 including empty rows, terms that cancel to zero and 1x1 products.  Entries,
 their order within each row and their types must agree, and no stored entry
-may be zero.
+may be zero.  `Matrix.__sub__`, one pass over the right operand, is checked
+the same way against a + b.scale(-1).
 """
 
 import random
@@ -104,3 +105,19 @@ def test_cancellation_and_one_by_one(field):
         # an integral product of fractions comes back as an int
         prod = Matrix(field, 1, 1, [{0: half}]) * Matrix(field, 1, 1, [{0: field.from_int(2)}])
         assert prod.rows == [{0: 1}] and prod.rows[0][0].__class__ is int
+
+
+@pytest.mark.parametrize("field", [pytest.param(QQ, id="Q"), pytest.param(F101, id="F101")])
+@pytest.mark.parametrize("seed", range(6))
+def test_difference_matches_adding_the_negation(field, seed):
+    rng = random.Random(100 + seed)
+    minus_one = field.from_int(-1)
+    for _ in range(60):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        a = _random_matrix(rng, field, n, m, rng.choice([0.2, 0.5, 0.9]))
+        b = _random_matrix(rng, field, n, m, rng.choice([0.2, 0.5, 0.9]))
+        if n and m and rng.random() < 0.5:
+            i = rng.randrange(n)
+            b.rows[i] = dict(a.rows[i])  # a row that cancels entirely
+        _assert_same(a - b, (a + b.scale(minus_one)).rows)
+        assert (a - a).nnz() == 0 and (a - a).rows == [{} for _ in range(n)]
