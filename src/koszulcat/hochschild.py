@@ -27,6 +27,7 @@ from .monoid import (
     is_central,
     is_commutative,
     is_regular_sequence,
+    morphism_law,
     mult_operator,
 )
 from .poly import (
@@ -180,16 +181,11 @@ def build_enveloping(a: Monoid, n: int, cap: int,
             pi[(x, d)] = _collapse_matrix(field, n, d, a.carrier.dim(x, 0))
 
     # pi is a morphism of monoids, cellwise
-    pi_hom = True
-    for d1 in range(cap + 1):
-        for d2 in range(cap + 1 - d1):
-            for x in cat.objects:
-                for y in cat.objects:
-                    xy = cat.dobj(x, y)
-                    lhs = pi[(xy, d1 + d2)] * c.pairing_cell(x, d1, y, d2)
-                    rhs = a_n.pairing_cell(x, d1, y, d2) * pi[(x, d1)].kron(pi[(y, d2)])
-                    if lhs != rhs:
-                        pi_hom = False
+    pi_hom = morphism_law(pi, lambda p, q: c.pairing_cell(*p, *q),
+                          lambda p, q: a_n.pairing_cell(*p, *q),
+                          [((x, d1), (y, d2), (cat.dobj(x, y), d1 + d2))
+                           for d1 in range(cap + 1) for d2 in range(cap + 1 - d1)
+                           for x in cat.objects for y in cat.objects])
     report.add_certificate("collapse-is-monoid-morphism", pi_hom)
     unit_ok = pi[(cat.unit, 0)].apply(c.unit) == tuple(a_n.unit)
     report.add_certificate("collapse-preserves-unit", unit_ok)
@@ -302,14 +298,12 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
 
     # monoid morphism cellwise, on the monomial part; the base coordinates are
     # untouched by the substitution so it suffices to check the monomial layer
-    for d1 in range(cap + 1):
-        for d2 in range(cap + 1 - d1):
-            conv = monomial_block_product(2 * n, d1, 2 * n, d2, "add",
-                                          Matrix.identity(field, 1), 1, 1)
-            lhs = psi[d1 + d2] * conv
-            rhs = conv * psi[d1].kron(psi[d2])
-            if lhs != rhs:
-                return False
+    conv = {(d1, d2): monomial_block_product(2 * n, d1, 2 * n, d2, "add",
+                                             Matrix.identity(field, 1), 1, 1)
+            for d1 in range(cap + 1) for d2 in range(cap + 1 - d1)}
+    if not morphism_law(psi, lambda *split: conv[split], lambda *split: conv[split],
+                        [(d1, d2, d1 + d2) for d1, d2 in conv]):
+        return False
 
     # the substitution sends the second variable family to the differences
     unit = Matrix.from_columns(field, len(e.c.unit), [e.c.unit])

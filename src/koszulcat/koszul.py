@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import ChainComplex, GradedMap, Term
-from .errors import NotCentralError, PreconditionError, WrongObjectError
-from .matrix import Matrix, block_matrix, kernel_basis
+from .errors import DimensionError, NotCentralError, PreconditionError, WrongObjectError
+from .matrix import Matrix, kernel_basis, place
 from .monoid import (
     Monoid,
     is_central,
@@ -51,17 +51,22 @@ def summand_map(field, src_term: Term, tgt_term: Term, faces, cells) -> GradedMa
     `cells[i]` is a pair (shift, {(x, d): Matrix}) of a map from one source
     copy to one target copy raising the degree by shift; face (s, t, sign, i)
     places sign * cells[i][(x, d)] at block (t, s) of the cell map (x, d) ->
-    (x, d + shift).  No two faces may share a block.
+    (x, d + shift), with one `place` call per cell map.  No two faces may
+    share a block; a face cell whose shape is not one copy to one copy
+    raises DimensionError naming the face.
     """
     parts = {}
     for s, t, sign, i in faces:
         shift, per_cell = cells[i]
         for (x, d), mat in per_cell.items():
-            parts.setdefault((x, d, d + shift), {})[(t, s)] = \
-                mat if sign == 1 else mat.scale(field.from_int(sign))
-    blocks = {(x, ds, dt): block_matrix(field, placed,
-                                        [tgt_term.base.dim(x, dt)] * len(tgt_term.summands),
-                                        [src_term.base.dim(x, ds)] * len(src_term.summands))
+            rows, cols = tgt_term.base.dim(x, d + shift), src_term.base.dim(x, d)
+            if (mat.nrows, mat.ncols) != (rows, cols):
+                raise DimensionError("face (%d, %d, %d, %s) at (%s, %d) has shape %dx%d, "
+                                     "expected %dx%d" % (s, t, sign, i, x, d, mat.nrows,
+                                                         mat.ncols, rows, cols))
+            parts.setdefault((x, d, d + shift), []).append(
+                (t * rows, s * cols, mat if sign == 1 else mat.scale(field.from_int(sign))))
+    blocks = {(x, ds, dt): place(field, tgt_term.dim(x, dt), src_term.dim(x, ds), placed)
               for (x, ds, dt), placed in parts.items()}
     return GradedMap(field, src_term, tgt_term, blocks)
 

@@ -7,8 +7,9 @@ once, every update keeps the rows integral, and `rref` divides once per
 entry at the end, so a result entry is an `int` exactly when it is
 integral.  Over F_p the rows are reduced ints.  Pivot rows are chosen by
 minimal fill (fewest nonzeros, ties by position); scaling a row by a nonzero
-integer keeps its nonzero pattern, so every reduction is deterministic and
-results are bit-reproducible regardless of thread count.
+integer keeps its nonzero pattern, so every reduction is deterministic: the
+pivot order depends only on the entries and their positions, never on hash
+order, and results are bit-reproducible across runs and hash seeds.
 """
 
 from __future__ import annotations
@@ -270,22 +271,6 @@ def place(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
                         continue
                 row[j] = v
     return Matrix(field, nrows, ncols, rows)
-
-
-def block_matrix(field: Field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> Matrix:
-    """Assemble from a dict {(bi, bj): Matrix}; missing blocks are zero."""
-    row_off = [0]
-    for d in row_dims:
-        row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
-    for (bi, bj), m in blocks.items():
-        if m.nrows != row_dims[bi] or m.ncols != col_dims[bj]:
-            raise DimensionError("block (%d,%d) has shape %dx%d, expected %dx%d"
-                                 % (bi, bj, m.nrows, m.ncols, row_dims[bi], col_dims[bj]))
-    return place(field, row_off[-1], col_off[-1],
-                 [(row_off[bi], col_off[bj], m) for (bi, bj), m in blocks.items()])
 
 
 # -- elimination core --------------------------------------------------------

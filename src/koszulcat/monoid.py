@@ -37,6 +37,9 @@ def fix_slot(cell: Matrix, vec: Sequence, dim: int, side: str) -> Matrix:
 
     One pass over cell's entries adds vec[i] times each column whose fixed slot is i.
     """
+    if cell.ncols != len(vec) * dim:
+        raise DimensionError("a cell with %d columns is not %d fixed (x) %d free coordinates"
+                             % (cell.ncols, len(vec), dim))
     f = cell.field
     out = []
     for r in cell.rows:
@@ -402,6 +405,16 @@ def _associativity_laws(rep: ValidationReport, car: GradedCarrier, laws):
                                         rep.add(name, "cells (%s,%d)(%s,%d)(%s,%d)"
                                                 % (x, d1, y, d2, z, d3))
                                 rep.checked += 1
+
+
+def morphism_law(f, mu_src, mu_tgt, triples) -> bool:
+    """f is multiplicative: f[ab] mu_src(a, b) == mu_tgt(a, b) (f[a] (x) f[b]) per triple.
+
+    f maps cells to matrices; mu_src(a, b) and mu_tgt(a, b) are the products
+    of cells a and b on the source and target, on Kronecker columns; triples
+    lists the cells (a, b, ab), ab the cell that the product of a and b lands in.
+    """
+    return all(f[ab] * mu_src(a, b) == mu_tgt(a, b) * f[a].kron(f[b]) for a, b, ab in triples)
 
 
 def validate_monoid(a: Monoid) -> ValidationReport:

@@ -3,8 +3,12 @@
 A `ValidationReport` lists violated axiom instances (an empty list is a
 certificate).  A `GradedReport` carries per-(homological degree, object,
 internal degree) dimension entries plus named pass/fail certificates with
-replayable witnesses.  Serialization is canonical (sorted keys, fixed entry
-order) so reports are byte-identical across thread counts.
+replayable witnesses.  Serialization is canonical: JSON with sorted keys,
+entries sorted by (homological degree, object, internal degree),
+certificates in the order they are added, and nothing read in hash order,
+so a report is byte-identical across runs and hash seeds
+(`tests/test_hash_seed_determinism.py` runs the CLI under two seeds and
+under `python -O`).
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ from .errors import IsoFailureError, StabilityError, StructuralError, WindowErro
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
-from .matrix import Matrix, Subspace, descend, place, quotient, rank
-from .monoid import Module, Monoid, mult_operator, regular_bimodule
+from .matrix import Matrix, Subspace, descend, hstack, place, quotient, rank
+from .monoid import Module, Monoid, fix_slot, mult_operator, regular_bimodule
 from .poly import variable_element
 from .report import GradedReport
 
@@ -128,53 +128,42 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
                    on_left_factor: bool) -> dict:
     """Descend an outer one-sided action to the coequalizer (trivial backend).
 
-    On the block M_{d1} (x) N_{d2} of a cell the raw action is act (x) I_N
-    with columns outer (x) tensor, so act's column block k goes to column
-    k dim(cell) + offset of the block; or it is I_M (x) act with columns
-    tensor (x) outer, one contiguous block at column offset dim(outer).
+    Basis vector e_k of an outer cell of degree d2 acts on its factor as a
+    family raising the degree by d2 (`fix_slot`), which
+    `GradedTensor.map_factor` places on the tensor.  The raw action on
+    outer (x) tensor (left) is these maps side by side; on tensor (x) outer
+    (right) it is the same columns interleaved, the outer index fastest.
     Raises when the raw action fails to preserve the relation subspace, which
     would mean the supplied outer action does not commute with the inner one.
     """
     cat = coeq.monoid.cat
-    field = coeq.monoid.field
     if not cat.is_trivial:
         raise StructuralError("outer bimodule structure is supported on the trivial backend")
-    u = cat.unit
-    gt = coeq.gt
+    u, gt, field = cat.unit, coeq.gt, coeq.monoid.field
+    side = "left" if on_left_factor else "right"
+    factor = (coeq.left_module if on_left_factor else coeq.right_module).carrier
     dcar = outer.monoid.carrier
     out = {}
-    for d in range(gt.cap + 1):
-        for d2 in range(dcar.cap + 1):
-            if d + d2 > gt.cap:
-                continue
-            dim_o = dcar.dim(u, d2)
-            if not dim_o:
-                continue
-            src_dim = gt.dim(u, d)
-            blocks = []
-            for b in gt.layout[(u, d)]:
-                if on_left_factor:
-                    tb = gt.layout[(u, d + d2)][b.d1 + d2]
-                    act = outer.cells[(u, d2, u, b.d1)].kron(
-                        Matrix.identity(field, coeq.right_module.carrier.dim(u, b.d2)))
-                    blocks += [(tb.offset, k * src_dim + b.offset,
-                                act.select_columns(range(k * b.dim, (k + 1) * b.dim)))
-                               for k in range(dim_o)]
-                else:
-                    tb = gt.layout[(u, d + d2)][b.d1]
-                    blocks.append((tb.offset, b.offset * dim_o, Matrix.identity(
-                        field, coeq.left_module.carrier.dim(u, b.d1)).kron(
-                            outer.cells[(u, b.d2, u, d2)])))
-            raw = place(field, gt.dim(u, d + d2), dim_o * src_dim, blocks)
-            ident_o = Matrix.identity(field, dim_o)
+    for d2 in range(min(dcar.cap, gt.cap) + 1):
+        ident_o = Matrix.identity(field, dcar.dim(u, d2))
+        if not ident_o.nrows:
+            continue
+        maps = [gt.map_factor(
+            {(u, d1): fix_slot(outer.cells[(u, d2, u, d1) if on_left_factor else (u, d1, u, d2)],
+                               ident_o.column(k), factor.dim(u, d1), side)
+             for d1 in range(gt.cap + 1 - d2)}, d2, side) for k in range(ident_o.nrows)]
+        for d in range(gt.cap + 1 - d2):
             q_src = coeq.quots[(u, d)]
+            raw = hstack([mp[(u, d)] for mp in maps])
+            if not on_left_factor:  # the same columns, outer index fastest
+                raw = raw.select_columns([k * q_src.ambient + t for t in range(q_src.ambient)
+                                          for k in range(len(maps))])
             # the source's relations and section, beside the identity on the outer columns
             wide = [ident_o.kron(m) if on_left_factor else m.kron(ident_o)
                     for m in (q_src.sub.basis, q_src.section)]
             desc = descend(coeq.quots[(u, d + d2)].projection * raw, *wide)
             if desc is None:
-                raise StabilityError("outer %s action does not preserve the relations"
-                                     % ("left" if on_left_factor else "right"))
+                raise StabilityError("outer %s action does not preserve the relations" % side)
             out[(u, d2, u, d) if on_left_factor else (u, d, u, d2)] = desc
     return out
 

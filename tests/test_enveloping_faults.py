@@ -6,7 +6,9 @@ reports.  An entry injects one fault into the data the certificate reads: one
 column or row of the collapse map pi (through `_collapse_matrix`), one
 generator of the ideal, or one binomial coefficient of the substitution psi.
 The same construction without the fault passes every certificate, so the
-failure is the fault's.
+failure is the fault's.  The three morphism certificates (pi, psi and the
+merge Phi) are also faulted together through the one law that checks them,
+`monoid.morphism_law`.
 
 `differences-central` has no entry: `variable_element` raises unless each
 u_i and v_i is central, and the commutant is a subspace, so u_i - v_i is
@@ -21,6 +23,8 @@ from math import comb
 import pytest
 
 import koszulcat.hochschild as hochschild
+import koszulcat.monoid as monoid
+import koszulcat.poly as poly
 from koszulcat.category import CategoryPresentation
 from koszulcat.field import Field
 from koszulcat.hochschild import build_enveloping, change_of_variables_certificate
@@ -137,3 +141,13 @@ def test_every_certificate_passes_without_a_fault():
 def test_fault_fails_its_certificate(monkeypatch, name, install):
     install(monkeypatch)
     assert verdicts()[name] is False
+
+
+def test_morphism_certificates_are_read_from_the_shared_law(monkeypatch):
+    """With the law answering False, exactly pi's, psi's and Phi's certificates fail."""
+    assert hochschild.morphism_law is poly.morphism_law is monoid.morphism_law
+    for module in (hochschild, poly):
+        monkeypatch.setattr(module, "morphism_law", lambda *args: False)
+    failed = {name for name, ok in verdicts().items() if not ok}
+    assert failed == {"collapse-is-monoid-morphism", "change-of-variables-iso",
+                      "merge-multiplicative"}

@@ -5,7 +5,9 @@ under `python -O`, which strips asserts, so a certificate that checked only
 through an assert would change its verdict; exit codes, stdout and the
 `--report` bytes must be equal.  The commands cover a
 quotient module (the failing stage of `koszul` on the dual numbers), the
-tensor over a monoid and a syzygy resolution on the finite backend.
+tensor over a monoid, a syzygy resolution on the finite backend, and the
+enveloping monoid behind Hochschild cohomology on both backends (the merge
+Phi, the collapse pi and the change of variables psi).
 """
 
 import os
@@ -22,6 +24,8 @@ COMMANDS = [
     ["koszul", "problems/dual_numbers.kz"],
     ["tensor-over", "problems/dual_numbers.kz", "--module", "R,M"],
     ["syzygy", "problems/c2conv.kz", "-n", "1", "--module", "R", "--max-degree", "3"],
+    ["hh", "problems/trivial_q.kz", "-n", "2", "-p", "1", "--max-degree", "4"],
+    ["hh", "problems/c2conv.kz", "-n", "1", "-p", "1", "--max-degree", "3"],
 ]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from koszulcat.category import CategoryPresentation
 from koszulcat.complexes import ChainComplex, GradedMap, Term
-from koszulcat.errors import NotCentralError, PreconditionError, WindowError
+from koszulcat.errors import DimensionError, NotCentralError, PreconditionError, WindowError
 from koszulcat.field import QQ
 from koszulcat.matrix import Matrix, kernel_basis
 from koszulcat.monoid import scalar_monoid
@@ -19,9 +19,11 @@ from koszulcat.koszul import (
     _cycle_columns,
     build_koszul,
     check_resolution,
+    koszul_faces,
     koszul_homology_report,
     pascal_split,
     subsets_lex,
+    summand_map,
 )
 from koszulcat.poly import polynomial_monoid, variable_element
 from koszulcat.sample import dual_numbers
@@ -63,6 +65,20 @@ def test_bottom_differential_concatenates_shifts():
         for j in range(a.carrier.dim(U, 1)):
             assert blk.entry(i, j) == lx.entry(i, j)
             assert blk.entry(i, a.carrier.dim(U, 1) + j) == ly.entry(i, j)
+
+
+def test_summand_map_names_a_face_of_the_wrong_shape():
+    """Each face cell must map one source copy to one target copy."""
+    a = poly(2, 2)
+    src, tgt = (Term.copies("K_%d" % p, a.carrier, subsets_lex(2, p)) for p in (1, 0))
+    ident = {(U, d): Matrix.identity(QQ, a.carrier.dim(U, d)) for d in range(3)}
+    bad = dict(ident)
+    bad[(U, 1)] = Matrix.zeros(QQ, a.carrier.dim(U, 1) + 1, a.carrier.dim(U, 1))
+    faces = koszul_faces(2, 1)
+    good = summand_map(QQ, src, tgt, faces, {1: (0, ident), 2: (0, ident)})
+    assert good.block(U, 1, 1) == Matrix.from_rows(QQ, [[1, 1]]).kron(ident[(U, 1)])
+    with pytest.raises(DimensionError, match=r"face \(1, 0, 1, 2\) at \(\w+, 1\) has shape 3x2"):
+        summand_map(QQ, src, tgt, faces, {1: (0, ident), 2: (0, bad)})
 
 
 def test_dd_zero_three_variables():

@@ -16,6 +16,7 @@ from koszulcat import category, poly
 from koszulcat.category import CategoryPresentation
 from koszulcat.errors import IsoFailureError, StructuralError
 from koszulcat.field import QQ, Field
+from koszulcat.gtensor import GradedTensor
 from koszulcat.hochschild import build_enveloping, certify_tensor_idempotent
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import identity_monoid, scalar_monoid
@@ -107,6 +108,25 @@ def test_merge_descends_once(monkeypatch, kind, cap):
     res = merge_variables(c, d, base, witness)
     assert len(calls) == 1 and calls[0] is res.tensor.day[(0, 0)]
     assert res.unit_preserved
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_merge_builds_one_graded_tensor(monkeypatch, kind):
+    """The base Day tensor and the window are read off the one tensor of the merge."""
+    base = _base(F101, kind)
+    c, d = _factors(base, 1, 2, 3)
+    witness = _witness(base)
+    calls = []
+    real = GradedTensor.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedTensor, "__init__", counted)
+    res = merge_variables(c, d, base, witness)
+    assert calls == [(c.carrier, d.carrier)]
+    assert res.tensor.cap == res.monoid.cap == 3
 
 
 @pytest.mark.parametrize("field", FIELDS)

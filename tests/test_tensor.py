@@ -7,10 +7,10 @@ import pytest
 
 from c2_graded import c2_group_algebra
 from koszulcat.category import CategoryPresentation, DayTensor
-from koszulcat.errors import StabilityError, StructuralError, WindowError
+from koszulcat.errors import KoszulcatError, StabilityError, StructuralError, WindowError
 from koszulcat.field import QQ, Field
 from koszulcat.hochschild import build_enveloping
-from koszulcat.matrix import Matrix, Subspace, place, quotient
+from koszulcat.matrix import Matrix, Subspace, descend, place, quotient
 from koszulcat.monoid import (
     Module,
     degree_zero_carrier,
@@ -107,6 +107,85 @@ def test_outer_multiplication_descends_to_the_multiplication(side):
         ident = Matrix.identity(QQ, a.carrier.dim(U, d1 if side == "left" else d2))
         widened = ident.kron(iso[(U, d2)]) if side == "left" else iso[(U, d1)].kron(ident)
         assert iso[(U, d1 + d2)] * act == a.pairing_cell(U, d1, U, d2) * widened
+
+
+def _hand_placed_outer(coeq, outer, on_left_factor):
+    """Oracle for the outer actions: the raw action placed by hand, then descended.
+
+    On the block M_{d1} (x) N_{d2} the raw action is outer (x) I_N with
+    columns outer (x) tensor, so its column block k goes to column
+    k dim(cell) + offset; or I_M (x) outer with columns tensor (x) outer, at
+    column offset offset dim(outer).
+    """
+    field, gt = coeq.monoid.field, coeq.gt
+    dcar = outer.monoid.carrier
+    out = {}
+    for d in range(gt.cap + 1):
+        for d2 in range(dcar.cap + 1):
+            dim_o = dcar.dim(U, d2)
+            if d + d2 > gt.cap or not dim_o:
+                continue
+            src_dim = gt.dim(U, d)
+            blocks = []
+            for b in gt.layout[(U, d)]:
+                if on_left_factor:
+                    tb = gt.layout[(U, d + d2)][b.d1 + d2]
+                    act = outer.cells[(U, d2, U, b.d1)].kron(
+                        Matrix.identity(field, coeq.right_module.carrier.dim(U, b.d2)))
+                    blocks += [(tb.offset, k * src_dim + b.offset,
+                                act.select_columns(range(k * b.dim, (k + 1) * b.dim)))
+                               for k in range(dim_o)]
+                else:
+                    tb = gt.layout[(U, d + d2)][b.d1]
+                    blocks.append((tb.offset, b.offset * dim_o, Matrix.identity(
+                        field, coeq.left_module.carrier.dim(U, b.d1)).kron(
+                            outer.cells[(U, b.d2, U, d2)])))
+            raw = place(field, gt.dim(U, d + d2), dim_o * src_dim, blocks)
+            ident_o = Matrix.identity(field, dim_o)
+            q_src = coeq.quots[(U, d)]
+            wide = [ident_o.kron(m) if on_left_factor else m.kron(ident_o)
+                    for m in (q_src.sub.basis, q_src.section)]
+            out[(U, d2, U, d) if on_left_factor else (U, d, U, d2)] = \
+                descend(coeq.quots[(U, d + d2)].projection * raw, *wide)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kinds", [("regular", "regular"), ("regular", "cyclic"),
+                                   ("cyclic", "regular"), ("cyclic", "cyclic")],
+                         ids="-".join)
+def test_outer_actions_match_the_hand_placed_oracle(field, n, kinds):
+    """A acting from outside on both factors of M (x)_A N, M and N each
+    regular or cyclic: the actions placed through `map_factor` equal the
+    hand-placed ones entry for entry."""
+    a = polynomial_monoid(scalar_monoid(CategoryPresentation.trivial(field)), n, 3)
+    reg = regular_bimodule(a)
+    cyc = cyclic_quotient(a, [variable_element(a, 1)])
+    m, nm = (reg if kind == "regular" else cyc for kind in kinds)
+    m_outer = OuterStructure(a, "left", dict(m.left))
+    n_outer = OuterStructure(a, "right", dict(nm.right))
+    coeq = tensor_over_monoid(m, nm, m_outer=m_outer, n_outer=n_outer)
+    assert coeq.outer_left == _hand_placed_outer(coeq, m_outer, True)
+    assert coeq.outer_right == _hand_placed_outer(coeq, n_outer, False)
+    assert coeq.outer_left and coeq.outer_right
+    assert check_restriction_compatibility(m, nm, m_outer, n_outer).all_passed
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_outer_cells_of_the_wrong_shape_are_refused(side):
+    """The regular bimodule's cells used as the outer action on a cyclic module."""
+    a = polynomial_monoid(scalar_monoid(CAT), 1, 3)
+    reg = regular_bimodule(a)
+    cyc = cyclic_quotient(a, [variable_element(a, 1)])
+    if side == "left":
+        kwargs = {"m_outer": OuterStructure(a, "left", dict(reg.left))}
+        m, nm = cyc, reg
+    else:
+        kwargs = {"n_outer": OuterStructure(a, "right", dict(reg.right))}
+        m, nm = reg, cyc
+    with pytest.raises(KoszulcatError):
+        tensor_over_monoid(m, nm, **kwargs)
 
 
 def test_polynomial_cyclic_quotient_tensor():
