@@ -228,6 +228,20 @@ def _rank_two_triple(a):
     return [linear_form(a.field, _variables(a), row) for row in rows]
 
 
+_DENSE_ROWS = [[2, -3, 5, 1], [-1, 4, 3, -2], [3, 1, -4, 5], [5, -2, 1, 3]]
+
+
+def _dense_quadruple(a):
+    """Four dense forms in general position over four variables: a regular tuple."""
+    return [linear_form(a.field, _variables(a), row) for row in _DENSE_ROWS]
+
+
+def _rank_three_quadruple(a):
+    """The first three dense forms and 1 * first - 2 * second + third: not regular."""
+    rows = _DENSE_ROWS[:3] + [[7, -10, -5, 10]]
+    return [linear_form(a.field, _variables(a), row) for row in rows]
+
+
 def _first_variable_quotient(a):
     return _cyclic_quotient(a, _variables(a)[:1])
 
@@ -237,10 +251,14 @@ LIB_CASES = {
     "check_resolution_q": lambda: _check_resolution_lines(QQ, 2, 4, _variables),
     "check_resolution_f101": lambda: _check_resolution_lines(F101, 2, 4, _repeat_first),
     "check_resolution_rank_two_q": lambda: _check_resolution_lines(QQ, 3, 3, _rank_two_triple),
+    "check_resolution_dense_q": lambda: _check_resolution_lines(QQ, 4, 6, _dense_quadruple),
     "regular_sequence_witness_q": lambda: _regular_sequence_lines(QQ),
     "regular_sequence_witness_f101": lambda: _regular_sequence_lines(F101),
     "pascal_split_q": lambda: _pascal_lines(QQ, 3, 4, _variables),
     "pascal_split_f101": lambda: _pascal_lines(F101, 2, 5, _square_last),
+    "pascal_split_dense_q": lambda: _pascal_lines(QQ, 4, 6, _dense_quadruple),
+    "pascal_split_dense_f101": lambda: _pascal_lines(F101, 4, 6, _dense_quadruple),
+    "pascal_split_rank_three_q": lambda: _pascal_lines(QQ, 4, 5, _rank_three_quadruple),
     "bimodule_resolution_q": lambda: _bimodule_lines(_base(QQ), 2, 3),
     "bimodule_resolution_f101": lambda: _bimodule_lines(_base(F101), 1, 4),
     "bimodule_resolution_c2_f101": lambda: _bimodule_lines(_c2_base(F101), 2, 3),
