@@ -54,40 +54,37 @@ def bump(gmap, key, i, j):
                                                    {(i, j): gmap.field.one()})
 
 
-def split_map_fault(role, p, key, i, j):
-    """Bump the p-th iota, tau or sigma that `pascal_split` builds."""
+def built_map_fault(is_kind, index, edit):
+    """Apply `edit` to the index-th map of one kind that `pascal_split` builds
+    through `summand_map`; `is_kind(kc, cells)` tells the kind from its cells."""
     def install(monkeypatch, kc):
         real = koszul.summand_map
         built = []
 
         def faulty(field, src, tgt, faces, cells):
             out = real(field, src, tgt, faces, cells)
-            if None in cells:  # iota, tau and sigma, in this order for p = 0..n
-                if len(built) == 3 * p + ("iota", "tau", "sigma").index(role):
-                    bump(out, key, i, j)
+            if is_kind(kc, cells):
+                if len(built) == index:
+                    edit(kc, out)
                 built.append(out)
             return out
 
         monkeypatch.setattr(koszul, "summand_map", faulty)
     return install
+
+
+def split_map_fault(role, p, key, i, j):
+    """Bump the p-th iota, tau or sigma; they are built in this order for p = 0..n."""
+    return built_map_fault(lambda kc, cells: None in cells,
+                           3 * p + ("iota", "tau", "sigma").index(role),
+                           lambda kc, out: bump(out, key, i, j))
 
 
 def l_fault(p, x, d, j):
-    """Bump entry (0, j) of the block of L leaving (x, d) on the copies of K'_(p-1)."""
-    def install(monkeypatch, kc):
-        real = koszul.summand_map
-        built = []
-
-        def faulty(field, src, tgt, faces, cells):
-            out = real(field, src, tgt, faces, cells)
-            if set(cells) == {kc.n}:  # L on the copies of K'_0, ..., K'_(n-1), in order
-                if len(built) == p - 1:
-                    bump(out, (x, d, d + kc.mult_ops[kc.n].shift), 0, j)
-                built.append(out)
-            return out
-
-        monkeypatch.setattr(koszul, "summand_map", faulty)
-    return install
+    """Bump entry (0, j) of the block of L leaving (x, d) on the copies of K'_(p-1);
+    L is built on the copies of K'_0, ..., K'_(n-1) in this order."""
+    return built_map_fault(lambda kc, cells: set(cells) == {kc.n}, p - 1,
+                           lambda kc, out: bump(out, (x, d, d + kc.mult_ops[kc.n].shift), 0, j))
 
 
 def first_cycle_cell(kc):
