@@ -217,6 +217,12 @@ def _square_last(a):
     return rest + [a.multiply(last, last)]
 
 
+def _mixed_triple(a):
+    """(t1^2, t2, t1 t2): degrees 2, 1, 2, and not a regular sequence."""
+    t1, t2 = _variables(a)
+    return [a.multiply(t1, t1), t2, a.multiply(t1, t2)]
+
+
 def _repeat_first(a):
     variables = _variables(a)
     return variables + variables[:1]
@@ -256,6 +262,8 @@ LIB_CASES = {
     "regular_sequence_witness_f101": lambda: _regular_sequence_lines(F101),
     "pascal_split_q": lambda: _pascal_lines(QQ, 3, 4, _variables),
     "pascal_split_f101": lambda: _pascal_lines(F101, 2, 5, _square_last),
+    "pascal_split_mixed_triple_f101": lambda: _pascal_lines(F101, 2, 5, _mixed_triple),
+    "pascal_split_rank_two_q": lambda: _pascal_lines(QQ, 3, 3, _rank_two_triple),
     "pascal_split_dense_q": lambda: _pascal_lines(QQ, 4, 6, _dense_quadruple),
     "pascal_split_dense_f101": lambda: _pascal_lines(F101, 4, 6, _dense_quadruple),
     "pascal_split_rank_three_q": lambda: _pascal_lines(QQ, 4, 5, _rank_three_quadruple),
