@@ -10,7 +10,8 @@ rank.  Contracting homotopies are built chainwise by one solve per term,
 h_p from d_{p+1} h_p = 1 - h_{p-1} d_p, each checked as it is built, so a
 split certificate is an exact matrix identity dh + hd = id on every
 certified cell.  `certify_split` is the one place a resolution is certified
-split exact.
+split exact.  A `CopyMap` sends copies of a base identically onto copies, so
+composing with one moves rows or renumbers columns and multiplies nothing.
 """
 
 from __future__ import annotations
@@ -142,6 +143,74 @@ class GradedMap:
         for k, m in other.blocks.items():
             blocks[k] = blocks[k] + m if k in blocks else m
         return GradedMap(self.field, self.src, self.tgt, blocks)
+
+
+class CopyMap:
+    """Copy s of `src` sent identically onto copy t of `tgt`, one pair (s, t) per copy moved.
+
+    Both terms come from `Term.copies` on one base, laid out copy-major: copy
+    k of a cell covers rows k*b .. (k+1)*b - 1, b the base dimension there.
+    So composing a graded map with a copy map only moves row slices
+    (`move_rows`) or renumbers columns (`move_columns`), with no field
+    arithmetic.  The pairs must form a partial injection, no source and no
+    target copy repeated: a repeat would make the product a sum, which
+    neither move forms, so the constructor refuses one.
+    """
+
+    __slots__ = ("src", "tgt", "pairs")
+
+    def __init__(self, src: Term, tgt: Term, pairs):
+        if src.base is not tgt.base:
+            raise DimensionError("copy map between copies of two bases")
+        self.src = src
+        self.tgt = tgt
+        self.pairs = list(pairs)
+        for side, name in ((0, "source"), (1, "target")):
+            copies = [pair[side] for pair in self.pairs]
+            if len(set(copies)) != len(copies):
+                raise DimensionError("copy map repeats a %s copy: %s" % (name, self.pairs))
+
+    def compose(self, inner: "CopyMap") -> "CopyMap":
+        """self after inner: copy s goes to self's image of inner's image of s."""
+        outer = dict(self.pairs)
+        return CopyMap(inner.src, self.tgt,
+                       [(s, outer[t]) for s, t in inner.pairs if t in outer])
+
+    def move_rows(self, gmap: GradedMap) -> GradedMap:
+        """self after gmap: the rows of source copy s of each block become those of copy t."""
+        _check_copies(gmap.tgt, self.src)
+        base, size = self.src.base, len(self.tgt.summands)
+        blocks = {}
+        for (x, ds, dt), m in gmap.blocks.items():
+            b = base.dim(x, dt)
+            rows = [None] * (size * b)
+            for s, t in self.pairs:
+                rows[t * b:(t + 1) * b] = [dict(r) for r in m.rows[s * b:(s + 1) * b]]
+            blocks[(x, ds, dt)] = Matrix(gmap.field, size * b, m.ncols,
+                                         [{} if r is None else r for r in rows])
+        return GradedMap(gmap.field, gmap.src, self.tgt, blocks)
+
+    def move_columns(self, gmap: GradedMap) -> GradedMap:
+        """gmap after self: column o of target copy t of each block becomes column o of copy s."""
+        _check_copies(gmap.src, self.tgt)
+        base, size = self.src.base, len(self.src.summands)
+        renumber = {}  # base dimension -> {old column: new column}
+        blocks = {}
+        for (x, ds, dt), m in gmap.blocks.items():
+            b = base.dim(x, ds)
+            if b not in renumber:
+                renumber[b] = {t * b + o: s * b + o for s, t in self.pairs for o in range(b)}
+            cols = renumber[b]
+            blocks[(x, ds, dt)] = Matrix(gmap.field, m.nrows, size * b,
+                                         [{cols[j]: v for j, v in r.items() if j in cols}
+                                          for r in m.rows])
+        return GradedMap(gmap.field, self.src, gmap.tgt, blocks)
+
+
+def _check_copies(term: Term, want: Term):
+    if term.dims != want.dims:
+        raise DimensionError("copy map meets a term of dims %s, want %s"
+                             % (sorted(term.dims.items()), sorted(want.dims.items())))
 
 
 class ChainComplex:

@@ -26,6 +26,7 @@ import pytest
 import koszulcat.hochschild as hochschild
 import koszulcat.koszul as koszul
 from koszulcat.category import CategoryPresentation
+from koszulcat.cli import main
 from koszulcat.field import Field
 from koszulcat.hochschild import (
     build_enveloping,
@@ -172,16 +173,43 @@ def failed(report):
     return {c.name for c in report.certificates if not c.passed}
 
 
-def test_faulted_operator_fails_d_compose_d_zero(monkeypatch):
-    """alpha_1 acts as 2 t1 on degree 0, so d_1 d_2 = 2 t1 t2 - t1 t2 there."""
-    a = poly(2, 3)
+def double_first_operator(monkeypatch):
+    """alpha_1 acts as twice itself on degree 0: `build_koszul` asks for the
+    operators in the order of its elements."""
     real = koszul.mult_operator
-    alphas = variables(a)
-    monkeypatch.setattr(koszul, "mult_operator", lambda a, alpha, m: (
-        doubled_at(real(a, alpha, m), (a.cat.unit, 0)) if alpha is alphas[0]
-        else real(a, alpha, m)))
-    kc = build_koszul(a, alphas)
-    assert failed(koszul_homology_report(kc, ps=[])) == {"d-compose-d-zero"}
+    built = []
+
+    def faulty(a, alpha, m):
+        op = real(a, alpha, m)
+        built.append(op)
+        return doubled_at(op, (a.cat.unit, 0)) if len(built) == 1 else op
+
+    monkeypatch.setattr(koszul, "mult_operator", faulty)
+
+
+def test_faulted_operator_fails_d_compose_d_zero(monkeypatch):
+    """alpha_1 acts as 2 t1 on degree 0, so d_1 d_2 = 2 t1 t2 - t1 t2 there.
+    `check_resolution` names the failing cells, as the homology report does,
+    and carries no homology: the complex has none."""
+    a = poly(2, 3)
+    double_first_operator(monkeypatch)
+    cert = check_resolution(a, variables(a))
+    assert failed(cert.report) == {"d-compose-d-zero"}
+    assert cert.report.entries == []
+    double_first_operator(monkeypatch)
+    homology = koszul_homology_report(build_koszul(a, variables(a)), ps=[])
+    assert failed(homology) == {"d-compose-d-zero"}
+    assert cert.report.certificates[0].witness == homology.certificates[0].witness
+    assert cert.report.certificates[0].witness == {"cells": ["(2, [('1', 0)])"]}
+
+
+def test_faulted_operator_exits_1_from_the_cli(monkeypatch, capsys):
+    """The same fault through `koszul --check-resolution`: a failed certificate, not an input error."""
+    monkeypatch.chdir(os.path.join(TESTS, ".."))
+    double_first_operator(monkeypatch)
+    assert main(["koszul", "problems/poly_xy.kz", "--alpha", "x,y", "--max-degree", "4",
+                 "--check-resolution"]) == 1
+    assert "d-compose-d-zero" in capsys.readouterr().out
 
 
 def test_complex_of_other_elements_fails_homology(monkeypatch):

@@ -154,8 +154,8 @@ def _pascal_lines(field, n, cap, alphas_of):
     kc = build_koszul(a, alphas_of(a))
     sw = pascal_split(kc)
     lines = ["report " + sw.report.to_json_str()] + _complex_lines(kc.complex)
-    for name in ("iota", "tau", "sigma"):
-        for p, gmap in enumerate(getattr(sw, name)):
+    for name, maps in (("iota", sw.iota), ("tau", sw.tau), ("sigma", sw.sigma)):
+        for p, gmap in enumerate(maps):
             lines.append("map %s%d %s" % (name, p, _digest(gmap.blocks)))
     return lines
 

@@ -293,6 +293,22 @@ def test_pascal_split_reuses_the_multiplication_operators(monkeypatch):
         assert mine.blocks == theirs.blocks
 
 
+def test_pascal_split_multiplies_no_matrices(monkeypatch):
+    """iota, tau and sigma are copy maps: composing with them moves rows and columns."""
+    def refuse(*args):
+        raise AssertionError("product inside pascal_split")
+
+    a = poly(2, 5)
+    t1, t2 = variables(a)
+    kcs = [_forms_complex(), build_koszul(a, [t1, a.multiply(t2, t2)])]
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(GradedMap, "compose", refuse)
+    for kc in kcs:
+        sw = pascal_split(kc)
+        assert sw.passed
+        assert sw.iota[1].blocks  # built on read, also without a product
+
+
 def test_pascal_split_on_nonregular_monoid():
     # the decomposition is structural; it holds for non-regular tuples too
     a = polynomial_monoid(dual_numbers(QQ), 2, 3)

@@ -1,12 +1,16 @@
 """Each certificate of the Pascal splitting fails on a fault made for it.
 
-One table entry per certificate of `koszul.pascal_split`.  An entry adds one
-to a single entry of one map that `pascal_split` builds: a block of iota, tau
-or sigma (through `summand_map`, which builds them in that order for
-p = 0..n), or a block of L, the last multiplication on a copy of a small term.
-The complex itself is built before the fault is installed, and the same
-construction without the fault passes all six certificates, so the failure
-is the fault's.
+One table entry per certificate of `koszul.pascal_split`.  iota, tau and
+sigma are copy maps there, so the two certificates read from their pairs
+fail on a bad pair: a tau or sigma that sends a copy to the wrong place
+(through `summand_copies`, which builds them in the order iota, tau, sigma
+for p = 0..n).  The ladder squares and the restriction identity compare
+blocks of d, d' and L, so they fail on one entry of a block of d_1 or d_2 of
+the complex under test, bumped before `pascal_split` runs.  The connecting
+map fails on a bumped entry of L, the last multiplication on a copy of a
+small term.  The complex itself is built before the fault is installed, and
+the same construction without the fault passes all six certificates, so
+the failure is the fault's.
 
 Base: `_forms_complex` of tests/test_koszul.py, three forms over
 Q[t1, t2, t3] at cap 3 whose kernel bases are fractional.
@@ -23,7 +27,7 @@ import pytest
 
 import koszulcat.koszul as koszul
 from koszulcat.category import CategoryPresentation
-from koszulcat.complexes import GradedMap
+from koszulcat.complexes import CopyMap
 from koszulcat.field import QQ, Field
 from koszulcat.koszul import build_koszul, pascal_split
 from koszulcat.matrix import Matrix, kernel_basis
@@ -54,37 +58,52 @@ def bump(gmap, key, i, j):
                                                    {(i, j): gmap.field.one()})
 
 
-def built_map_fault(is_kind, index, edit):
-    """Apply `edit` to the index-th map of one kind that `pascal_split` builds
-    through `summand_map`; `is_kind(kc, cells)` tells the kind from its cells."""
+ROLES = ("iota", "tau", "sigma")
+
+
+def pair_fault(role, p, pairs):
+    """Give the p-th iota, tau or sigma the pairs `pairs` in place of its own;
+    `pascal_split` builds them through `summand_copies` in this order for p = 0..n."""
+    def install(monkeypatch, kc):
+        real = koszul.summand_copies
+        built = []
+
+        def faulty(src, tgt, relabel):
+            out = real(src, tgt, relabel)
+            if len(built) == 3 * p + ROLES.index(role):
+                out = CopyMap(src, tgt, pairs)
+            built.append(out)
+            return out
+
+        monkeypatch.setattr(koszul, "summand_copies", faulty)
+    return install
+
+
+def d_fault(p, key, i, j):
+    """Bump entry (i, j) of block `key` of d_p of the complex, before `pascal_split` runs."""
+    def install(monkeypatch, kc):
+        bump(kc.complex.diffs[p], key, i, j)
+    return install
+
+
+def l_fault(p, x, d, j):
+    """Bump entry (0, j) of the block of L leaving (x, d) on the copies of K'_(p-1);
+    L is built through `summand_map` on the copies of K'_0, ..., K'_(n-1) in this
+    order, the only maps there made of the last multiplication alone."""
     def install(monkeypatch, kc):
         real = koszul.summand_map
         built = []
 
         def faulty(field, src, tgt, faces, cells):
             out = real(field, src, tgt, faces, cells)
-            if is_kind(kc, cells):
-                if len(built) == index:
-                    edit(kc, out)
+            if set(cells) == {kc.n}:
+                if len(built) == p - 1:
+                    bump(out, (x, d, d + kc.mult_ops[kc.n].shift), 0, j)
                 built.append(out)
             return out
 
         monkeypatch.setattr(koszul, "summand_map", faulty)
     return install
-
-
-def split_map_fault(role, p, key, i, j):
-    """Bump the p-th iota, tau or sigma; they are built in this order for p = 0..n."""
-    return built_map_fault(lambda kc, cells: None in cells,
-                           3 * p + ("iota", "tau", "sigma").index(role),
-                           lambda kc, out: bump(out, key, i, j))
-
-
-def l_fault(p, x, d, j):
-    """Bump entry (0, j) of the block of L leaving (x, d) on the copies of K'_(p-1);
-    L is built on the copies of K'_0, ..., K'_(n-1) in this order."""
-    return built_map_fault(lambda kc, cells: set(cells) == {kc.n}, p - 1,
-                           lambda kc, out: bump(out, (x, d, d + kc.mult_ops[kc.n].shift), 0, j))
 
 
 def first_cycle_cell(kc):
@@ -101,16 +120,20 @@ def cycle_column_fault(monkeypatch, kc):
 
 
 U = CategoryPresentation.trivial(QQ).unit
+# In K_1 the copies are {1}, {2}, {3}; in K_2, {1,2}, {1,3}, {2,3}.  A block of
+# d_p leaving degree 0 has one column per copy of K_p and three rows per copy
+# of K_(p-1) (the monomials t1, t2, t3 of degree 1).
 FAULTS = [
-    # tau reads column 0 of K_1, the copy of {1} that iota fills
-    ("tau-iota-zero", split_map_fault("tau", 1, (U, 0, 0), 0, 0)),
-    # sigma sends K'_0 to the copy of {3} in K_1 as 2, not 1
-    ("tau-sigma-identity", split_map_fault("sigma", 1, (U, 0, 0), 2, 0)),
-    # iota also sends the copy of {1} to the copy of {3}, where d multiplies by alpha_3
-    ("ladder-left-square", split_map_fault("iota", 1, (U, 0, 0), 2, 0)),
-    # tau sends the copy of {1, 2} in K_2 to the copy of {1}, where d' multiplies by alpha_1
-    ("ladder-right-square", split_map_fault("tau", 2, (U, 0, 0), 0, 0)),
-    ("restriction-formula", l_fault(2, U, 0, 0)),
+    # tau sends the copy of {1}, which iota fills, to K'_0 in place of the copy of {3}
+    ("tau-iota-zero", pair_fault("tau", 1, [(0, 0)])),
+    # sigma sends K'_0 to the copy of {1} in place of the copy of {3}
+    ("tau-sigma-identity", pair_fault("sigma", 1, [(0, 0)])),
+    # d_1 on the copy of {1}, which iota fills, gains a t1 term
+    ("ladder-left-square", d_fault(1, (U, 0, 1), 0, 0)),
+    # d_2 sends the copy of {1, 2} into the copy of {3}, which tau reads
+    ("ladder-right-square", d_fault(2, (U, 0, 1), 6, 0)),
+    # d_2 on the copy of {1, 3}, which sigma fills, gains a t1 term in the copy of {1}
+    ("restriction-formula", d_fault(2, (U, 0, 1), 0, 1)),
     ("connecting-map-formula", cycle_column_fault),
 ]
 
@@ -139,37 +162,22 @@ def test_fault_at_a_cycle_column_fails_both_formulas(monkeypatch):
     assert got["connecting-map-formula"].witness == cycles
 
 
-def d_sigma_fault(monkeypatch, kc, keys):
-    """Bump entry (0, 0) of each block in `keys` of d_2 o sigma_2 in a two-element complex.
-
-    With n = 2 the left square of the ladder composes only d_1, so sigma_2 is
-    the one map that d_2 composes with.
-    """
-    real = GradedMap.compose
-
-    def faulty(self, inner):
-        out = real(self, inner)
-        if self is kc.complex.diffs[2]:
-            for key in keys:
-                bump(out, key, 0, 0)
-        return out
-
-    monkeypatch.setattr(GradedMap, "compose", faulty)
-
-
-def test_fault_outside_the_connecting_window_fails_the_restriction_only(monkeypatch):
+def test_fault_outside_the_connecting_window_fails_the_restriction_only():
     # at p = 2 the connecting window is min(5 - 1, 5 - 2) = 3, so degree 4 lies outside
+    # row 0 of a block of d_2 lies in the copy of {1}, where its t1 face is zero;
+    # tau reads only the copy of {2}, so the right square does not see it
     kc = mixed_degree_complex()
-    d_sigma_fault(monkeypatch, kc, [(kc.monoid.cat.unit, 4, 5)])
+    bump(kc.complex.diffs[2], (kc.monoid.cat.unit, 4, 5), 0, 0)
     got = certificates(kc)
     assert {name for name, c in got.items() if not c.passed} == {"restriction-formula"}
 
 
-def test_restriction_failure_names_its_cells(monkeypatch):
+def test_restriction_failure_names_its_cells():
     kc = mixed_degree_complex()
     assert certificates(kc)["restriction-formula"].witness is None
     unit = kc.monoid.cat.unit
-    d_sigma_fault(monkeypatch, kc, [(unit, 4, 5), (unit, 1, 2)])
+    for key in [(unit, 4, 5), (unit, 1, 2)]:
+        bump(kc.complex.diffs[2], key, 0, 0)
     got = certificates(kc)
     assert got["restriction-formula"].witness == {"cells": ["2,%s,1" % unit, "2,%s,4" % unit]}
     assert not got["connecting-map-formula"].passed  # degree 1 lies inside the window
