@@ -196,7 +196,7 @@ def test_faulted_operator_fails_d_compose_d_zero(monkeypatch):
     cert = check_resolution(a, variables(a))
     assert failed(cert.report) == {"d-compose-d-zero"}
     assert cert.report.entries == []
-    double_first_operator(monkeypatch)
+    double_first_operator(monkeypatch)  # a fresh fault for the second complex
     homology = koszul_homology_report(build_koszul(a, variables(a)), ps=[])
     assert failed(homology) == {"d-compose-d-zero"}
     assert cert.report.certificates[0].witness == homology.certificates[0].witness
