@@ -258,6 +258,7 @@ LIB_CASES = {
     "check_resolution_f101": lambda: _check_resolution_lines(F101, 2, 4, _repeat_first),
     "check_resolution_rank_two_q": lambda: _check_resolution_lines(QQ, 3, 3, _rank_two_triple),
     "check_resolution_dense_q": lambda: _check_resolution_lines(QQ, 4, 6, _dense_quadruple),
+    "check_resolution_dense_f101": lambda: _check_resolution_lines(F101, 4, 6, _dense_quadruple),
     "regular_sequence_witness_q": lambda: _regular_sequence_lines(QQ),
     "regular_sequence_witness_f101": lambda: _regular_sequence_lines(F101),
     "pascal_split_q": lambda: _pascal_lines(QQ, 3, 4, _variables),
