@@ -2,9 +2,10 @@
 
 Matrices are stored row-sparse (one dict per row, zeros omitted).  Every
 reduction is one elimination loop (`_echelon`, entered through `rank` and
-`rref`).  Over Q it is fraction-free: the field scales each row to integers
-once, every update keeps the rows integral, and `rref` divides once per
-entry at the end, so a result entry is an `int` exactly when it is
+`rref`; `rank` eliminates the shorter side, ranking a tall matrix as its
+transpose).  Over Q it is fraction-free: the field scales each row to
+integers once, every update keeps the rows integral, and `rref` divides once
+per entry at the end, so a result entry is an `int` exactly when it is
 integral.  Over F_p the rows are reduced ints.  Pivot rows are chosen by
 minimal fill (fewest nonzeros, ties by position); scaling a row by a nonzero
 integer keeps its nonzero pattern, so every reduction is deterministic: the
@@ -249,8 +250,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 def place(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
     """The nrows x ncols sum of the blocks (r0, c0, m), each m at rows r0.., columns c0...
 
-    This is the one step that writes a block at an offset; overlapping
-    blocks add, and entries that cancel are dropped.
+    Overlapping blocks add, and entries that cancel are dropped.
     """
     rows = [dict() for _ in range(nrows)]
     for r0, c0, m in blocks:
@@ -370,6 +370,8 @@ def rref(field: Field, rows: list, ncols: int):
 
 
 def rank(m: Matrix) -> int:
+    if m.nrows > m.ncols:  # eliminate the shorter side
+        m = m.transpose()
     pivcols, _ = _echelon(m.field, m.rows, m.ncols)
     return len(pivcols)
 

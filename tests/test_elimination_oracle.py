@@ -12,6 +12,11 @@ that are exact multiples of others) are checked against the textbook form,
 and their pivot choices against `reference_echelon`, the min-fill loop in
 plain `Fraction` arithmetic.  Every Q output scalar is an `int` exactly when
 it is integral.
+
+`rank` eliminates the shorter side of a matrix.  Seeded tall and wide
+matrices over Q and F_101 must have rank(m) == rank(m^T) == the textbook
+rank, and a spy on `_echelon` sees a tall block arrive with its short side as
+the rows.
 """
 
 import random
@@ -20,6 +25,7 @@ from itertools import chain
 
 import pytest
 
+import koszulcat.matrix as matrix_mod
 from koszulcat.field import QQ, Field
 from koszulcat.matrix import Matrix, _echelon, kernel_basis, rank, rref
 
@@ -250,3 +256,45 @@ def test_q_pivots_match_the_reference_fraction_loop(monkeypatch):
                 assert all(v == c * want[k] for k, v in got.items())
         checked += 1
     assert checked == 354
+
+
+# -- rank eliminates the shorter side --------------------------------------------
+
+
+def tall_and_wide_cases(field, seed, count):
+    """Seeded pairs of matrices, one with more rows than columns and one with fewer."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        short, long = rng.randint(1, 6), rng.randint(7, 14)
+        for nrows, ncols in ((long, short), (short, long)):
+            yield random_data(field, rng, nrows, ncols), ncols
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=lambda f: f.descriptor())
+def test_rank_of_tall_and_wide_matrices(field):
+    """rank(m) == rank(m^T) == the textbook rank; over Q with denominators 2, 3, 7."""
+    checked = 0
+    for data, ncols in tall_and_wide_cases(field, 7300 + field.char, 60):
+        m = Matrix(field, len(data), ncols, sparse(data))
+        want = len(textbook_rref(field.char, data, ncols)[0])
+        assert rank(m) == rank(m.transpose()) == want
+        checked += 1
+    assert checked == 120
+
+
+def test_rank_eliminates_a_tall_block_by_its_short_side(monkeypatch):
+    """A 9 x 4 block reaches `_echelon` as 4 rows of 9 columns; `rref` keeps its rows."""
+    shapes = []
+    real = matrix_mod._echelon
+
+    def spy(field, rows, ncols):
+        shapes.append((len(rows), ncols))
+        return real(field, rows, ncols)
+
+    monkeypatch.setattr(matrix_mod, "_echelon", spy)
+    rng = random.Random(7400)
+    tall = Matrix.from_rows(QQ, [[scalar(QQ, rng) for _ in range(4)] for _ in range(9)])
+    assert rank(tall) == rank(tall.transpose())
+    assert shapes == [(4, 9), (4, 9)]
+    rref(QQ, tall.rows, 4)
+    assert shapes[-1] == (9, 4)
