@@ -6,12 +6,14 @@ generator degree).  Homology is computed independently per (object, degree)
 cell; a cell is certified only when every block leaving it stays under the
 cap.  A single-shift map ranks each of its blocks once: the block entering
 cell (x, d) is the block leaving (x, d - s), and both cells read the one
-rank.  Contracting homotopies are built chainwise by one solve per term,
-h_p from d_{p+1} h_p = 1 - h_{p-1} d_p, each checked as it is built, so a
-split certificate is an exact matrix identity dh + hd = id on every
-certified cell.  `certify_split` is the one place a resolution is certified
-split exact.  A `CopyMap` sends copies of a base identically onto copies, so
-composing with one moves rows or renumbers columns and multiplies nothing.
+rank; where `dd_certificate` has certified d o d on two such maps, out * in
+at a cell is a composite block it has checked, and the cell reads nothing
+else.  Contracting homotopies are built chainwise by one solve per term, h_p
+from d_{p+1} h_p = 1 - h_{p-1} d_p, each checked as it is built, so a split
+certificate is an exact matrix identity dh + hd = id on every certified cell.
+`certify_split` is the one place a resolution is certified split exact.  A
+`CopyMap` sends copies of a base identically onto copies, so composing with
+one moves rows or renumbers columns and multiplies nothing.
 """
 
 from __future__ import annotations
@@ -214,9 +216,14 @@ def _check_copies(term: Term, want: Term):
 
 
 class ChainComplex:
-    """Terms indexed 0..length with differentials d_p: term p -> term p-1."""
+    """Terms indexed 0..length with differentials d_p: term p -> term p-1.
 
-    __slots__ = ("cat", "field", "cap", "terms", "diffs")
+    `certified[p]` holds the single-shift maps (d_{p-1}, d_p) whose composite
+    `dd_certificate` last found zero, trusted only while `diffs` holds those
+    same objects.  No consumer mutates the blocks of a certified map.
+    """
+
+    __slots__ = ("cat", "field", "cap", "terms", "diffs", "certified")
 
     def __init__(self, cat, cap, terms, diffs):
         self.cat = cat
@@ -226,6 +233,7 @@ class ChainComplex:
         self.diffs = list(diffs)  # diffs[0] is None
         if len(self.diffs) != len(self.terms):
             raise DimensionError("need one differential slot per term")
+        self.certified = {}
 
     @property
     def length(self) -> int:
@@ -239,9 +247,12 @@ class ChainComplex:
         for p in range(2, len(self.terms)):
             comp = self.diffs[p - 1].compose(self.diffs[p])
             cells += len(comp.blocks)
+            self.certified.pop(p, None)
             if not comp.is_zero():
                 ok = False
                 bad.append((p, comp.nonzero_cells()))
+            elif len(self.diffs[p - 1].shifts) == len(self.diffs[p].shifts) == 1:
+                self.certified[p] = (self.diffs[p - 1], self.diffs[p])
         return ok, cells, bad
 
     def homology_window(self, p: int) -> int:
@@ -250,9 +261,11 @@ class ChainComplex:
         return self.cap - out_shift
 
     def homology_cell(self, p: int, x, d: int):
-        """dim ker - dim im at one cell, counted by `cell_homology`."""
+        """dim ker - dim im at one cell; the ranks alone if d_p o d_{p+1} is certified."""
         d_out = self.diffs[p] if p >= 1 else None
         d_in = self.diffs[p + 1] if p + 1 < len(self.terms) else None
+        if self.certified.get(p + 1) == (d_out, d_in):
+            return self.terms[p].dim(x, d) - d_out.out_rank(x, d) - d_in.in_rank(x, d)
         return cell_homology(self.terms[p].dim(x, d), d_out, d_in, x, d, p)
 
     def homology_dims(self, p: int, degrees, parallel_map=map):

@@ -169,3 +169,68 @@ def test_complexes_built_alike_share_no_ranks(field, monkeypatch):
     for p in range(3):
         first.homology_dims(p, range(first.homology_window(p) + 1))
     assert len(seen) == 2 * calls
+
+
+# -- a certified d o d stands in for the product check ---------------------------
+
+
+def faulted(gmap, key, in_block):
+    """A new map: gmap with one entry of block `key` moved so that block * in_block != 0."""
+    block = gmap.block(*key)
+    j = next(j for j, r in enumerate(in_block.rows) if r)
+    bump = Matrix.from_entries(gmap.field, block.nrows, block.ncols, {(0, j): gmap.field.one()})
+    return GradedMap(gmap.field, gmap.src, gmap.tgt, {**gmap.blocks, key: block + bump})
+
+
+def koszul_with_faulted_d1(field):
+    """The Koszul complex of two forms over k[t1,t2,t3] at cap 3, d_1 faulted at
+    the block leaving (1, 1): out * in at p=1 cell (1,1) is then nonzero."""
+    a, alphas = general_position_forms(field, 3, 3, [[1, 2, -3], [3, -1, 2]])
+    cx = build_koszul(a, alphas).complex
+    u = a.cat.unit
+    return cx, faulted(cx.diffs[1], (u, 1, 2), cx.diffs[2].block(u, 0, 1))
+
+
+@FIELDS
+def test_certified_homology_multiplies_no_matrices(field, monkeypatch):
+    """After a passing `dd_certificate`, homology of a single-shift complex reads
+    only ranks; the counts equal those of a complex that checks every product."""
+    a, alphas = general_position_forms(field, 3, 3, [[1, 2, -3], [3, -1, 2], [2, 5, 1]])
+    checked, certified = (build_koszul(a, alphas).complex for _ in range(2))
+    windows = [range(checked.homology_window(p) + 1) for p in range(4)]
+    want = [checked.homology_dims(p, windows[p]) for p in range(4)]
+    assert certified.dd_certificate()[0]
+
+    def refuse(*args):
+        raise AssertionError("product in certified homology")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    assert [certified.homology_dims(p, windows[p]) for p in range(4)] == want
+
+
+@FIELDS
+def test_uncertified_fault_still_raises(field):
+    """A block fault in a complex whose d o d was never certified is caught by
+    the product check."""
+    cx, bad = koszul_with_faulted_d1(field)
+    cx.diffs[1] = bad
+    with pytest.raises(StructuralError, match=r"boundaries escape cycles at p=1 cell \(1,1\)"):
+        cx.homology_dims(1, range(cx.homology_window(1) + 1))
+
+
+@FIELDS
+def test_failed_or_swapped_certificate_checks_products(field):
+    """A failed d o d certifies nothing, and a map swapped in after a passing
+    certificate is checked again: the record holds the certified map objects."""
+    cx, bad = koszul_with_faulted_d1(field)
+    good = cx.diffs[1]
+    cx.diffs[1] = bad
+    assert not cx.dd_certificate()[0]
+    with pytest.raises(StructuralError, match=r"boundaries escape cycles at p=1 cell \(1,1\)"):
+        cx.homology_cell(1, cx.cat.unit, 1)
+    cx.diffs[1] = good
+    assert cx.dd_certificate()[0]
+    assert cx.homology_cell(1, cx.cat.unit, 1) == kernel_count(cx, 1, cx.cat.unit, 1)
+    cx.diffs[1] = bad
+    with pytest.raises(StructuralError, match=r"boundaries escape cycles at p=1 cell \(1,1\)"):
+        cx.homology_cell(1, cx.cat.unit, 1)
