@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .complexes import ChainComplex, CopyMap, GradedMap, Term
 from .errors import DimensionError, NotCentralError, PreconditionError, WrongObjectError
-from .matrix import Matrix, place
+from .matrix import Matrix
 from .monoid import (
     Monoid,
     is_central,
@@ -51,24 +51,37 @@ def summand_map(field, src_term: Term, tgt_term: Term, faces, cells) -> GradedMa
     entry of its `summands`, laid out copy-major within every cell.
     `cells[i]` is a pair (shift, {(x, d): Matrix}) of a map from one source
     copy to one target copy raising the degree by shift; face (s, t, sign, i)
-    places sign * cells[i][(x, d)] at block (t, s) of the cell map (x, d) ->
-    (x, d + shift), with one `place` call per cell map.  No two faces may
-    share a block; a face cell whose shape is not one copy to one copy
-    raises DimensionError naming the face.
+    writes sign * cells[i][(x, d)], sign +1 or -1, row by row at block (t, s)
+    of the cell map (x, d) -> (x, d + shift).  A face cell whose shape is not
+    one copy to one copy, a face naming no copy, or a second face of one shift
+    on (s, t) raises DimensionError naming the face.
     """
-    parts = {}
+    out = {}  # (x, ds, dt) -> the rows of that cell map
+    written = set()  # (s, t, shift) of every face so far
+    neg = field.neg
     for s, t, sign, i in faces:
         shift, per_cell = cells[i]
+        if (s, t, shift) in written or s >= len(src_term.summands) or \
+                t >= len(tgt_term.summands):
+            raise DimensionError("face (%d, %d, %d, %s) repeats a block or names no copy"
+                                 % (s, t, sign, i))
+        written.add((s, t, shift))
         for (x, d), mat in per_cell.items():
             rows, cols = tgt_term.base.dim(x, d + shift), src_term.base.dim(x, d)
             if (mat.nrows, mat.ncols) != (rows, cols):
                 raise DimensionError("face (%d, %d, %d, %s) at (%s, %d) has shape %dx%d, "
                                      "expected %dx%d" % (s, t, sign, i, x, d, mat.nrows,
                                                          mat.ncols, rows, cols))
-            parts.setdefault((x, d, d + shift), []).append(
-                (t * rows, s * cols, mat if sign == 1 else mat.scale(field.from_int(sign))))
-    blocks = {(x, ds, dt): place(field, tgt_term.dim(x, dt), src_term.dim(x, ds), placed)
-              for (x, ds, dt), placed in parts.items()}
+            if (x, d, d + shift) not in out:
+                out[(x, d, d + shift)] = [{} for _ in range(tgt_term.dim(x, d + shift))]
+            c0 = s * cols
+            for row, r in zip(out[(x, d, d + shift)][t * rows:(t + 1) * rows], mat.rows):
+                if sign != 1:
+                    row.update({c0 + j: neg(v) for j, v in r.items()})
+                else:
+                    row.update({c0 + j: v for j, v in r.items()} if c0 else r)
+    blocks = {(x, ds, dt): Matrix(field, len(rows), src_term.dim(x, ds), rows)
+              for (x, ds, dt), rows in out.items()}
     return GradedMap(field, src_term, tgt_term, blocks)
 
 
@@ -126,7 +139,7 @@ def _assemble_koszul(a: Monoid, alphas: list, mult_ops: dict) -> KoszulComplex:
 
 
 def koszul_homology_report(kc: KoszulComplex, ps, parallel_map=map) -> GradedReport:
-    """Homology dimension table over the certified window."""
+    """Homology dimension table over the certified window; none if d o d = 0 fails."""
     cx = kc.complex
     report = GradedReport(
         task={"op": "koszul-homology", "monoid": kc.monoid.name, "n": kc.n},
@@ -137,6 +150,8 @@ def koszul_homology_report(kc: KoszulComplex, ps, parallel_map=map) -> GradedRep
     report.add_certificate("d-compose-d-zero", ok,
                            detail="%d composite blocks checked" % cells,
                            witness=None if ok else {"cells": [str(b) for b in bad]})
+    if not ok:  # homology is defined only for a complex
+        return report
     for p in ps:
         dims = cx.homology_dims(p, range(cx.homology_window(p) + 1),
                                 parallel_map=parallel_map)

@@ -19,6 +19,7 @@ import ast
 import dataclasses
 import glob
 import importlib
+import json
 import os
 
 import pytest
@@ -210,6 +211,38 @@ def test_faulted_operator_exits_1_from_the_cli(monkeypatch, capsys):
     assert main(["koszul", "problems/poly_xy.kz", "--alpha", "x,y", "--max-degree", "4",
                  "--check-resolution"]) == 1
     assert "d-compose-d-zero" in capsys.readouterr().out
+
+
+def test_failed_dd_stops_the_homology_report(monkeypatch):
+    """With d o d != 0 the homology report names the failing cells and takes no
+    homology; the homology of a map that is not a differential would raise
+    "boundaries escape cycles at p=1"."""
+    a = poly(2, 3)
+    double_first_operator(monkeypatch)
+    report = koszul_homology_report(build_koszul(a, variables(a)), ps=range(3))
+    assert failed(report) == {"d-compose-d-zero"}
+    assert report.certificates[0].witness == {"cells": ["(2, [('1', 0)])"]}
+    assert report.entries == []
+
+
+def test_failed_dd_exits_1_from_a_plain_koszul_command(monkeypatch, capsys, tmp_path):
+    """`koszul` on a problem that does not ask for check-resolution goes through
+    the homology report: a failed d o d exits 1 with its witness, not 2."""
+    with open(os.path.join(TESTS, "..", "problems", "poly_xy.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert " check-resolution" in text
+    path = tmp_path / "poly_xy_homology.kz"
+    path.write_text(text.replace(" check-resolution", ""), encoding="utf-8")
+    report_path = tmp_path / "r.json"
+    double_first_operator(monkeypatch)
+    assert main(["koszul", str(path), "--alpha", "x,y", "--max-degree", "4",
+                 "--report", str(report_path)]) == 1
+    assert "d-compose-d-zero" in capsys.readouterr().out
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["task"]["op"] == "koszul-homology"
+    assert report["entries"] == []
+    [dd] = [c for c in report["certificates"] if c["name"] == "d-compose-d-zero"]
+    assert not dd["passed"] and dd["witness"]["cells"]
 
 
 def test_complex_of_other_elements_fails_homology(monkeypatch):
