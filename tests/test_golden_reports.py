@@ -31,7 +31,7 @@ from koszulcat.hochschild import (
     hochschild_cohomology,
     koszul_bimodule_resolution,
 )
-from koszulcat.koszul import build_koszul, check_resolution, pascal_split
+from koszulcat.koszul import build_koszul, check_resolution, koszul_homology_report, pascal_split
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
     Module,
@@ -43,7 +43,8 @@ from koszulcat.monoid import (
     regular_bimodule,
     scalar_monoid,
 )
-from koszulcat.poly import multi_indices, polynomial_monoid, variable_element
+from koszulcat.poly import element_from_name, multi_indices, polynomial_monoid, variable_element
+from koszulcat.problemfile import parse_problem_file
 from koszulcat.sample import c2_convolution_category, c2_regular_representation
 from koszulcat.tensor import build_syzygy_resolution, module_over_identity, tensor_over_monoid
 from test_homology_rank import linear_form
@@ -147,6 +148,16 @@ def _check_resolution_lines(field, n, cap, alphas_of):
     alphas = alphas_of(a)
     lines = ["report " + check_resolution(a, alphas).report.to_json_str()]
     return lines + _complex_lines(build_koszul(a, alphas).complex)
+
+
+def _koszul_homology_lines(a, alphas_of):
+    kc = build_koszul(a, alphas_of(a))
+    report = koszul_homology_report(kc, ps=range(kc.n + 1))
+    return ["report " + report.to_json_str()] + _complex_lines(kc.complex)
+
+
+def _dual_numbers():
+    return parse_problem_file(os.path.join(REPO, "problems", "dual_numbers.kz")).build_subject(0)
 
 
 def _pascal_lines(field, n, cap, alphas_of):
@@ -259,6 +270,11 @@ LIB_CASES = {
     "check_resolution_rank_two_q": lambda: _check_resolution_lines(QQ, 3, 3, _rank_two_triple),
     "check_resolution_dense_q": lambda: _check_resolution_lines(QQ, 4, 6, _dense_quadruple),
     "check_resolution_dense_f101": lambda: _check_resolution_lines(F101, 4, 6, _dense_quadruple),
+    "koszul_homology_dense_q": lambda: _koszul_homology_lines(_poly(QQ, 4, 6), _dense_quadruple),
+    "koszul_homology_dense_f101": lambda: _koszul_homology_lines(_poly(F101, 4, 6),
+                                                                 _dense_quadruple),
+    "koszul_homology_dual_numbers": lambda: _koszul_homology_lines(
+        _dual_numbers(), lambda a: [element_from_name(a, "xbar")]),
     "regular_sequence_witness_q": lambda: _regular_sequence_lines(QQ),
     "regular_sequence_witness_f101": lambda: _regular_sequence_lines(F101),
     "pascal_split_q": lambda: _pascal_lines(QQ, 3, 4, _variables),
