@@ -42,7 +42,7 @@ UNIT_NAME = "1"
 
 @dataclass
 class Mor:
-    """Linear combination of hom basis elements between fixed objects."""
+    """Linear combination of hom basis elements between fixed objects; == compares by value."""
 
     src: str
     tgt: str
@@ -141,9 +141,6 @@ class CategoryPresentation:
         return Mor(self.dobj(f.src, g.src), self.dobj(f.tgt, g.tgt),
                    self._extend(self.dmor_table, f, g))
 
-    def mor_equal(self, f: Mor, g: Mor) -> bool:
-        return f.src == g.src and f.tgt == g.tgt and f.coeffs == g.coeffs
-
     def all_basis_mors(self):
         for (x, y), names in sorted(self.hom.items()):
             for i in range(len(names)):
@@ -197,7 +194,7 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
                             f, g, h = (x, y, i), (y, z, j), (z, w, k)
                             lhs = cat.compose(composite[(g, h)], cat.basis_mor(*f))
                             rhs = cat.compose(cat.basis_mor(*h), composite[(f, g)])
-                            if not cat.mor_equal(lhs, rhs):
+                            if lhs != rhs:
                                 rep.add("composition-associativity", "(%s, %s, %s)"
                                         % tuple(cat.mor_name(key) for key in (h, g, f)))
                             rep.checked += 1
@@ -205,9 +202,9 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
     # unit laws of composition
     for (x, y, i) in mors:
         f = cat.basis_mor(x, y, i)
-        if not cat.mor_equal(cat.compose(f, cat.identity_mor(x)), f):
+        if cat.compose(f, cat.identity_mor(x)) != f:
             rep.add("right-identity", cat.mor_name((x, y, i)))
-        if not cat.mor_equal(cat.compose(cat.identity_mor(y), f), f):
+        if cat.compose(cat.identity_mor(y), f) != f:
             rep.add("left-identity", cat.mor_name((x, y, i)))
         rep.checked += 2
 
@@ -215,7 +212,7 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
     for f1, g1 in pairs:
         for f2, g2 in pairs:
             lhs = cat.diamond(composite[(f1, g1)], composite[(f2, g2)])
-            if not cat.mor_equal(lhs, cat.compose(product[(g1, g2)], product[(f1, f2)])):
+            if lhs != cat.compose(product[(g1, g2)], product[(f1, f2)]):
                 rep.add("diamond-functoriality", "(%s o %s) <> (%s o %s)"
                         % tuple(cat.mor_name(key) for key in (g1, f1, g2, f2)))
             rep.checked += 1
@@ -223,7 +220,7 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
     for x in objs:
         for y in objs:
             lhs = cat.diamond(cat.identity_mor(x), cat.identity_mor(y))
-            if not cat.mor_equal(lhs, cat.identity_mor(cat.dobj(x, y))):
+            if lhs != cat.identity_mor(cat.dobj(x, y)):
                 rep.add("diamond-identity", "(%s, %s)" % (x, y))
             rep.checked += 1
 
@@ -232,14 +229,14 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
         for y in objs:
             s_xy = cat.symmetry_mor(x, y)
             s_yx = cat.symmetry_mor(y, x)
-            if not cat.mor_equal(cat.compose(s_yx, s_xy), cat.identity_mor(cat.dobj(x, y))):
+            if cat.compose(s_yx, s_xy) != cat.identity_mor(cat.dobj(x, y)):
                 rep.add("symmetry-involutive", "(%s, %s)" % (x, y))
             rep.checked += 1
     for (x, xp, i) in mors:
         for (y, yp, j) in mors:
             lhs = cat.compose(cat.symmetry_mor(xp, yp), product[((x, xp, i), (y, yp, j))])
             rhs = cat.compose(product[((y, yp, j), (x, xp, i))], cat.symmetry_mor(x, y))
-            if not cat.mor_equal(lhs, rhs):
+            if lhs != rhs:
                 rep.add("symmetry-naturality",
                         "(%s, %s)" % (cat.mor_name((x, xp, i)), cat.mor_name((y, yp, j))))
             rep.checked += 1
@@ -249,14 +246,14 @@ def validate_presentation(cat: CategoryPresentation) -> ValidationReport:
                 lhs = cat.symmetry_mor(x, cat.dobj(y, z))
                 rhs = cat.compose(cat.diamond(cat.identity_mor(y), cat.symmetry_mor(x, z)),
                                   cat.diamond(cat.symmetry_mor(x, y), cat.identity_mor(z)))
-                if not cat.mor_equal(lhs, rhs):
+                if lhs != rhs:
                     rep.add("symmetry-hexagon", "(%s, %s, %s)" % (x, y, z))
                 rep.checked += 1
     # strict unit coherence: braiding against the unit is the identity
     for x in objs:
-        if not cat.mor_equal(cat.symmetry_mor(x, cat.unit), cat.identity_mor(x)):
+        if cat.symmetry_mor(x, cat.unit) != cat.identity_mor(x):
             rep.add("symmetry-unit-coherence", "(%s, unit)" % x)
-        if not cat.mor_equal(cat.symmetry_mor(cat.unit, x), cat.identity_mor(x)):
+        if cat.symmetry_mor(cat.unit, x) != cat.identity_mor(x):
             rep.add("symmetry-unit-coherence", "(unit, %s)" % x)
         rep.checked += 2
     return rep

@@ -170,8 +170,7 @@ def cmd_koszul(args, problem, cap, parallel_map):
         cert = check_resolution(subject, alphas, parallel_map=parallel_map)
         return cert.report, (0 if cert.report.all_passed else 1)
     kc = build_koszul(subject, alphas)
-    report = koszul_homology_report(kc, ps=range(len(alphas) + 1),
-                                    parallel_map=parallel_map)
+    report = koszul_homology_report(kc, parallel_map=parallel_map)
     return report, (0 if report.all_passed else 1)
 
 

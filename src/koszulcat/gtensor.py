@@ -7,6 +7,8 @@ block the coordinates are those of the Day quotient (see `DayTensor`).  On
 the trivial backend every Day quotient is the identity, so a block is the
 plain Kronecker product L_{d1} (x) R_{d2}, left factor slowest.  Maps are
 assembled from Kronecker products placed at these offsets (`matrix.place`).
+A degree-0 cell is the one block (0, 0) at offset 0: its vectors are those
+of `day[(0, 0)]`, whose `pure_map` embeds a pure tensor there.
 
 Every slice Day tensor comes from `day_tensor_copies`: a factor's slice is
 (base slice, #monomials) for a polynomial carrier (`GradedCarrier.copies`)
@@ -81,20 +83,6 @@ class GradedTensor:
 
     def dim(self, x, d) -> int:
         return self.dims.get((x, d), 0)
-
-    def pure_cell_vector(self, tgt_obj, d1, d2, y, z, vec_l, vec_r) -> list:
-        """Embed a pure tensor v (x) w in L(y)_{d1} (x) R(z)_{d2} into cell (y<>z, d).
-
-        Uses the identity morphism of y<>z in the Day hom factor.
-        """
-        cat, field = self.cat, self.field
-        d = d1 + d2
-        pure = self.day[(d1, d2)].pure_map(tgt_obj, y, z, cat.identity_mor(cat.dobj(y, z)))
-        vw = Matrix.from_columns(field, len(vec_l), [vec_l]).kron(
-            Matrix.from_columns(field, len(vec_r), [vec_r]))
-        cell = place(field, self.dim(tgt_obj, d), 1,
-                     [(self.layout[(tgt_obj, d)][d1].offset, 0, pure * vw)])
-        return list(cell.column(0))
 
     def map_factor(self, op_cells: dict, shift: int, factor: str) -> dict:
         """Apply a natural degree-raising family to one tensor factor.

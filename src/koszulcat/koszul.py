@@ -24,7 +24,7 @@ from .monoid import (
     regular_bimodule,
     is_regular_sequence,
 )
-from .report import GradedReport
+from .report import Certificate, GradedReport
 
 
 def subsets_lex(n: int, p: int):
@@ -138,26 +138,37 @@ def _assemble_koszul(a: Monoid, alphas: list, mult_ops: dict) -> KoszulComplex:
     return KoszulComplex(a, alphas, ChainComplex(a.cat, a.cap, terms, diffs), mult_ops)
 
 
-def koszul_homology_report(kc: KoszulComplex, ps, parallel_map=map) -> GradedReport:
-    """Homology dimension table over the certified window; none if d o d = 0 fails."""
-    cx = kc.complex
+def _koszul_report(kc: KoszulComplex, op: str, dd_detail: str, parallel_map,
+                   certificates=()):
+    """Open the report, certify d o d = 0, add `certificates`, then H_p for p = 0..n.
+
+    dd_detail % (number of composite blocks) is the d o d detail.  A failed
+    d o d ends the report, as homology is defined only for a complex.  Each
+    H_p spans `ChainComplex.homology_window(p)`.  Returns (report, d o d = 0).
+    """
+    cx, a = kc.complex, kc.monoid
     report = GradedReport(
-        task={"op": "koszul-homology", "monoid": kc.monoid.name, "n": kc.n},
-        field=kc.monoid.field.descriptor(),
-        window={"cap": cx.cap, "truncated": kc.monoid.carrier.truncated},
+        task={"op": op, "monoid": a.name, "n": kc.n},
+        field=a.field.descriptor(),
+        window={"cap": cx.cap, "truncated": a.carrier.truncated},
     )
     ok, cells, bad = cx.dd_certificate()
-    report.add_certificate("d-compose-d-zero", ok,
-                           detail="%d composite blocks checked" % cells,
+    report.add_certificate("d-compose-d-zero", ok, detail=dd_detail % cells,
                            witness=None if ok else {"cells": [str(b) for b in bad]})
-    if not ok:  # homology is defined only for a complex
-        return report
-    for p in ps:
-        dims = cx.homology_dims(p, range(cx.homology_window(p) + 1),
-                                parallel_map=parallel_map)
-        for (x, d), h in sorted(dims.items()):
-            report.add_entry(p, x, d, h)
-    return report
+    report.certificates.extend(certificates)
+    if ok:
+        for p in range(kc.n + 1):
+            dims = cx.homology_dims(p, range(cx.homology_window(p) + 1),
+                                    parallel_map=parallel_map)
+            for (x, d), h in sorted(dims.items()):
+                report.add_entry(p, x, d, h)
+    return report, ok
+
+
+def koszul_homology_report(kc: KoszulComplex, parallel_map=map) -> GradedReport:
+    """H_p for every p = 0..n over its certified window; none if d o d = 0 fails."""
+    return _koszul_report(kc, "koszul-homology", "%d composite blocks checked",
+                          parallel_map)[0]
 
 
 @dataclass
@@ -181,43 +192,19 @@ def check_resolution(a: Monoid, alphas, parallel_map=map) -> ResolutionCertifica
     carries no homology.
     """
     kc = build_koszul(a, alphas)
-    cx = kc.complex
     seq = is_regular_sequence(a, alphas)
-    report = GradedReport(
-        task={"op": "check-resolution", "monoid": a.name, "n": kc.n},
-        field=a.field.descriptor(),
-        window={"cap": cx.cap, "truncated": a.carrier.truncated},
-    )
-    ok, cells, bad = cx.dd_certificate()
-    report.add_certificate("d-compose-d-zero", ok, detail="%d composite blocks" % cells,
-                           witness=None if ok else {"cells": [str(b) for b in bad]})
-    report.add_certificate("regular-sequence", seq.regular,
-                           detail="stages checked: %d" % len(seq.stages),
-                           witness=seq.to_jsonable(a.field))
-    if not ok:  # homology is defined only for a complex
-        return ResolutionCertificate(seq.regular, seq, report)
-
-    nonzero = []
-    for p in range(1, kc.n + 1):
-        win = cx.homology_window(p)
-        dims = cx.homology_dims(p, range(win + 1), parallel_map=parallel_map)
-        for (x, d), h in sorted(dims.items()):
-            report.add_entry(p, x, d, h)
-            if h:
-                nonzero.append((p, x, d, h))
-    h0_win = cx.homology_window(0)
-    h0 = cx.homology_dims(0, range(min(h0_win, a.cap) + 1), parallel_map=parallel_map)
-    h0_match = True
-    for (x, d), h in sorted(h0.items()):
-        report.add_entry(0, x, d, h)
-        if h != seq.final_dims.get((x, d), 0):
-            h0_match = False
-    if seq.regular:
+    report, ok = _koszul_report(
+        kc, "check-resolution", "%d composite blocks", parallel_map,
+        [Certificate("regular-sequence", seq.regular,
+                     "stages checked: %d" % len(seq.stages), seq.to_jsonable(a.field))])
+    if ok and seq.regular:
+        nonzero = [(e.p, e.obj, e.degree, e.dim) for e in report.entries if e.p and e.dim]
         report.add_certificate("higher-homology-vanishes", not nonzero,
                                detail="positive-degree homology in window",
                                witness=None if not nonzero else
                                {"nonzero": [list(map(str, t)) for t in nonzero]})
-        report.add_certificate("h0-matches-quotient", h0_match)
+        report.add_certificate("h0-matches-quotient", all(
+            e.dim == seq.final_dims.get((e.obj, e.degree), 0) for e in report.entries if not e.p))
     return ResolutionCertificate(seq.regular, seq, report)
 
 

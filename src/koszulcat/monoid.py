@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .category import CategoryPresentation, Representation
+from .category import CategoryPresentation, Representation, identity_representation
 from .errors import (
     DimensionError,
     NotCentralError,
@@ -332,31 +332,23 @@ def scalar_monoid(cat: CategoryPresentation, name="Q") -> Monoid:
 
 
 def identity_monoid(cat: CategoryPresentation) -> Monoid:
-    """The unit object I = X(1, -) with its composition-induced product."""
-    from .category import identity_representation
+    """The unit object I = X(1, -) with its composition-induced product.
 
-    field = cat.field
+    `monoid_from_table` on the basis names of hom(1, x), distinct across
+    objects, with the diamond of two basis arrows as their product; arrows
+    act by postcomposition (`identity_representation`).
+    """
     u = cat.unit
-    rep = identity_representation(cat)
-    dims = {(x, 0): rep.dims[x] for x in cat.objects}
-    actions = {(key, 0): mat for key, mat in rep.actions.items()}
-    names = {(x, 0): cat.hom_basis(u, x) for x in cat.objects}
-    carrier = GradedCarrier(cat, 0, False, dims, actions, names)
-    pairing = {}
-    for y in cat.objects:
-        for z in cat.objects:
-            yz = cat.dobj(y, z)
-            mat = Matrix.zeros(field, rep.dims[yz], rep.dims[y] * rep.dims[z])
-            for k1 in range(rep.dims[y]):
-                for k2 in range(rep.dims[z]):
-                    prod = cat.diamond(cat.basis_mor(u, y, k1), cat.basis_mor(u, z, k2))
-                    for t, c in prod.coeffs.items():
-                        mat.rows[t][k1 * rep.dims[z] + k2] = c
-            pairing[(y, 0, z, 0)] = mat
-    unit = [field.zero()] * rep.dims[u]
-    for i, c in cat.identities[u].items():
-        unit[i] = c
-    return Monoid(carrier, pairing, tuple(unit), name="I")
+    basis = {x: cat.hom_basis(u, x) for x in cat.objects}
+    arrows = [(x, k, name) for x, names in basis.items() for k, name in enumerate(names)]
+    mul = {}
+    for y, k1, n1 in arrows:
+        for z, k2, n2 in arrows:
+            prod = cat.diamond(cat.basis_mor(u, y, k1), cat.basis_mor(u, z, k2))
+            mul[(n1, n2)] = {basis[prod.tgt][t]: c for t, c in prod.coeffs.items()}
+    unit = {basis[u][i]: c for i, c in cat.identities[u].items()}
+    return monoid_from_table(cat, basis, mul, unit,
+                             carrier_actions=identity_representation(cat).actions, name="I")
 
 
 # -- validation ---------------------------------------------------------------
@@ -598,11 +590,6 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
             for (x, d) in a.carrier.cells()}
 
 
-def _cell_quotients(car: GradedCarrier, sub: dict) -> dict:
-    """cell -> `matrix.quotient` of the carrier's cell by sub's subspace there."""
-    return {cell: quotient(car.dim(*cell), sub[cell]) for cell in car.cells()}
-
-
 def _induced(tgt, mat: Matrix, basis: Matrix, section: Matrix, what: str, args) -> Matrix:
     """The map tgt.projection * mat induces on a source quotient (basis, section).
 
@@ -633,7 +620,7 @@ def quotient_module(m: Module, sub: dict) -> QuotientModule:
     a = m.monoid
     cat, field, car = m.cat, m.field, m.carrier
     acar = a.carrier
-    quots = _cell_quotients(car, sub)
+    quots = {cell: quotient(car.dim(*cell), sub[cell]) for cell in car.cells()}
     dims = {cell: q.dim for cell, q in quots.items()}
 
     actions = {}
@@ -701,31 +688,30 @@ def is_regular(a: Monoid, elt: Element, m: Module,
 
     Requires elt central (the definition lives in the commutant); reports the
     first nonzero annihilated vector as the witness.  With sub, a subspace
-    per cell, each cell of m is quotiented by it (`matrix.quotient`) and only
-    the cells of L_elt are descended, raising StabilityError where one does
-    not descend; no quotient module is built.  `is_regular_sequence` decides
-    stages by dimension count and calls this only on a failing stage.
+    per cell, each cell of L_elt is descended to m/sub as the scan reaches it
+    (`matrix.quotient`, once per cell); the first scanned cell that does not
+    descend raises StabilityError, and no cell after the witness is touched.
+    `is_regular_sequence` decides stages by dimension count and calls this
+    only on a failing stage.
     """
     if not is_central(a, elt):
         raise NotCentralError("element at (%s, degree %d) is not in the commutant"
                               % (elt.obj, elt.degree))
     op = mult_operator(a, elt, m, side="left")
-    cells = op.cells
-    if sub is not None:
-        quots = _cell_quotients(m.carrier, sub)
-        cells = {}
-        for (x, d), mat in op.cells.items():
-            q = quots[(x, d)]
-            cells[(x, d)] = _induced(quots[(x, d + op.shift)], mat, q.sub.basis, q.section,
-                                     "multiplication by (%s,%d) at (%s,%d)",
-                                     (elt.obj, elt.degree, x, d))
+    quots = {}  # cell -> `matrix.quotient` of m's cell by sub's, as the scan reaches it
     window = m.carrier.cap - elt.degree
     checked = 0
     for d in range(window + 1):
         for x in a.cat.objects:
-            if (x, d) not in cells:
-                continue
-            mat = cells[(x, d)]
+            mat = op.cells[(x, d)]
+            if sub is not None:
+                for cell in ((x, d), (x, d + op.shift)):
+                    if cell not in quots:
+                        quots[cell] = quotient(m.carrier.dim(*cell), sub[cell])
+                q = quots[(x, d)]
+                mat = _induced(quots[(x, d + op.shift)], mat, q.sub.basis, q.section,
+                               "multiplication by (%s,%d) at (%s,%d)",
+                               (elt.obj, elt.degree, x, d))
             checked += 1
             vecs = kernel_basis(mat)
             if vecs:

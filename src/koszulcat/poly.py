@@ -268,9 +268,11 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
         if mat.nrows != mat.ncols or (mat.nrows and rank(mat) != mat.nrows):
             raise IsoFailureError("Phi fails to be invertible at (%s, %d)" % (x, deg))
 
-    # identity of the tensor maps to the identity of the merged monoid
-    u = cat.unit
-    unit_tensor = gt.pure_cell_vector(u, 0, 0, u, u, list(c.unit), list(d.unit))
+    # identity of the tensor maps to the identity of the merged monoid; the
+    # degree-0 cell of gt is the single block (0, 0) of day0, at offset 0
+    u, mul = cat.unit, cat.field.mul
+    unit_tensor = day0.pure_map(u, u, u, cat.identity_mor(u)).apply(
+        [mul(a, b) for a in c.unit for b in d.unit])
     unit_preserved = phi[(u, 0)].apply(unit_tensor) == tuple(merged.unit)
 
     hom_checked = cat.is_trivial

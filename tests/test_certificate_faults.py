@@ -198,7 +198,7 @@ def test_faulted_operator_fails_d_compose_d_zero(monkeypatch):
     assert failed(cert.report) == {"d-compose-d-zero"}
     assert cert.report.entries == []
     double_first_operator(monkeypatch)  # a fresh fault for the second complex
-    homology = koszul_homology_report(build_koszul(a, variables(a)), ps=[])
+    homology = koszul_homology_report(build_koszul(a, variables(a)))
     assert failed(homology) == {"d-compose-d-zero"}
     assert cert.report.certificates[0].witness == homology.certificates[0].witness
     assert cert.report.certificates[0].witness == {"cells": ["(2, [('1', 0)])"]}
@@ -219,7 +219,7 @@ def test_failed_dd_stops_the_homology_report(monkeypatch):
     "boundaries escape cycles at p=1"."""
     a = poly(2, 3)
     double_first_operator(monkeypatch)
-    report = koszul_homology_report(build_koszul(a, variables(a)), ps=range(3))
+    report = koszul_homology_report(build_koszul(a, variables(a)))
     assert failed(report) == {"d-compose-d-zero"}
     assert report.certificates[0].witness == {"cells": ["(2, [('1', 0)])"]}
     assert report.entries == []

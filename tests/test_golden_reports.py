@@ -152,8 +152,7 @@ def _check_resolution_lines(field, n, cap, alphas_of):
 
 def _koszul_homology_lines(a, alphas_of):
     kc = build_koszul(a, alphas_of(a))
-    report = koszul_homology_report(kc, ps=range(kc.n + 1))
-    return ["report " + report.to_json_str()] + _complex_lines(kc.complex)
+    return ["report " + koszul_homology_report(kc).to_json_str()] + _complex_lines(kc.complex)
 
 
 def _dual_numbers():

@@ -7,7 +7,9 @@ through an assert would change its verdict; exit codes, stdout and the
 quotient module (the failing stage of `koszul` on the dual numbers), the
 tensor over a monoid, a syzygy resolution on the finite backend, and the
 enveloping monoid behind Hochschild cohomology on both backends (the merge
-Phi, the collapse pi and the change of variables psi).
+Phi, the collapse pi and the change of variables psi), and the plain
+`koszul` route through the homology report, on a copy of poly_xy.kz whose
+task line does not ask for check-resolution.
 """
 
 import os
@@ -51,3 +53,20 @@ def test_cli_output_is_equal_under_optimize(argv, tmp_path):
     optimized = run_under_seed(argv, 0, tmp_path / "optimized.json", "-O")
     assert optimized == plain
     assert plain[2]
+
+
+def test_plain_koszul_output_is_equal_across_hash_seeds_and_under_optimize(tmp_path):
+    """`koszul` on a problem whose task line does not ask for check-resolution
+    goes through the homology report, which no shipped problem reaches: a
+    copy of poly_xy.kz without that flag runs under both seeds and `-O`."""
+    with open(os.path.join(ROOT, "problems", "poly_xy.kz"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert " check-resolution\n" in text
+    problem = tmp_path / "poly_xy_plain.kz"
+    problem.write_text(text.replace(" check-resolution\n", "\n"), encoding="utf-8")
+    argv = ["koszul", str(problem)]
+    runs = [run_under_seed(argv, seed, tmp_path / ("seed%d.json" % seed)) for seed in (0, 1)]
+    optimized = run_under_seed(argv, 0, tmp_path / "optimized.json", "-O")
+    assert runs[0] == runs[1] == optimized
+    assert runs[0][0] == 0
+    assert b'"op":"koszul-homology"' in runs[0][2]

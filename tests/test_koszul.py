@@ -101,7 +101,7 @@ def test_dd_zero_mixed_degrees():
 def test_classical_koszul_homology():
     a = poly(2, 5)
     kc = build_koszul(a, variables(a))
-    rep = koszul_homology_report(kc, ps=[0, 1, 2])
+    rep = koszul_homology_report(kc)
     assert rep.all_passed
     by_cell = {(e.p, e.degree): e.dim for e in rep.entries}
     win = kc.complex.homology_window(1)

@@ -342,3 +342,32 @@ def test_failing_stage_raises_when_multiplication_does_not_descend(field, build,
     monkeypatch.setattr(monoid_mod, "descend", lambda *args: None)
     with pytest.raises(StabilityError, match="multiplication by"):
         is_regular_sequence(a, gens)
+
+
+@FIELDS
+@BASES
+def test_failing_stage_descends_only_the_cells_it_scans(field, build, monkeypatch):
+    """L_g is descended to A/I cell by cell as the scan reaches it: one descent
+    per scanned cell, none past the witness, and a descent that fails on the
+    first scanned cell (degree 0 of the first object) raises naming that cell."""
+    a, gens = build(field)
+    real, calls = monoid_mod.descend, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(monoid_mod, "descend", counted)
+    cert = is_regular_sequence(a, gens)
+    assert len(calls) == cert.stages[1].cells_checked
+    assert cert.stages[1].cells_checked < sum(1 for x, d in a.carrier.cells()
+                                              if d + gens[1].degree <= a.cap)
+
+    def first_fails(*args):
+        calls.append(args)
+        return None if len(calls) == 1 else real(*args)
+
+    calls.clear()
+    monkeypatch.setattr(monoid_mod, "descend", first_fails)
+    with pytest.raises(StabilityError, match=r"at \(%s,0\)$" % a.cat.objects[0]):
+        is_regular_sequence(a, gens)
