@@ -22,6 +22,7 @@ from .hochschild import (
     certify_tensor_idempotent,
     hochschild_cohomology,
     koszul_bimodule_resolution,
+    polynomial_over,
 )
 from .koszul import build_koszul, check_resolution, pascal_split
 from .matrix import Matrix, Subspace, image, kernel, quotient, section_of_surjection
@@ -47,6 +48,7 @@ from .report import GradedReport, ValidationReport
 from .tensor import (
     build_syzygy_resolution,
     check_restriction_compatibility,
+    syzygy_resolution,
     tensor_over_monoid,
 )
 
@@ -66,6 +68,7 @@ __all__ = [
     "certify_tensor_idempotent",
     "hochschild_cohomology",
     "koszul_bimodule_resolution",
+    "polynomial_over",
     "build_koszul",
     "check_resolution",
     "pascal_split",
@@ -97,6 +100,7 @@ __all__ = [
     "ValidationReport",
     "build_syzygy_resolution",
     "check_restriction_compatibility",
+    "syzygy_resolution",
     "tensor_over_monoid",
     "__version__",
 ]

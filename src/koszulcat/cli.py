@@ -25,7 +25,9 @@ from .errors import (
 from .hochschild import (
     build_enveloping,
     certify_tensor_idempotent,
+    check_base_merge,
     hochschild_cohomology,
+    polynomial_over,
 )
 from .koszul import build_koszul, check_resolution, koszul_homology_report
 from .monoid import (
@@ -39,7 +41,7 @@ from .parallel import make_parallel_map, resolve_threads
 from .poly import element_from_name
 from .problemfile import parse_problem_file
 from .report import GradedReport
-from .tensor import build_syzygy_resolution, tensor_over_monoid, unit_law_maps
+from .tensor import syzygy_resolution, tensor_over_monoid, unit_law_maps
 
 MATH_FAILURE = (IsoFailureError, NotCentralError, StabilityError)
 
@@ -272,6 +274,9 @@ def cmd_hh(args, problem, cap, parallel_map):
 
 
 def cmd_syzygy(args, problem, cap, parallel_map):
+    """Resolve a module over A_n alone: the enveloping monoid, which only the
+    Hochschild side reads, is not built.  The base is refused wherever
+    `build_enveloping` would refuse it, before the module is built."""
     subject, n, var_names = _polynomial_setup(args, problem)
     mod_name = _task_value(args, problem, "module")
     if not mod_name:
@@ -279,9 +284,9 @@ def cmd_syzygy(args, problem, cap, parallel_map):
     cert = certify_tensor_idempotent(subject)
     if not cert.passed:
         return _refusal({"op": "syzygy", "monoid": subject.name, "n": n}, subject, cap, cert)
-    env = build_enveloping(subject, n, cap, idem_cert=cert, var_names=var_names)
-    module = problem.build_module(mod_name, env.a_n)
-    res = build_syzygy_resolution(env, module)
+    a_n = polynomial_over(subject, n, cap, cert, var_names)
+    check_base_merge(subject, cert)
+    res = syzygy_resolution(a_n, problem.build_module(mod_name, a_n))
     return res.report, (0 if res.passed else 1)
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
+from .category import day_tensor
 from .complexes import ChainComplex, GradedMap, Term, cell_homology, certify_split
-from .errors import PreconditionError, StructuralError, WindowError
+from .errors import IsoFailureError, PreconditionError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .koszul import KoszulComplex, build_koszul, koszul_faces, subsets_lex, summand_map
 from .matrix import Matrix, rank
@@ -32,6 +33,7 @@ from .monoid import (
 )
 from .poly import (
     MergeResult,
+    base_merge,
     default_var_names,
     merge_variables,
     mono_index,
@@ -137,28 +139,60 @@ def _collapse_matrix(field, n, d, base_dim):
     return collapse.kron(Matrix.identity(field, base_dim))
 
 
-def build_enveloping(a: Monoid, n: int, cap: int,
-                     idem_cert: Optional[TensorIdempotentCertificate] = None,
-                     var_names=None) -> EnvelopingData:
-    """A_2n with the collapse map onto A_n and the kernel-ideal certificates.
+def polynomial_over(a: Monoid, n: int, cap: int,
+                    cert: Optional[TensorIdempotentCertificate] = None,
+                    var_names=None) -> Monoid:
+    """A_n over a base certified tensor idempotent: the polynomial monoid both
+    `build_enveloping` and the `syzygy` verb start from.
 
-    Requires a tensor-idempotence certificate; the kernel of the collapse is
-    verified to equal the ideal of the variable differences degreewise, both
-    by containment and by dimension count.
+    Refuses, in this order: a base whose certificate (computed when not
+    given) failed, n < 1, cap < 1 and a wrong number of variable names.
     """
-    cert = idem_cert if idem_cert is not None else certify_tensor_idempotent(a)
+    cert = cert if cert is not None else certify_tensor_idempotent(a)
     if not cert.passed:
         raise PreconditionError("monoid %s is not certified tensor idempotent" % a.name)
     if n < 1:
         raise PreconditionError("need at least one variable")
     if cap < 1:
         raise WindowError("degree window %d cannot hold the variables" % cap)
-    cat, field = a.cat, a.field
-
     t_names = tuple(var_names) if var_names is not None else default_var_names(n)
     if len(t_names) != n:
         raise PreconditionError("expected %d variable names" % n)
-    a_n = polynomial_monoid(a, n, cap, var_names=t_names)
+    return polynomial_monoid(a, n, cap, var_names=t_names)
+
+
+def check_base_merge(a: Monoid, cert: TensorIdempotentCertificate) -> None:
+    """Refuse a base whose merge `build_enveloping` refuses, from degree 0 alone.
+
+    `merge_variables` identifies A_n (x) A_n with A_2n along the degree-0
+    cells of cert's mu.  It raises IsoFailureError unless they are invertible,
+    which fails exactly outside direct mode, and StructuralError unless the
+    witnessed pure-tensor maps descend (`base_merge`).  Every cell (x, d) of
+    Phi is copies of the descended map at x, one per pair of monomials, so
+    the first cell at which Phi is singular is (x, 0) for the first such x.
+    """
+    s = a.carrier.slice_rep(0)
+    base_phi = base_merge(day_tensor(a.cat, s, s), a,
+                          {x: cert.mu_cells[(x, 0)] for x in a.cat.objects})
+    for x, mat in sorted(base_phi.items()):
+        if mat.nrows and rank(mat) != mat.nrows:
+            raise IsoFailureError("Phi fails to be invertible at (%s, 0)" % x)
+
+
+def build_enveloping(a: Monoid, n: int, cap: int,
+                     idem_cert: Optional[TensorIdempotentCertificate] = None,
+                     var_names=None) -> EnvelopingData:
+    """A_2n with the collapse map onto A_n and the kernel-ideal certificates.
+
+    A_n comes from `polynomial_over`, which the `syzygy` verb shares; A_u,
+    A_v, their merge into A_2n, the collapse and the kernel ideal are built
+    here for the Hochschild side only.  The kernel of the collapse is
+    verified to equal the ideal of the variable differences degreewise, both
+    by containment and by dimension count.
+    """
+    cert = idem_cert if idem_cert is not None else certify_tensor_idempotent(a)
+    a_n = polynomial_over(a, n, cap, cert, var_names)
+    cat, field = a.cat, a.field
     a_u = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "u"))
     a_v = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "v"))
 

@@ -235,12 +235,11 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     coordinates of the degree-0 slices.  The identification Phi sends the
     monomial block pair (u^i, v^j) to the block u^i v^j through the witness.
     The witnessed pure-tensor map descends once, on the base Day tensor
-    (`DayTensor.induced_map`, which raises StructuralError unless it is
-    natural); every split of C[u] (x) D[v] is copies of that Day tensor, one
-    per monomial pair, so Phi places the descended map per pair
+    (`base_merge`); every split of C[u] (x) D[v] is copies of that Day
+    tensor, one per monomial pair, so Phi places the descended map per pair
     (`_place_merge`).  Phi is verified invertible degreewise and
     unit-preserving; on the trivial backend the monoid-morphism property of
-    Phi is verified cellwise as well.
+    Phi is verified once per pair of degrees as well.
     """
     info_c = c.poly_info
     info_d = d.poly_info
@@ -250,20 +249,10 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
 
     gt = GradedTensor(c.carrier, d.carrier)
     day0 = gt.day[(0, 0)]
-    for x in cat.objects:
-        w = witness[x]
-        if w.ncols != day0.rep.dims[x] or w.nrows != e_base.carrier.dim(x, 0):
-            raise IsoFailureError("witness at %s has the wrong shape" % x)
-        if w.nrows != w.ncols or rank(w) != w.nrows:
-            raise IsoFailureError("witness at %s is not invertible" % x)
-
+    base_phi = base_merge(day0, e_base, witness)
     names = (info_c.var_names if info_c else ()) + (info_d.var_names if info_d else ())
     merged = polynomial_monoid(e_base, n + m, gt.cap, var_names=names) if n + m else e_base
-
-    pure = {(y, z): witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
-            for y in cat.objects for z in cat.objects for yz in [cat.dobj(y, z)]}
-    phi = _place_merge(gt, merged.carrier, day0.induced_map(e_base.carrier.slice_rep(0), pure),
-                       n, m)
+    phi = _place_merge(gt, merged.carrier, base_phi, n, m)
     for (x, deg), mat in sorted(phi.items()):
         if mat.nrows != mat.ncols or (mat.nrows and rank(mat) != mat.nrows):
             raise IsoFailureError("Phi fails to be invertible at (%s, %d)" % (x, deg))
@@ -280,6 +269,26 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     if hom_checked:
         hom_ok = _check_phi_multiplicative(c, d, merged, gt, phi)
     return MergeResult(merged, phi, gt, unit_preserved, hom_checked, hom_ok)
+
+
+def base_merge(day0, e_base: Monoid, witness: dict) -> dict:
+    """Phi at degree 0, per object: the witnessed pure-tensor map descended on day0.
+
+    day0 is the Day tensor of the two degree-0 slices.  Raises
+    IsoFailureError unless each witness[x] is an invertible matrix of the
+    shape (E(x), day0 at x), and StructuralError unless the witnessed
+    pure-tensor maps descend (`DayTensor.induced_map`).
+    """
+    cat = e_base.cat
+    for x in cat.objects:
+        w = witness[x]
+        if w.ncols != day0.rep.dims[x] or w.nrows != e_base.carrier.dim(x, 0):
+            raise IsoFailureError("witness at %s has the wrong shape" % x)
+        if w.nrows != w.ncols or rank(w) != w.nrows:
+            raise IsoFailureError("witness at %s is not invertible" % x)
+    pure = {(y, z): witness[yz] * day0.pure_map(yz, y, z, cat.identity_mor(yz))
+            for y in cat.objects for z in cat.objects for yz in [cat.dobj(y, z)]}
+    return day0.induced_map(e_base.carrier.slice_rep(0), pure)
 
 
 def _place_merge(gt: GradedTensor, target: GradedCarrier, base_phi: dict, n: int, m: int) -> dict:
@@ -321,31 +330,39 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
                               gt: GradedTensor, phi: dict) -> bool:
     """Trivial backend: Phi of a product equals the product of the Phi images.
 
-    `morphism_law` on the blocks C_{d1} (x) D_{d2} of the tensor cells, one
-    triple per degree 4-tuple with no empty factor: the source product is the
-    tensor-square multiplication (mu_C (x) mu_D) after the middle swap of the
-    Kronecker factors; the braiding contributes no twist on a single object.
+    `morphism_law` once per pair of tensor cells (k1, k2) with k1 + k2 <= cap.
+    The source product of the cells is (mu_C (x) mu_D) after the middle swap
+    of the Kronecker factors, placed per pair of blocks C_{a1} (x) D_{a2} of
+    cell k1 and C_{b1} (x) D_{b2} of cell k2: at the rows of block
+    (a1 + b1, a2 + b2) and the Kronecker columns of the two blocks; the
+    braiding contributes no twist on a single object.  Column block (a, b)
+    of that law is the law of the two blocks alone, so the verdict is the
+    conjunction of the per-block laws.
     """
     u, cap = c.cat.unit, gt.cap
-    # phi restricted to the block C_{d1} (x) D_{d2} of its cell, per (d1, d2)
-    phi_block = {(b.d1, b.d2): phi[(u, k)].select_columns(range(b.offset, b.offset + b.dim))
-                 for k in range(cap + 1) for b in gt.layout[(u, k)]}
+    offset = {(b.d1, b.d2): b.offset for k in range(cap + 1) for b in gt.layout[(u, k)]}
+    blocks = {k: [b for b in gt.layout[(u, k)] if b.dim] for k in range(cap + 1)}
 
-    def dims(split):
-        return c.carrier.dim(u, split[0]), d.carrier.dim(u, split[1])
+    def mu_tensor(k1, k2):
+        width = gt.dim(u, k2)
+        rows = [dict() for _ in range(gt.dim(u, k1 + k2))]
+        for a in blocks[k1]:
+            dc1, dd1 = c.carrier.dim(u, a.d1), d.carrier.dim(u, a.d2)
+            for b in blocks[k2]:
+                dc2, dd2 = c.carrier.dim(u, b.d1), d.carrier.dim(u, b.d2)
+                # column (p1 p2 q1 q2) of mu_C (x) mu_D is the cell column
+                # of (p1 q1) in block a and (p2 q2) in block b
+                cols = [(a.offset + p1 * dd1 + q1) * width + b.offset + p2 * dd2 + q2
+                        for p1 in range(dc1) for p2 in range(dc2)
+                        for q1 in range(dd1) for q2 in range(dd2)]
+                top = offset[(a.d1 + b.d1, a.d2 + b.d2)]
+                prod = c.pairing_cell(u, a.d1, u, b.d1).kron(d.pairing_cell(u, a.d2, u, b.d2))
+                for r, row in enumerate(prod.rows):
+                    tgt = rows[top + r]
+                    for j, v in row.items():
+                        tgt[cols[j]] = v
+        return Matrix(gt.field, len(rows), gt.dim(u, k1) * width, rows)
 
-    def mu_tensor(a, b):
-        (dc1, dd1), (dc2, dd2) = dims(a), dims(b)
-        # the middle swap as a column order: source (p1 q1 p2 q2) reads
-        # column (p1 p2 q1 q2) of mu_C (x) mu_D
-        cols = [((p1 * dc2 + p2) * dd1 + q1) * dd2 + q2
-                for p1 in range(dc1) for q1 in range(dd1)
-                for p2 in range(dc2) for q2 in range(dd2)]
-        return c.pairing_cell(u, a[0], u, b[0]).kron(
-            d.pairing_cell(u, a[1], u, b[1])).select_columns(cols)
-
-    splits = [split for split in phi_block if 0 not in dims(split)]
-    return morphism_law(phi_block, mu_tensor,
-                        lambda a, b: merged.pairing_cell(u, sum(a), u, sum(b)),
-                        [(a, b, (a[0] + b[0], a[1] + b[1]))
-                         for a in splits for b in splits if sum(a) + sum(b) <= cap])
+    return morphism_law({k: phi[(u, k)] for k in range(cap + 1)}, mu_tensor,
+                        lambda k1, k2: merged.pairing_cell(u, k1, u, k2),
+                        [(k1, k2, k1 + k2) for k1 in range(cap + 1) for k2 in range(cap + 1 - k1)])

@@ -17,7 +17,13 @@ from typing import Optional
 
 from .category import unit_action
 from .complexes import ChainComplex, GradedMap, Term, certify_split
-from .errors import IsoFailureError, StabilityError, StructuralError, WindowError
+from .errors import (
+    IsoFailureError,
+    PreconditionError,
+    StabilityError,
+    StructuralError,
+    WindowError,
+)
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
@@ -236,7 +242,6 @@ def check_restriction_compatibility(m: Module, n: Module,
 
 @dataclass
 class SyzygyResolution:
-    enveloping: EnvelopingData
     module: Module
     complex: ChainComplex
     tensor: GradedTensor
@@ -252,6 +257,11 @@ class SyzygyResolution:
 
 
 def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
+    """`syzygy_resolution` over the polynomial monoid of enveloping data."""
+    return syzygy_resolution(e.a_n, m)
+
+
+def syzygy_resolution(a_n: Monoid, m: Module) -> SyzygyResolution:
     """Resolve a module over the polynomial monoid by induced free terms.
 
     Terms above the module are plain tensors of the polynomial monoid with
@@ -259,8 +269,11 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
     one-sided multiplications by each variable, and the bottom map is the
     action.  Certifies: complex, and exactness with pointwise splitting via an
     explicit homotopy.  The terms are induced, hence projective, by construction.
+    The variable count and the base name are read from a_n.poly_info.
     """
-    a_n, n = e.a_n, e.n
+    if a_n.poly_info is None:
+        raise PreconditionError("not a polynomial monoid")
+    n = a_n.poly_info.nvars
     field = a_n.field
     cat = a_n.cat
     if m.left is None:
@@ -298,10 +311,10 @@ def build_syzygy_resolution(e: EnvelopingData, m: Module) -> SyzygyResolution:
 
     cx = ChainComplex(cat, cap, terms, diffs)
     report = GradedReport(
-        task={"op": "syzygy-resolution", "monoid": e.base.name, "n": n,
+        task={"op": "syzygy-resolution", "monoid": a_n.poly_info.base.name, "n": n,
               "module": m.name},
         field=field.descriptor(),
         window={"cap": cap, "truncated": True},
     )
     certify_split(report, cx, "d-compose-d-zero")
-    return SyzygyResolution(e, m, cx, gt, report)
+    return SyzygyResolution(m, cx, gt, report)

@@ -5,9 +5,10 @@ under `python -O`, which strips asserts, so a certificate that checked only
 through an assert would change its verdict; exit codes, stdout and the
 `--report` bytes must be equal.  The commands cover a
 quotient module (the failing stage of `koszul` on the dual numbers), the
-tensor over a monoid, a syzygy resolution on the finite backend, and the
-enveloping monoid behind Hochschild cohomology on both backends (the merge
-Phi, the collapse pi and the change of variables psi), and the plain
+tensor over a monoid, a syzygy resolution on each backend (over A_n alone,
+without the enveloping monoid), the enveloping monoid behind Hochschild
+cohomology on both backends (the merge Phi, the collapse pi and the change
+of variables psi), and the plain
 `koszul` route through the homology report, on a copy of poly_xy.kz whose
 task line does not ask for check-resolution.
 """
@@ -22,13 +23,19 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src")
 RUN_CLI = "import sys; from koszulcat.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# (id, argv).  The ids are explicit, so adding a command renames no case;
+# the first five keep the ids that pytest derived from the verb before.
 COMMANDS = [
-    ["koszul", "problems/dual_numbers.kz"],
-    ["tensor-over", "problems/dual_numbers.kz", "--module", "R,M"],
-    ["syzygy", "problems/c2conv.kz", "-n", "1", "--module", "R", "--max-degree", "3"],
-    ["hh", "problems/trivial_q.kz", "-n", "2", "-p", "1", "--max-degree", "4"],
-    ["hh", "problems/c2conv.kz", "-n", "1", "-p", "1", "--max-degree", "3"],
+    ("koszul", ["koszul", "problems/dual_numbers.kz"]),
+    ("tensor-over", ["tensor-over", "problems/dual_numbers.kz", "--module", "R,M"]),
+    ("syzygy", ["syzygy", "problems/c2conv.kz", "-n", "1", "--module", "R", "--max-degree", "3"]),
+    ("hh0", ["hh", "problems/trivial_q.kz", "-n", "2", "-p", "1", "--max-degree", "4"]),
+    ("hh1", ["hh", "problems/c2conv.kz", "-n", "1", "-p", "1", "--max-degree", "3"]),
+    ("syzygy-trivial_q", ["syzygy", "problems/trivial_q.kz", "-n", "1", "--module", "Mt",
+                          "--max-degree", "4"]),
 ]
+ARGVS = [argv for _, argv in COMMANDS]
+IDS = [name for name, _ in COMMANDS]
 
 
 def run_under_seed(argv, seed, report, *flags):
@@ -40,14 +47,14 @@ def run_under_seed(argv, seed, report, *flags):
         return proc.returncode, proc.stdout, fh.read()
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", ARGVS, ids=IDS)
 def test_cli_output_is_equal_across_hash_seeds(argv, tmp_path):
     runs = [run_under_seed(argv, seed, tmp_path / ("seed%d.json" % seed)) for seed in (0, 1)]
     assert runs[0] == runs[1]
     assert runs[0][2]  # a report was written
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", ARGVS, ids=IDS)
 def test_cli_output_is_equal_under_optimize(argv, tmp_path):
     plain = run_under_seed(argv, 0, tmp_path / "plain.json")
     optimized = run_under_seed(argv, 0, tmp_path / "optimized.json", "-O")

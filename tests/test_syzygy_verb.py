@@ -6,6 +6,9 @@ recorded golden under tests/golden/, `<name>.pin`, a JSON object whose
 passing resolution with no other golden (poly_xy), the refusal report of a
 base that is not tensor idempotent (exit 1), a noncommutative base, no
 variables, a window that cannot hold them and an unknown module (exit 2).
+The verb resolves over A_n alone: every case, and the two `syzygy` goldens
+of test_golden_reports.py, give the same outputs with `build_enveloping`
+and `merge_variables` made to raise wherever the package binds them.
 
 To record the pins again from the current code, run
 
@@ -21,7 +24,16 @@ import tempfile
 
 import pytest
 
+import koszulcat.hochschild
+import koszulcat.poly
 from koszulcat.cli import main
+from koszulcat.errors import IsoFailureError, StructuralError
+from koszulcat.field import Field
+from koszulcat.hochschild import check_base_merge, certify_tensor_idempotent, polynomial_over
+from koszulcat.monoid import identity_monoid
+from koszulcat.poly import default_var_names, merge_variables, polynomial_monoid
+from koszulcat.sample import c2_convolution_category
+from test_golden_reports import CLI_CASES, _cli_outputs, _golden
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -62,6 +74,94 @@ def _pin(name):
 def test_syzygy_verb_outputs(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(REPO)
     assert _outputs(argv, str(tmp_path)) == _pin(name)
+
+
+@pytest.fixture
+def no_enveloping(monkeypatch):
+    """Every package binding of build_enveloping and merge_variables raises."""
+    originals = (koszulcat.hochschild.build_enveloping, koszulcat.poly.merge_variables)
+
+    def unreachable(*args, **kwargs):
+        raise RuntimeError("the syzygy verb reached the enveloping monoid")
+
+    for name, module in list(sys.modules.items()):
+        if name == "koszulcat" or name.startswith("koszulcat."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, unreachable)
+
+
+@pytest.mark.parametrize("name,argv", PIN_CASES, ids=[c[0] for c in PIN_CASES])
+def test_syzygy_verb_skips_the_enveloping_monoid(name, argv, tmp_path, monkeypatch, no_enveloping):
+    monkeypatch.chdir(REPO)
+    assert _outputs(argv, str(tmp_path)) == _pin(name)
+
+
+SYZYGY_GOLDENS = [case for case in CLI_CASES if case[1][0] == "syzygy"]
+
+
+@pytest.mark.parametrize("name,argv,code", SYZYGY_GOLDENS, ids=[c[0] for c in SYZYGY_GOLDENS])
+def test_syzygy_goldens_skip_the_enveloping_monoid(name, argv, code, tmp_path, monkeypatch,
+                                                   no_enveloping):
+    monkeypatch.chdir(REPO)
+    assert _cli_outputs(argv, str(tmp_path)) == \
+        (code, _golden(name + ".stdout"), _golden(name + ".json"))
+
+
+def test_the_patch_reaches_the_hh_verb(tmp_path, monkeypatch, no_enveloping):
+    """The stub is live: `hh` still builds the enveloping monoid and hits it."""
+    monkeypatch.chdir(REPO)
+    with pytest.raises(RuntimeError, match="enveloping"):
+        main(["hh", "problems/trivial_q.kz", "-n", "1", "-p", "0", "--max-degree", "2"])
+
+
+ZERO_PRODUCT = """field Q
+backend trivial
+
+monoid A
+  basis one
+  unit 1*one
+end
+main A
+
+module R self
+"""
+
+
+def test_a_base_only_a_quotient_of_the_unit_is_refused_as_the_merge_refuses_it(
+        tmp_path, monkeypatch, no_enveloping):
+    """A unit with no products passes the quotient-of-I road but not the
+    direct one, so its degree-0 mu, the merge witness, is singular; the
+    merge refused it with this message before the verb skipped the merge."""
+    monkeypatch.chdir(REPO)
+    problem = tmp_path / "zero_product.kz"
+    problem.write_text(ZERO_PRODUCT, encoding="utf-8")
+    assert _outputs([str(problem), "-n", "1", "--module", "R"], str(tmp_path)) == \
+        {"exit": 1, "report": None, "stdout": "",
+         "stderr": "error: witness at 1 is not invertible\n"}
+
+
+def _refusal(call):
+    with pytest.raises((IsoFailureError, StructuralError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_check_base_merge_refuses_what_merge_variables_refuses():
+    """On the C2 Day unit, a witness scaled at one object is invertible but
+    not natural: the descent of `base_merge` refuses it on both routes."""
+    f101 = Field(101)
+    a = identity_monoid(c2_convolution_category(f101))
+    cert = certify_tensor_idempotent(a)
+    check_base_merge(a, cert)
+    cert.mu_cells[("g", 0)] = cert.mu_cells[("g", 0)].scale(f101.from_int(2))
+    polynomial_over(a, 1, 2, cert)
+    a_u = polynomial_monoid(a, 1, 2, var_names=default_var_names(1, "u"))
+    a_v = polynomial_monoid(a, 1, 2, var_names=default_var_names(1, "v"))
+    witness = {x: cert.mu_cells[(x, 0)] for x in a.cat.objects}
+    refused = _refusal(lambda: merge_variables(a_u, a_v, a, witness))
+    assert refused[0] is StructuralError
+    assert _refusal(lambda: check_base_merge(a, cert)) == refused
 
 
 def _record():
