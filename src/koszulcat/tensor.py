@@ -17,13 +17,7 @@ from typing import Optional
 
 from .category import unit_action
 from .complexes import ChainComplex, GradedMap, Term, certify_split
-from .errors import (
-    IsoFailureError,
-    PreconditionError,
-    StabilityError,
-    StructuralError,
-    WindowError,
-)
+from .errors import IsoFailureError, PreconditionError, StabilityError, StructuralError, WindowError
 from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
