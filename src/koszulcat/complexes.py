@@ -8,9 +8,11 @@ cap.  A single-shift map ranks each of its blocks once: the block entering
 cell (x, d) is the block leaving (x, d - s), and both cells read the one
 rank; where `dd_certificate` has certified d o d on two such maps, out * in
 at a cell is a composite block it has checked, and the cell reads nothing
-else.  Contracting homotopies are built chainwise by one solve per term, h_p
-from d_{p+1} h_p = 1 - h_{p-1} d_p, each checked as it is built, so a split
-certificate is an exact matrix identity dh + hd = id on every certified cell.
+else.  Contracting homotopies are built chainwise, one solve and one check
+per term of each distinct chain: h_p from d_{p+1} h_p = 1 - h_{p-1} d_p,
+checked as it is built, so a split certificate is an exact matrix identity
+dh + hd = id on every certified cell.  A chain whose spaces and blocks equal
+an earlier chain's within one call reuses that chain's certificate.
 `certify_split` is the one place a resolution is certified split exact.  A
 `CopyMap` sends copies of a base identically onto copies, so composing with
 one moves rows or renumbers columns and multiplies nothing.
@@ -312,24 +314,32 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
     Works when every differential has a single degree shift.  Chains are
     anchored at term-0 cells; a chain anchored at degree d0 within the cap is
     entirely stored, so the certificate covers every anchored cell.  Within a
-    chain, a term with no solution is reported before a failed identity.
+    chain, a term with no solution is reported before a failed identity.  A
+    chain whose spaces and blocks equal those of a chain certified earlier in
+    this call has the same homotopy, so it is counted without being solved
+    again; the certified chains are kept only for the length of the call.
     """
     field = cx.field
     shifts = [None] + [cx.diffs[p].single_shift() for p in range(1, len(cx.terms))]
     checked = 0
+    certified = {}  # spaces -> the block lists of the chains certified with them
     for x in cx.cat.objects:
         for d0 in range(cx.cap + 1):
             degs = [d0]
             for p in range(1, len(cx.terms)):
                 degs.append(degs[-1] - shifts[p])
-            spaces = [cx.terms[p].dim(x, degs[p]) if degs[p] >= 0 else 0
-                      for p in range(len(cx.terms))]
+            spaces = tuple(cx.terms[p].dim(x, degs[p]) if degs[p] >= 0 else 0
+                           for p in range(len(cx.terms)))
             mats = [None]
             for p in range(1, len(cx.terms)):
                 if degs[p] < 0:
                     mats.append(Matrix.zeros(field, spaces[p - 1], 0))
                 else:
                     mats.append(cx.diffs[p].block(x, degs[p], degs[p - 1]))
+            seen = certified.setdefault(spaces, [])
+            if mats in seen:
+                checked += sum(1 for v in spaces if v)
+                continue
             hs, bad = _chain_homotopy(field, spaces, mats)
             if hs is None:
                 return HomotopyCertificate(False, checked,
@@ -341,6 +351,7 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
                 return HomotopyCertificate(False, checked,
                                            "dh + hd != id at term %d cell (%s, %d)"
                                            % (bad, x, degs[bad]))
+            seen.append(mats)
     return HomotopyCertificate(True, checked, "dh + hd = id on all %d cells" % checked)
 
 

@@ -28,6 +28,7 @@ from .monoid import (
     is_central,
     is_commutative,
     is_regular_sequence,
+    monoid_unit_laws,
     morphism_law,
     mult_operator,
 )
@@ -40,6 +41,7 @@ from .poly import (
     monomial_block_product,
     multi_indices,
     polynomial_monoid,
+    rename_variables,
     variable_element,
 )
 from .report import GradedReport
@@ -63,10 +65,17 @@ def certify_tensor_idempotent(a: Monoid) -> TensorIdempotentCertificate:
     """Check invertibility of the multiplication, and the quotient-of-unit criterion.
 
     Both roads are reported; either suffices.  Failure is a result (with the
-    failing object and rank deficit), not an exception.
+    failing object and rank deficit), not an exception.  Either criterion
+    implies tensor idempotence only for a monoid whose unit is one, so the
+    unit laws are checked first on every stored cell; where one fails, the
+    certificate fails naming the first such cell, and neither road is tried.
     """
     if not is_commutative(a):
         raise PreconditionError("tensor idempotence is certified for commutative monoids")
+    laws = monoid_unit_laws(a)
+    if not laws.ok:
+        return TensorIdempotentCertificate(a.name, None, None, "failed",
+                                           "unit law fails: %s" % laws.violations[0], {})
     cat = a.cat
     direct_ok = True
     deficit = None
@@ -184,17 +193,18 @@ def build_enveloping(a: Monoid, n: int, cap: int,
                      var_names=None) -> EnvelopingData:
     """A_2n with the collapse map onto A_n and the kernel-ideal certificates.
 
-    A_n comes from `polynomial_over`, which the `syzygy` verb shares; A_u,
-    A_v, their merge into A_2n, the collapse and the kernel ideal are built
-    here for the Hochschild side only.  The kernel of the collapse is
-    verified to equal the ideal of the variable differences degreewise, both
-    by containment and by dimension count.
+    A_n comes from `polynomial_over`, which the `syzygy` verb shares; A_u and
+    A_v are A_n with its variables renamed (`rename_variables`), so the one
+    construction serves t, u and v.  Their merge into A_2n, the collapse and
+    the kernel ideal are built here for the Hochschild side only.  The
+    kernel of the collapse is verified to equal the ideal of the variable
+    differences degreewise, both by containment and by dimension count.
     """
     cert = idem_cert if idem_cert is not None else certify_tensor_idempotent(a)
     a_n = polynomial_over(a, n, cap, cert, var_names)
     cat, field = a.cat, a.field
-    a_u = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "u"))
-    a_v = polynomial_monoid(a, n, cap, var_names=default_var_names(n, "v"))
+    a_u = rename_variables(a_n, default_var_names(n, "u"))
+    a_v = rename_variables(a_n, default_var_names(n, "v"))
 
     witness = {x: cert.mu_cells[(x, 0)] for x in cat.objects}
     merge = merge_variables(a_u, a_v, a, witness)
@@ -294,13 +304,37 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
     """Verify the substitution (u, w) -> (u, u - v) is a degreewise monoid iso.
 
     This is the mechanism behind the regularity of the variable differences:
-    they are plain polynomial variables after the substitution.
+    they are plain polynomial variables after the substitution.  psi is
+    invertible in every degree, and multiplicative on its generators
+    (`psi_law`).
     """
-    a, n, c = e.base, e.n, e.c
-    field = a.field
-    cap = c.cap
+    n, c = e.n, e.c
+    field = c.field
+    psi = substitution_matrices(field, n, c.cap)
+    if any(rank(mat) != mat.nrows for mat in psi.values()):
+        return False
 
-    # expansion of u^i (u - v)^j over the u, v monomials, by integer combinatorics
+    # monoid morphism cellwise, on the monomial part; the base coordinates are
+    # untouched by the substitution so it suffices to check the monomial layer
+    if not psi_law(psi, 2 * n, c.cap):
+        return False
+
+    # the substitution sends the second variable family to the differences
+    unit = Matrix.from_columns(field, len(c.unit), [c.unit])
+    for i in range(1, n + 1):
+        w_expo = tuple(1 if k == n + i - 1 else 0 for k in range(2 * n))
+        col = mono_index(2 * n, 1)[w_expo]
+        if psi[1].select_columns([col]).kron(unit).column(0) != tuple(e.alphas[i - 1].coords):
+            return False
+    return True
+
+
+def substitution_matrices(field, n: int, cap: int) -> dict:
+    """psi[d]: u^i w^j |-> u^i (u - v)^j on the degree-d monomials in 2n variables.
+
+    The first n variables are u, the last n are w on the source and v on the
+    target; the expansion is by integer binomial coefficients.
+    """
     def expand(m):
         i, j = m[:n], m[n:]
         terms = {tuple(i) + tuple([0] * n): 1}
@@ -326,27 +360,33 @@ def change_of_variables_certificate(e: EnvelopingData) -> bool:
             for mono, coef in expand(m).items():
                 if coef:
                     mono_mat.rows[idx[mono]][s_idx] = field.from_int(coef)
-        if rank(mono_mat) != len(mons):
-            return False
         psi[d] = mono_mat
+    return psi
 
-    # monoid morphism cellwise, on the monomial part; the base coordinates are
-    # untouched by the substitution so it suffices to check the monomial layer
-    conv = {(d1, d2): monomial_block_product(2 * n, d1, 2 * n, d2, "add",
-                                             Matrix.identity(field, 1), 1, 1)
-            for d1 in range(cap + 1) for d2 in range(cap + 1 - d1)}
-    if not morphism_law(psi, lambda *split: conv[split], lambda *split: conv[split],
-                        [(d1, d2, d1 + d2) for d1, d2 in conv]):
-        return False
 
-    # the substitution sends the second variable family to the differences
-    unit = Matrix.from_columns(field, len(e.c.unit), [e.c.unit])
-    for i in range(1, n + 1):
-        w_expo = tuple(1 if k == n + i - 1 else 0 for k in range(2 * n))
-        col = mono_index(2 * n, 1)[w_expo]
-        if psi[1].select_columns([col]).kron(unit).column(0) != tuple(e.alphas[i - 1].coords):
-            return False
-    return True
+def psi_law(psi: dict, nvars: int, cap: int) -> bool:
+    """psi[d1 + d2](a b) = psi[d1](a) psi[d2](b) for all monomials with d1 + d2 <= cap.
+
+    psi[d] maps the degree-d monomials in nvars variables to themselves; the
+    product is the monomial one (`monomial_block_product` with a 1x1 inner),
+    which adds exponents, so it is associative and commutative.  The law is
+    checked on the degree pairs (0, d) and (1, d) alone, which imply every
+    other pair by induction on d1.  A monomial a of degree d1 >= 2 is x a',
+    x a variable and a' of degree d1 - 1, so for any monomial b of degree d2
+        psi(a b) = psi(x) psi(a' b)        the law at (1, d1 - 1 + d2)
+                 = psi(x) (psi(a') psi(b)) the law at (d1 - 1, d2)
+                 = (psi(x) psi(a')) psi(b) associativity
+                 = psi(a) psi(b)           the law at (1, d1 - 1),
+    and both sides are bilinear, so the law holds on the whole pair of
+    cells.  Only the product blocks of the checked pairs are built.
+    """
+    field = psi[0].field
+    one = Matrix.identity(field, 1)
+    pairs = [(d1, d2) for d1 in range(min(cap, 1) + 1) for d2 in range(cap + 1 - d1)]
+    conv = {(d1, d2): monomial_block_product(nvars, d1, nvars, d2, "add", one, 1, 1)
+            for d1, d2 in pairs}
+    return morphism_law(psi, lambda *split: conv[split], lambda *split: conv[split],
+                        [(d1, d2, d1 + d2) for d1, d2 in pairs])
 
 
 # -- the bimodule resolution ------------------------------------------------------

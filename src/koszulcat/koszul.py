@@ -299,10 +299,11 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
         tau.append(summand_copies(big, small_terms[p - 1],
                                   lambda s: s[:-1] if s[-1:] == (n,) else None))
         sigma.append(summand_copies(small_terms[p - 1], big, lambda s: s + (n,)))
-    # L: the last multiplication on every copy of a small term
-    l_maps = [summand_map(field, t, t, [(k, k, 1, n) for k in range(len(t.summands))],
-                          {n: (op_n.shift, op_n.cells)})
-              for t in small.complex.terms]
+    # L: the last multiplication on every copy of small term p, for p >= 1,
+    # the terms the restriction formula reads
+    l_maps = [None] + [summand_map(field, t, t, [(k, k, 1, n) for k in range(len(t.summands))],
+                                   {n: (op_n.shift, op_n.cells)})
+                       for t in small.complex.terms[1:]]
 
     # tau o iota = 0 and tau o sigma = id
     report.add_certificate("tau-iota-zero",

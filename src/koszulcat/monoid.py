@@ -409,13 +409,20 @@ def morphism_law(f, mu_src, mu_tgt, triples) -> bool:
     return all(f[ab] * mu_src(a, b) == mu_tgt(a, b) * f[a].kron(f[b]) for a, b, ab in triples)
 
 
+def monoid_unit_laws(a: Monoid) -> ValidationReport:
+    """The left and right unit laws of a on every stored cell, in cell order."""
+    rep = ValidationReport("monoid %s" % a.name)
+    mul = a.pairing_cell
+    _unit_laws(rep, a.carrier, a.unit, [("unit-left", "left", mul), ("unit-right", "right", mul)])
+    return rep
+
+
 def validate_monoid(a: Monoid) -> ValidationReport:
     """Certify associativity, unit laws and naturality on all stored cells."""
-    rep = ValidationReport("monoid %s" % a.name)
+    rep = monoid_unit_laws(a)
     cat, car = a.cat, a.carrier
     cap = car.cap
     mul = a.pairing_cell
-    _unit_laws(rep, car, a.unit, [("unit-left", "left", mul), ("unit-right", "right", mul)])
     _associativity_laws(rep, car, [("associativity", (car, car, car), (mul, mul, mul, mul))])
 
     # naturality of the pairing against basis arrows (finite backend)
@@ -590,6 +597,21 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
             for (x, d) in a.carrier.cells()}
 
 
+class _SpannedOnRead(dict):
+    """A<gens> as `generated_submodule` gives it, each cell spanned when first read."""
+
+    __slots__ = ("monoid", "gens")
+
+    def __init__(self, a: Monoid, gens: Sequence[Element]):
+        super().__init__()
+        self.monoid, self.gens = a, gens
+
+    def __missing__(self, cell):
+        sub = self[cell] = Subspace.from_matrix_columns(
+            _ideal_columns(self.monoid, self.gens, *cell)[0])
+        return sub
+
+
 def _induced(tgt, mat: Matrix, basis: Matrix, section: Matrix, what: str, args) -> Matrix:
     """The map tgt.projection * mat induces on a source quotient (basis, section).
 
@@ -748,9 +770,9 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
     to the symmetry.  One `rref` per cell gives every prefix dimension: its
     pivot columns are the generator columns independent of those before them.
     Stage i checks g_i's centrality before its object.  Only a failing stage
-    builds the ideal I, and `is_regular` finds the witness by scanning L_g on
-    A/I cell by cell; no quotient bimodule is built.  final_dims is dim A -
-    dim A<gens> per cell.
+    reads the ideal I, and `is_regular` finds the witness by scanning L_g on
+    A/I cell by cell; I is spanned only on the cells the scan reaches, and no
+    quotient bimodule is built.  final_dims is dim A - dim A<gens> per cell.
     """
     car, unit = a.carrier, a.cat.unit
     k = next((i for i, g in enumerate(gens) if g.obj != unit), len(gens))
@@ -773,7 +795,7 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
             stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
                                                 car.truncated))
             continue
-        stages.append(is_regular(a, g, regular_bimodule(a), generated_submodule(a, gens[:i])))
+        stages.append(is_regular(a, g, regular_bimodule(a), _SpannedOnRead(a, gens[:i])))
         if stages[-1].regular:
             raise StructuralError("stage %d: dimension count and kernel scan disagree" % i)
         failed = i

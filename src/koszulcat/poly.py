@@ -134,29 +134,13 @@ def polynomial_monoid(a: Monoid, n: int, cap: int, var_names=None) -> Monoid:
     if cap < 0:
         raise PreconditionError("cap must be nonnegative")
     cat, field = a.cat, a.field
-    names = tuple(var_names) if var_names else default_var_names(n)
-    if len(names) != n:
-        raise StructuralError("expected %d variable names, got %d" % (n, len(names)))
+    names = _checked_names(n, var_names or default_var_names(n))
 
     dims = {}
-    basis_names = {}
     for d in range(cap + 1):
-        mons = multi_indices(n, d)
+        count = len(multi_indices(n, d))
         for x in cat.objects:
-            base_dim = a.carrier.dim(x, 0)
-            dims[(x, d)] = len(mons) * base_dim
-            base_names = a.carrier.names(x, 0)
-            cell = []
-            for m in mons:
-                ms = mono_str(m, names)
-                for bn in base_names:
-                    if not ms:
-                        cell.append(bn)
-                    elif base_dim == 1:
-                        cell.append(ms)
-                    else:
-                        cell.append("%s*%s" % (ms, bn))
-            basis_names[(x, d)] = tuple(cell)
+            dims[(x, d)] = count * a.carrier.dim(x, 0)
 
     actions = {}
     for key in cat.all_basis_mors():
@@ -165,7 +149,7 @@ def polynomial_monoid(a: Monoid, n: int, cap: int, var_names=None) -> Monoid:
             mons = multi_indices(n, d)
             actions[(key, d)] = Matrix.identity(field, len(mons)).kron(base_act)
 
-    carrier = GradedCarrier(cat, cap, True, dims, actions, basis_names)
+    carrier = GradedCarrier(cat, cap, True, dims, actions, _basis_names(a, n, cap, names))
     carrier.copies = (a.carrier.slice_rep(0),
                       {d: len(multi_indices(n, d)) for d in range(cap + 1)})
 
@@ -177,9 +161,50 @@ def polynomial_monoid(a: Monoid, n: int, cap: int, var_names=None) -> Monoid:
                     pairing[(x, d1, y, d2)] = monomial_block_product(
                         n, d1, n, d2, "add", a.pairing_cell(x, 0, y, 0),
                         a.carrier.dim(x, 0), a.carrier.dim(y, 0))
+    return _polynomial(a, carrier, pairing, names)
 
-    name = "%s[%s]" % (a.name, ",".join(names))
-    return Monoid(carrier, pairing, a.unit, name=name, poly_info=PolyInfo(a, names))
+
+def rename_variables(g: Monoid, var_names) -> Monoid:
+    """The polynomial monoid g with its variables renamed.
+
+    Equal to `polynomial_monoid` on g's base, variable count and cap under
+    the new names, without building it again: the result shares g's carrier
+    dims, actions and copies and its pairing cells.  Its basis names, name,
+    `poly_info` and central memo are its own.
+    """
+    info = g.poly_info
+    if info is None:
+        raise PreconditionError("not a polynomial monoid")
+    names = _checked_names(info.nvars, var_names)
+    car = g.carrier
+    carrier = GradedCarrier(car.cat, car.cap, car.truncated, car.dims, car.actions,
+                            _basis_names(info.base, info.nvars, car.cap, names))
+    carrier.copies = car.copies
+    return _polynomial(info.base, carrier, dict(g.pairing), names)
+
+
+def _checked_names(n: int, var_names) -> tuple:
+    names = tuple(var_names)
+    if len(names) != n:
+        raise StructuralError("expected %d variable names, got %d" % (n, len(names)))
+    return names
+
+
+def _basis_names(a: Monoid, n: int, cap: int, names: tuple) -> dict:
+    """Per cell, monomial-major: the base name, the monomial, or monomial*base name."""
+    out = {}
+    for d in range(cap + 1):
+        mons = [mono_str(m, names) for m in multi_indices(n, d)]
+        for x in a.cat.objects:
+            one = a.carrier.dim(x, 0) == 1
+            out[(x, d)] = tuple(bn if not ms else ms if one else "%s*%s" % (ms, bn)
+                                for ms in mons for bn in a.carrier.names(x, 0))
+    return out
+
+
+def _polynomial(a: Monoid, carrier: GradedCarrier, pairing: dict, names: tuple) -> Monoid:
+    return Monoid(carrier, pairing, a.unit, name="%s[%s]" % (a.name, ",".join(names)),
+                  poly_info=PolyInfo(a, names))
 
 
 def variable_element(g: Monoid, i: int) -> Element:

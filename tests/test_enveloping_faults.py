@@ -143,6 +143,13 @@ def test_fault_fails_its_certificate(monkeypatch, name, install):
     assert verdicts()[name] is False
 
 
+def test_a_degree_three_binomial_fault_fails_the_change_of_variables(monkeypatch):
+    """comb(3, 1) = 4 in psi: a fault that first shows in the law at (1, 2)."""
+    monkeypatch.setattr(hochschild, "comb",
+                        lambda n, k: comb(n, k) + ((n, k) == (3, 1)))
+    assert verdicts()["change-of-variables-iso"] is False
+
+
 def test_morphism_certificates_are_read_from_the_shared_law(monkeypatch):
     """With the law answering False, exactly pi's, psi's and Phi's certificates fail."""
     assert hochschild.morphism_law is poly.morphism_law is monoid.morphism_law

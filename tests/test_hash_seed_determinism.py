@@ -10,7 +10,10 @@ without the enveloping monoid), the enveloping monoid behind Hochschild
 cohomology on both backends (the merge Phi, the collapse pi and the change
 of variables psi), and the plain
 `koszul` route through the homology report, on a copy of poly_xy.kz whose
-task line does not ask for check-resolution.
+task line does not ask for check-resolution, and `tensor-idem` on a Day
+unit and on a unit with no products, whose unit laws fail.  One library
+golden, the bimodule resolution over the C2 Day unit, is also rebuilt
+under `python -O` and compared byte for byte.
 """
 
 import os
@@ -19,8 +22,11 @@ import sys
 
 import pytest
 
+from test_syzygy_verb import ZERO_PRODUCT, _pin
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 SRC = os.path.join(ROOT, "src")
+TESTS = os.path.join(ROOT, "tests")
 RUN_CLI = "import sys; from koszulcat.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # (id, argv).  The ids are explicit, so adding a command renames no case;
@@ -33,6 +39,7 @@ COMMANDS = [
     ("hh1", ["hh", "problems/c2conv.kz", "-n", "1", "-p", "1", "--max-degree", "3"]),
     ("syzygy-trivial_q", ["syzygy", "problems/trivial_q.kz", "-n", "1", "--module", "Mt",
                           "--max-degree", "4"]),
+    ("tensor-idem", ["tensor-idem", "problems/c2conv.kz"]),
 ]
 ARGVS = [argv for _, argv in COMMANDS]
 IDS = [name for name, _ in COMMANDS]
@@ -77,3 +84,29 @@ def test_plain_koszul_output_is_equal_across_hash_seeds_and_under_optimize(tmp_p
     assert runs[0] == runs[1] == optimized
     assert runs[0][0] == 0
     assert b'"op":"koszul-homology"' in runs[0][2]
+
+
+@pytest.mark.parametrize("seed, flags", [(0, ()), (1, ()), (0, ("-O",))],
+                         ids=["seed0", "seed1", "optimize"])
+def test_unit_law_refusal_is_equal_across_hash_seeds_and_under_optimize(seed, flags, tmp_path):
+    """`tensor-idem` on a unit with no products: the pinned refusal, exit 1."""
+    problem = tmp_path / "zero_product.kz"
+    problem.write_text(ZERO_PRODUCT, encoding="utf-8")
+    code, stdout, report = run_under_seed(["tensor-idem", str(problem)], seed,
+                                          tmp_path / "r.json", *flags)
+    pin = _pin("tensor_idem_zero_product")
+    assert (code, stdout.decode(), report.decode()) == (pin["exit"], pin["stdout"], pin["report"])
+
+
+def test_bimodule_resolution_golden_under_optimize():
+    """The `bimodule_resolution_c2_f101` golden, rebuilt in a fresh `python -O`."""
+    name = "bimodule_resolution_c2_f101"
+    code = ("import sys; from test_golden_reports import LIB_CASES; "
+            "sys.stdout.write('\\n'.join(LIB_CASES[%r]()) + '\\n')" % name)
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, TESTS, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(TESTS, "golden", name + ".txt"), "rb") as fh:
+        assert proc.stdout == fh.read()

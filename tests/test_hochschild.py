@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import koszulcat.hochschild
 from koszulcat.category import CategoryPresentation
 from koszulcat.errors import PreconditionError, StructuralError
 from koszulcat.field import QQ, Field
@@ -22,7 +23,7 @@ from koszulcat.monoid import (
     scalar_monoid,
     validate_module,
 )
-from koszulcat.poly import mono_index, multi_indices
+from koszulcat.poly import default_var_names, mono_index, multi_indices, polynomial_monoid
 from koszulcat.sample import c2_convolution_category, dual_numbers, s3_group_algebra
 
 CAT = CategoryPresentation.trivial(QQ)
@@ -218,3 +219,31 @@ def test_full_pipeline_over_finite_backend():
     for x in cat.objects:
         for d in range(3):
             assert dims[(x, d)] == 1
+
+
+@pytest.mark.parametrize("var_names", [None, ("x", "y")], ids=["t", "xy"])
+@pytest.mark.parametrize("base", [scalar_monoid(CategoryPresentation.trivial(Field(101))),
+                                  identity_monoid(c2_convolution_category(Field(101)))],
+                         ids=["scalar", "c2unit"])
+def test_a_u_and_a_v_are_a_n_renamed(monkeypatch, base, var_names):
+    """A_u and A_v share A_n's carrier data and pairing cells, as the same
+    objects, and carry the names a fresh polynomial monoid would."""
+    merged = []
+    real = koszulcat.hochschild.merge_variables
+    monkeypatch.setattr(koszulcat.hochschild, "merge_variables",
+                        lambda c, d, *rest: merged.append((c, d)) or real(c, d, *rest))
+    a_n = build_enveloping(base, 2, 3, var_names=var_names).a_n
+    (a_u, a_v), = merged
+    for g, letter in ((a_u, "u"), (a_v, "v")):
+        assert g.carrier is not a_n.carrier and g.central_memo is not a_n.central_memo
+        assert g.carrier.dims == a_n.carrier.dims
+        assert g.carrier.copies is a_n.carrier.copies
+        for mine, theirs in ((g.carrier.actions, a_n.carrier.actions), (g.pairing, a_n.pairing)):
+            assert mine.keys() == theirs.keys()
+            assert all(mine[k] is m for k, m in theirs.items())
+        fresh = polynomial_monoid(base, 2, 3, var_names=default_var_names(2, letter))
+        assert g.carrier.basis_names == fresh.carrier.basis_names
+        assert g.name == fresh.name
+        assert g.poly_info.var_names == fresh.poly_info.var_names == default_var_names(2, letter)
+        assert g.poly_info.base is base
+        assert g.pairing == fresh.pairing and g.carrier.actions == fresh.carrier.actions

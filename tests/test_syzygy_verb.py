@@ -8,7 +8,9 @@ base that is not tensor idempotent (exit 1), a noncommutative base, no
 variables, a window that cannot hold them and an unknown module (exit 2).
 The verb resolves over A_n alone: every case, and the two `syzygy` goldens
 of test_golden_reports.py, give the same outputs with `build_enveloping`
-and `merge_variables` made to raise wherever the package binds them.
+and `merge_variables` made to raise wherever the package binds them.  One
+more pin, `tensor_idem_zero_product`, holds the `tensor-idem` outputs on a
+unit with no products, whose unit laws fail.
 
 To record the pins again from the current code, run
 
@@ -19,6 +21,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -29,9 +32,16 @@ import koszulcat.poly
 from koszulcat.cli import main
 from koszulcat.errors import IsoFailureError, StructuralError
 from koszulcat.field import Field
-from koszulcat.hochschild import check_base_merge, certify_tensor_idempotent, polynomial_over
+from koszulcat.gtensor import GradedTensor
+from koszulcat.hochschild import (
+    TensorIdempotentCertificate,
+    certify_tensor_idempotent,
+    check_base_merge,
+    polynomial_over,
+)
 from koszulcat.monoid import identity_monoid
 from koszulcat.poly import default_var_names, merge_variables, polynomial_monoid
+from koszulcat.problemfile import parse_problem_file
 from koszulcat.sample import c2_convolution_category
 from test_golden_reports import CLI_CASES, _cli_outputs, _golden
 
@@ -50,14 +60,14 @@ PIN_CASES = [
 ]
 
 
-def _outputs(argv, tmp):
-    """{exit, stdout, stderr, report} of one in-process `syzygy` run."""
+def _outputs(argv, tmp, verb="syzygy"):
+    """{exit, stdout, stderr, report} of one in-process run of verb, `syzygy` by default."""
     report_path = os.path.join(tmp, "r.json")
     if os.path.exists(report_path):
         os.remove(report_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["syzygy"] + argv + ["--report", report_path])
+        code = main([verb] + argv + ["--report", report_path])
     report = None
     if os.path.exists(report_path):
         with open(report_path, encoding="utf-8") as fh:
@@ -128,17 +138,45 @@ module R self
 """
 
 
+def _zero_product_problem(tmp_path):
+    problem = tmp_path / "zero_product.kz"
+    problem.write_text(ZERO_PRODUCT, encoding="utf-8")
+    return str(problem)
+
+
 def test_a_base_only_a_quotient_of_the_unit_is_refused_as_the_merge_refuses_it(
         tmp_path, monkeypatch, no_enveloping):
     """A unit with no products passes the quotient-of-I road but not the
-    direct one, so its degree-0 mu, the merge witness, is singular; the
-    merge refused it with this message before the verb skipped the merge."""
+    direct one, so its degree-0 mu, the merge witness, is singular, and
+    `check_base_merge` refuses it with the merge's message.  Its unit laws
+    fail, so the tensor-idempotence certificate now refuses it first: the
+    verb writes the refusal report, naming the cell where the left unit law
+    fails, and reaches neither A_n nor the merge check."""
     monkeypatch.chdir(REPO)
-    problem = tmp_path / "zero_product.kz"
-    problem.write_text(ZERO_PRODUCT, encoding="utf-8")
-    assert _outputs([str(problem), "-n", "1", "--module", "R"], str(tmp_path)) == \
-        {"exit": 1, "report": None, "stdout": "",
-         "stderr": "error: witness at 1 is not invertible\n"}
+    problem = _zero_product_problem(tmp_path)
+    refused = ('{"certificates":[{"detail":"refused: unit law fails: unit-left at (1, 0)",'
+               '"name":"tensor-idempotent","passed":false}],"entries":[],"field":"Q",'
+               '"task":{"monoid":"A","n":1,"op":"syzygy"},"window":{"cap":4}}\n')
+    assert _outputs([problem, "-n", "1", "--module", "R"], str(tmp_path)) == \
+        {"exit": 1, "report": refused, "stderr": "",
+         "stdout": "task: monoid=A n=1 op=syzygy\nfield: Q\nwindow: cap=4\n\n"
+                   "certificate tensor-idempotent:           FAIL  "
+                   "(refused: unit law fails: unit-left at (1, 0))\n"}
+    a = parse_problem_file(problem).build_subject(0)
+    mu = GradedTensor(a.carrier, a.carrier).induced_map_cells(a.carrier, a.pairing_cell)
+    quotient_only = TensorIdempotentCertificate(a.name, False, True, "quotient-of-I", "", mu)
+    a_u = polynomial_monoid(a, 1, 2, var_names=("u",))
+    a_v = polynomial_monoid(a, 1, 2, var_names=("v",))
+    merge_refusal = _refusal(lambda: merge_variables(a_u, a_v, a, {"1": mu[("1", 0)]}))
+    assert merge_refusal == (IsoFailureError, "witness at 1 is not invertible")
+    assert _refusal(lambda: check_base_merge(a, quotient_only)) == merge_refusal
+
+
+def test_tensor_idem_refuses_a_unit_with_no_products(tmp_path, monkeypatch):
+    """The quotient-of-I road alone would pass this file; its unit laws fail."""
+    monkeypatch.chdir(REPO)
+    assert _outputs([_zero_product_problem(tmp_path)], str(tmp_path), verb="tensor-idem") == \
+        _pin("tensor_idem_zero_product")
 
 
 def _refusal(call):
@@ -171,6 +209,11 @@ def _record():
             with open(os.path.join(GOLDEN, name + ".pin"), "w", encoding="utf-8") as fh:
                 json.dump(_outputs(argv, tmp), fh, indent=1, sort_keys=True)
                 fh.write("\n")
+        with open(os.path.join(GOLDEN, "tensor_idem_zero_product.pin"), "w",
+                  encoding="utf-8") as fh:
+            problem = _zero_product_problem(pathlib.Path(tmp))
+            json.dump(_outputs([problem], tmp, verb="tensor-idem"), fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 if __name__ == "__main__":
