@@ -47,7 +47,6 @@ from .poly import merge_variables, polynomial_monoid, variable_element
 from .report import GradedReport, ValidationReport
 from .tensor import (
     build_syzygy_resolution,
-    check_restriction_compatibility,
     syzygy_resolution,
     tensor_over_monoid,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "GradedReport",
     "ValidationReport",
     "build_syzygy_resolution",
-    "check_restriction_compatibility",
     "syzygy_resolution",
     "tensor_over_monoid",
     "__version__",

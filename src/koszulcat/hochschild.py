@@ -25,7 +25,6 @@ from .monoid import (
     Module,
     Monoid,
     generated_submodule,
-    is_central,
     is_commutative,
     is_regular_sequence,
     monoid_unit_laws,
@@ -33,7 +32,6 @@ from .monoid import (
     mult_operator,
 )
 from .poly import (
-    MergeResult,
     base_merge,
     default_var_names,
     merge_variables,
@@ -125,7 +123,6 @@ class EnvelopingData:
     pi: dict           # (obj, deg) -> Matrix, linear over the base coordinates
     alphas: list       # the variable differences u_i - v_i
     ideal: dict        # (obj, deg) -> Subspace, the generated ideal
-    merge: MergeResult
     report: GradedReport
 
     @property
@@ -246,16 +243,10 @@ def build_enveloping(a: Monoid, n: int, cap: int,
             vars_ok = False
     report.add_certificate("collapse-matches-variables", vars_ok)
 
-    # the variable differences: central, degree one
-    alphas = []
-    central_ok = True
-    for u_i, v_i in zip(us, vs):
-        alpha = Element(cat.unit, 1,
-                        tuple(field.sub(p, q) for p, q in zip(u_i.coords, v_i.coords)))
-        if not is_central(c, alpha):
-            central_ok = False
-        alphas.append(alpha)
-    report.add_certificate("differences-central", central_ok)
+    # the variable differences, degree one; central because `variable_element`
+    # refuses a non-central u_i or v_i, and `build_koszul` checks each again
+    alphas = [Element(cat.unit, 1, tuple(map(field.sub, u_i.coords, v_i.coords)))
+              for u_i, v_i in zip(us, vs)]
 
     ideal = generated_submodule(c, alphas)
 
@@ -294,7 +285,7 @@ def build_enveloping(a: Monoid, n: int, cap: int,
                 inj_ok = False
     report.add_certificate("collapse-injective-on-first-family", inj_ok)
 
-    return EnvelopingData(a, n, a_n, c, pi, alphas, ideal, merge, report)
+    return EnvelopingData(a, n, a_n, c, pi, alphas, ideal, report)
 
 
 # -- change of variables ---------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .category import CategoryPresentation, Representation, identity_representation
 from .errors import (
@@ -597,21 +597,6 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
             for (x, d) in a.carrier.cells()}
 
 
-class _SpannedOnRead(dict):
-    """A<gens> as `generated_submodule` gives it, each cell spanned when first read."""
-
-    __slots__ = ("monoid", "gens")
-
-    def __init__(self, a: Monoid, gens: Sequence[Element]):
-        super().__init__()
-        self.monoid, self.gens = a, gens
-
-    def __missing__(self, cell):
-        sub = self[cell] = Subspace.from_matrix_columns(
-            _ideal_columns(self.monoid, self.gens, *cell)[0])
-        return sub
-
-
 def _induced(tgt, mat: Matrix, basis: Matrix, section: Matrix, what: str, args) -> Matrix:
     """The map tgt.projection * mat induces on a source quotient (basis, section).
 
@@ -705,14 +690,15 @@ class RegularityCertificate:
 
 
 def is_regular(a: Monoid, elt: Element, m: Module,
-               sub: Optional[dict] = None) -> RegularityCertificate:
+               sub: Optional[Callable] = None) -> RegularityCertificate:
     """Certify that elt acts injectively on every cell of m (of m/sub) within the window.
 
     Requires elt central (the definition lives in the commutant); reports the
-    first nonzero annihilated vector as the witness.  With sub, a subspace
-    per cell, each cell of L_elt is descended to m/sub as the scan reaches it
-    (`matrix.quotient`, once per cell); the first scanned cell that does not
-    descend raises StabilityError, and no cell after the witness is touched.
+    first nonzero annihilated vector as the witness.  With sub, a function
+    from a cell (x, d) to a subspace of m there, each cell of L_elt is
+    descended to m/sub as the scan reaches it (sub and `matrix.quotient` run
+    once per cell); the first scanned cell that does not descend raises
+    StabilityError, and no cell after the witness is touched.
     `is_regular_sequence` decides stages by dimension count and calls this
     only on a failing stage.
     """
@@ -729,7 +715,7 @@ def is_regular(a: Monoid, elt: Element, m: Module,
             if sub is not None:
                 for cell in ((x, d), (x, d + op.shift)):
                     if cell not in quots:
-                        quots[cell] = quotient(m.carrier.dim(*cell), sub[cell])
+                        quots[cell] = quotient(m.carrier.dim(*cell), sub(cell))
                 q = quots[(x, d)]
                 mat = _induced(quots[(x, d + op.shift)], mat, q.sub.basis, q.section,
                                "multiplication by (%s,%d) at (%s,%d)",
@@ -795,7 +781,8 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
             stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
                                                 car.truncated))
             continue
-        stages.append(is_regular(a, g, regular_bimodule(a), _SpannedOnRead(a, gens[:i])))
+        stages.append(is_regular(a, g, regular_bimodule(a), lambda cell: (
+            Subspace.from_matrix_columns(_ideal_columns(a, gens[:i], *cell)[0]))))
         if stages[-1].regular:
             raise StructuralError("stage %d: dimension count and kernel scan disagree" % i)
         failed = i

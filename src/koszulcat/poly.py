@@ -228,19 +228,24 @@ def variable_element(g: Monoid, i: int) -> Element:
 
 
 def element_from_name(g: Monoid, name: str) -> Element:
-    """Resolve a basis name, a variable name, or 'u-v' style differences."""
-    if g.poly_info is not None and name in g.poly_info.var_names:
-        return variable_element(g, g.poly_info.var_names.index(name) + 1)
-    if "-" in name:
-        left, right = name.split("-", 1)
-        a = element_from_name(g, left.strip())
-        b = element_from_name(g, right.strip())
-        if (a.obj, a.degree) != (b.obj, b.degree):
+    """Resolve a variable name, a basis name, or a difference of such names.
+
+    An exact variable or basis name wins, even one containing '-'; any other
+    name is split at every '-' and its parts subtracted from left to right,
+    so 'x-y-z' is x - y - z.
+    """
+    var_names = g.poly_info.var_names if g.poly_info is not None else ()
+    exact = "-" not in name or name in var_names or any(
+        name in g.carrier.names(*cell) for cell in g.carrier.cells())
+    parts = [name] if exact else [part.strip() for part in name.split("-")]
+    first, *rest = [variable_element(g, var_names.index(p) + 1) if p in var_names
+                    else g.basis_element(p) for p in parts]
+    coords = first.coords
+    for b in rest:
+        if (first.obj, first.degree) != (b.obj, b.degree):
             raise StructuralError("difference %r mixes cells" % name)
-        f = g.field
-        return Element(a.obj, a.degree,
-                       tuple(f.sub(x, y) for x, y in zip(a.coords, b.coords)))
-    return g.basis_element(name)
+        coords = tuple(map(g.field.sub, coords, b.coords))
+    return Element(first.obj, first.degree, coords)
 
 
 @dataclass

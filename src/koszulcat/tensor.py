@@ -208,29 +208,6 @@ def module_over_identity(carrier, ident: Monoid, name="F") -> Module:
     return Module(ident, carrier, "bi", left, right, name="%s-as-I-module" % name)
 
 
-def check_restriction_compatibility(m: Module, n: Module,
-                                    m_outer: Optional[OuterStructure],
-                                    n_outer: OuterStructure) -> GradedReport:
-    """Restricting the tensor to a one-sided module commutes with forgetting."""
-    report = GradedReport(
-        task={"op": "restriction-compatibility", "monoid": m.monoid.name},
-        field=m.monoid.field.descriptor(),
-        window={"cap": min(m.cap, n.cap), "truncated": m.carrier.truncated or n.carrier.truncated},
-    )
-    full = tensor_over_monoid(m, n, m_outer=m_outer, n_outer=n_outer)
-    forgotten = tensor_over_monoid(m, n, m_outer=None, n_outer=n_outer)
-    dims_ok = full.dims() == forgotten.dims()
-    report.add_certificate("dimensions-agree", dims_ok)
-    proj_ok = all(full.quots[c].projection == forgotten.quots[c].projection
-                  for c in full.quots)
-    report.add_certificate("canonical-map-is-identity", proj_ok)
-    act_ok = full.outer_right == forgotten.outer_right
-    report.add_certificate("right-actions-agree", act_ok)
-    for (x, d), q in sorted(full.quots.items()):
-        report.add_entry(None, x, d, q.dim)
-    return report
-
-
 # -- the relative syzygy resolution ------------------------------------------------
 
 

@@ -35,7 +35,6 @@ from koszulcat.sample import dual_numbers, s3_center
 from koszulcat.tensor import (
     OuterStructure,
     build_syzygy_resolution,
-    check_restriction_compatibility,
     tensor_over_monoid,
     unit_law_maps,
 )
@@ -357,14 +356,18 @@ def _crit7(pmap):
                 unit_law_maps(coeq, "right")
             ok = ok and law
             parts.append({"monoid": label, "unit_law_for": m_name, "holds": law})
-    # Lemma A.2 compatibility on a three-monoid instance
+    # Lemma A.2 on a three-monoid instance: the tensor with outer scalar
+    # actions on both sides, both of which must descend (else this raises),
+    # has the oracle's dims
     q = scalar_monoid(CAT)
     reg = regular_bimodule(dn)
     scalars_l = OuterStructure(q, "left", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
     scalars_r = OuterStructure(q, "right", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
-    rep = check_restriction_compatibility(reg, reg, scalars_l, scalars_r)
-    ok = ok and rep.all_passed and rep.entries[0].dim == 2
-    parts.append({"lemma_a2": rep.to_jsonable()})
+    coeq = tensor_over_monoid(reg, reg, m_outer=scalars_l, n_outer=scalars_r)
+    got = {d: coeq.dim(U, d) for d in range(coeq.gt.cap + 1)}
+    agree = got == _oracle_tensor_dims(dn, reg, reg)
+    ok = ok and agree and bool(coeq.outer_left) and bool(coeq.outer_right)
+    parts.append({"lemma_a2": {"dims": [got[d] for d in sorted(got)], "oracle_agrees": agree}})
     return ok, _payload(parts), "coequalizer dims match the oracle; unit laws exact"
 
 

@@ -6,8 +6,7 @@ does.  `COVERAGE` maps each name to exactly one of:
 
 - `in_table(module)`: an entry of the `FAULTS` table of that test module, whose
   fault fails the certificate;
-- `failed_in("tests/<file>.py::<test>")`: a test in which the certificate fails;
-- `reason(text)`: why no fault can fail it.
+- `failed_in("tests/<file>.py::<test>")`: a test in which the certificate fails.
 
 The test fails when a name has no entry, when an entry names a certificate
 that no longer exists, or when it names a missing table entry or test.  The
@@ -51,12 +50,6 @@ def failed_in(node_id):
     return ("test", node_id)
 
 
-def reason(text):
-    return ("reason", text)
-
-
-LEMMA_A2 = reason("compares two tensor_over_monoid runs built from the same inputs "
-                  "in check_restriction_compatibility, so it cannot fail")
 HERE = "tests/test_certificate_faults.py::"
 DUAL_NUMBERS = failed_in("tests/test_hochschild.py::test_dual_numbers_not_idempotent")
 
@@ -84,9 +77,6 @@ COVERAGE = {
     "collapse-is-monoid-morphism": in_table("test_enveloping_faults"),
     "collapse-preserves-unit": in_table("test_enveloping_faults"),
     "collapse-matches-variables": in_table("test_enveloping_faults"),
-    "differences-central": reason("variable_element raises unless each u_i and v_i is "
-                                  "central, and the commutant is a subspace, so u_i - v_i "
-                                  "is central whenever the certificate is reached"),
     "ideal-inside-kernel": in_table("test_enveloping_faults"),
     "collapse-surjective": in_table("test_enveloping_faults"),
     "kernel-dimension-match": in_table("test_enveloping_faults"),
@@ -94,10 +84,6 @@ COVERAGE = {
     "differences-regular-sequence": failed_in(HERE + "test_repeated_difference_fails_regularity"),
     "change-of-variables-iso": in_table("test_enveloping_faults"),
     "cochain-differential-zero": failed_in(HERE + "test_faulted_right_action_fails_zero_cochains"),
-    # koszulcat.tensor
-    "dimensions-agree": LEMMA_A2,
-    "canonical-map-is-identity": LEMMA_A2,
-    "right-actions-agree": LEMMA_A2,
     # koszulcat.cli
     "tensor-idempotent": failed_in("tests/test_cli.py::test_tensor_idem_verb"),
     "direct-mode": DUAL_NUMBERS,
@@ -143,11 +129,10 @@ def test_entry_names_what_fails_it(name):
     if kind == "fault":
         table = importlib.import_module(target).FAULTS
         assert name in [entry[0] for entry in table]
-    elif kind == "test":
+    else:
+        assert kind == "test"
         path, func = target.split("::")
         assert func in functions_in(path), target
-    else:
-        assert kind == "reason" and target
 
 
 def test_detector_reads_only_literal_names():

@@ -94,6 +94,12 @@ def test_regular_check_verbs():
     assert main(["regular-check", pfile("dual_numbers.kz"), "--alpha", "xbar"]) == 1
 
 
+def test_a_difference_of_three_names_subtracts_left_to_right(capsys):
+    """x-y-x is -y, and (-y, y) is not a regular sequence."""
+    assert main(["regular-check", pfile("poly_xy.kz"), "--alpha", "x-y-x,y"]) == 1
+    assert "certificate regular-sequence:            FAIL" in capsys.readouterr().out
+
+
 def test_commutant_verb():
     assert main(["commutant", pfile("s3_group_algebra.kz")]) == 0
 

@@ -10,9 +10,11 @@ failure is the fault's.  The three morphism certificates (pi, psi and the
 merge Phi) are also faulted together through the one law that checks them,
 `monoid.morphism_law`.
 
-`differences-central` has no entry: `variable_element` raises unless each
-u_i and v_i is central, and the commutant is a subspace, so u_i - v_i is
-central whenever the certificate is reached.
+The variable differences u_i - v_i carry no certificate of their own:
+`variable_element` refuses a u_i or v_i that is not central, and the
+commutant is a subspace, so each difference is central (`build_koszul`
+checks each again).  The last test breaks the centrality of u1 and sees
+`build_enveloping` refuse it.
 
 Base: the scalar monoid over F_101, n = 2 variables (u1, u2, v1, v2 on the
 enveloping side, t1, t2 on the target), cap 3.
@@ -26,6 +28,7 @@ import koszulcat.hochschild as hochschild
 import koszulcat.monoid as monoid
 import koszulcat.poly as poly
 from koszulcat.category import CategoryPresentation
+from koszulcat.errors import StructuralError
 from koszulcat.field import Field
 from koszulcat.hochschild import build_enveloping, change_of_variables_certificate
 from koszulcat.matrix import Matrix
@@ -158,3 +161,21 @@ def test_morphism_certificates_are_read_from_the_shared_law(monkeypatch):
     failed = {name for name, ok in verdicts().items() if not ok}
     assert failed == {"collapse-is-monoid-morphism", "change-of-variables-iso",
                       "merge-multiplicative"}
+
+
+def test_a_non_central_variable_is_refused(monkeypatch):
+    """v1 u1 is doubled in the merged monoid, so u1 v1 != v1 u1: u1, variable 1
+    of A_2n, is not central, and `build_enveloping` refuses it by name."""
+    real = hochschild.merge_variables
+    degree_one = mono_index(2 * N, 1)
+
+    def faulty(*args):
+        merge = real(*args)
+        cell = (CAT.unit, 1, CAT.unit, 1)
+        col = degree_one[V1] * len(degree_one) + degree_one[U1]
+        merge.monoid.pairing[cell] = edit_rows(merge.monoid.pairing[cell], scale_column(col))
+        return merge
+
+    monkeypatch.setattr(hochschild, "merge_variables", faulty)
+    with pytest.raises(StructuralError, match="variable 1 is not central"):
+        build_enveloping(scalar_monoid(CAT), N, CAP)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from koszulcat.category import CategoryPresentation
-from koszulcat.errors import IsoFailureError, PreconditionError
+from koszulcat.errors import IsoFailureError, PreconditionError, StructuralError
 from koszulcat.field import QQ, Field
 from koszulcat.matrix import Matrix, place
 from koszulcat.monoid import (
@@ -14,6 +14,7 @@ from koszulcat.monoid import (
     identity_monoid,
     is_central,
     is_commutative,
+    monoid_from_table,
     regular_bimodule,
     scalar_monoid,
     validate_module,
@@ -108,6 +109,29 @@ def test_monomial_names():
     assert a.carrier.names(U, 2) == ("x^2", "x*y", "y^2")
     e = element_from_name(a, "x")
     assert e.degree == 1
+
+
+def test_differences_subtract_from_left_to_right():
+    a = polynomial_monoid(scalar_monoid(CAT), 3, 1, var_names=("x", "y", "z"))
+    assert element_from_name(a, "x-y-z").coords == (1, -1, -1)
+    assert element_from_name(a, "x - y - x").coords == (0, -1, 0)
+    assert element_from_name(a, "y-x").coords == (-1, 1, 0)
+    with pytest.raises(StructuralError, match="mixes cells"):
+        element_from_name(a, "x-one")
+
+
+def test_exact_names_with_a_dash_resolve_before_differences():
+    one = QQ.one()
+    names = ("one", "a-b", "a", "b")
+    a = monoid_from_table(CAT, {U: names}, {("one", nm): {nm: one} for nm in names}
+                          | {(nm, "one"): {nm: one} for nm in names}, {"one": one})
+    assert element_from_name(a, "a-b").coords == (0, 1, 0, 0)
+    assert element_from_name(a, "a - b").coords == (0, 0, 1, -1)
+    assert element_from_name(a, "a-b-a").coords == (0, 0, 0, -1)
+    p = polynomial_monoid(scalar_monoid(CAT), 3, 1, var_names=("s-t", "s", "t"))
+    assert element_from_name(p, "s-t") == variable_element(p, 1)
+    # any other name splits at every '-': s - t - s, not (s-t) - s
+    assert element_from_name(p, "s-t-s").coords == (0, 0, -1)
 
 
 def test_polynomial_construction_is_functorial():

@@ -30,7 +30,6 @@ from koszulcat.sample import (
 from koszulcat.tensor import (
     OuterStructure,
     build_syzygy_resolution,
-    check_restriction_compatibility,
     module_over_identity,
     tensor_over_monoid,
     unit_law_maps,
@@ -169,7 +168,6 @@ def test_outer_actions_match_the_hand_placed_oracle(field, n, kinds):
     assert coeq.outer_left == _hand_placed_outer(coeq, m_outer, True)
     assert coeq.outer_right == _hand_placed_outer(coeq, n_outer, False)
     assert coeq.outer_left and coeq.outer_right
-    assert check_restriction_compatibility(m, nm, m_outer, n_outer).all_passed
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -258,15 +256,16 @@ def _naive_rank(rows, ncols):
 
 
 def test_restriction_compatibility_dual_numbers():
-    # D = E = Q acting by scalars on both sides
+    # D = E = Q acting by scalars on both sides: A (x)_A A is A, and the
+    # scalar 1 acts on it as the identity from either side
     a = dual_numbers(QQ)
     q = scalar_monoid(CAT)
     reg = regular_bimodule(a)
     scalar_left = OuterStructure(q, "left", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
     scalar_right = OuterStructure(q, "right", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
-    rep = check_restriction_compatibility(reg, reg, scalar_left, scalar_right)
-    assert rep.all_passed
-    assert rep.entries[0].dim == 2
+    coeq = tensor_over_monoid(reg, reg, m_outer=scalar_left, n_outer=scalar_right)
+    assert coeq.dims() == {(U, 0): 2}
+    assert coeq.outer_left == coeq.outer_right == {(U, 0, U, 0): Matrix.identity(QQ, 2)}
 
 
 def test_three_monoid_associativity_cross_check():
