@@ -61,7 +61,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, default=None,
                        help="truncation cap for graded carriers")
         p.add_argument("--threads", type=int, default=None,
-                       help="cell-level worker threads (or KOSZULCAT_THREADS)")
+                       help="thread count (or KOSZULCAT_THREADS): validated, but the "
+                            "cells run on the calling thread")
         p.add_argument("--report", help="write the machine-readable report here")
         return p
 
@@ -74,11 +75,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     verb("commutant", cmd_commutant, "commutant dimensions per object and degree")
     verb("tensor-idem", cmd_tensor_idem, "tensor idempotence certificate")
     h = verb("hh", cmd_hh, "Hochschild cohomology of the polynomial monoid")
-    h.add_argument("-n", type=int, dest="nvars", help="number of variables")
-    h.add_argument("-p", type=int, dest="codegree", help="cohomological degree")
+    h.add_argument("-n", type=int, help="number of variables")
+    h.add_argument("-p", type=int, help="cohomological degree")
     h.add_argument("--module", help="coefficient module (default: the monoid itself)")
     s = verb("syzygy", cmd_syzygy, "split resolution of a module")
-    s.add_argument("-n", type=int, dest="nvars", help="number of variables")
+    s.add_argument("-n", type=int, help="number of variables")
     s.add_argument("--module", help="module to resolve", required=False)
     t = verb("tensor-over", cmd_tensor_over, "tensor product over the subject monoid")
     t.add_argument("--module", help="two module names, comma separated")
@@ -228,9 +229,7 @@ def _polynomial_setup(args, problem):
     degree-0 subject is the base itself and the variables get default names.
     """
     main = problem.monoids[problem.main_name()]
-    n = _task_value(args, problem, "nvars")
-    if n is None:
-        n = _task_value(args, problem, "n")
+    n = _task_value(args, problem, "n")
     if main.kind == "poly":
         base = problem.build_monoid(main.over, 0)
         if n is None:
@@ -253,9 +252,7 @@ def _refusal(task, subject, cap, cert):
 
 def cmd_hh(args, problem, cap, parallel_map):
     subject, n, var_names = _polynomial_setup(args, problem)
-    p = _task_value(args, problem, "codegree")
-    if p is None:
-        p = _task_value(args, problem, "p")
+    p = _task_value(args, problem, "p")
     if p is None:
         raise ParseError("hh needs -p")
     cert = certify_tensor_idempotent(subject)

@@ -11,7 +11,6 @@ operators whose image is the generated ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .complexes import ChainComplex, CopyMap, GradedMap, Term
@@ -174,7 +173,6 @@ def koszul_homology_report(kc: KoszulComplex, parallel_map=map) -> GradedReport:
 @dataclass
 class ResolutionCertificate:
     regular: bool
-    sequence: object
     report: GradedReport
 
     @property
@@ -205,7 +203,7 @@ def check_resolution(a: Monoid, alphas, parallel_map=map) -> ResolutionCertifica
                                {"nonzero": [list(map(str, t)) for t in nonzero]})
         report.add_certificate("h0-matches-quotient", all(
             e.dim == seq.final_dims.get((e.obj, e.degree), 0) for e in report.entries if not e.p))
-    return ResolutionCertificate(seq.regular, seq, report)
+    return ResolutionCertificate(seq.regular, report)
 
 
 # -- Pascal decomposition -------------------------------------------------------
@@ -216,12 +214,9 @@ class SplitWitness:
     """The certified splitting, with iota, tau and sigma kept as copy maps.
 
     `iota_copies[p]`: K_p^{n-1} -> K_p^n, `tau_copies[p]`: K_p^n -> K_{p-1}^{n-1}
-    and `sigma_copies[p]`: K_{p-1}^{n-1} -> K_p^n, the section of tau.  The
-    `iota`, `tau` and `sigma` lists of `GradedMap`s are built from them, with
-    placed identity blocks, when first read.
+    and `sigma_copies[p]`: K_{p-1}^{n-1} -> K_p^n, the section of tau.
     """
 
-    big: KoszulComplex
     small: KoszulComplex
     iota_copies: list
     tau_copies: list
@@ -231,25 +226,6 @@ class SplitWitness:
     @property
     def passed(self):
         return self.report.all_passed
-
-    @cached_property
-    def iota(self) -> list:
-        return [self._identity_map(c) for c in self.iota_copies]
-
-    @cached_property
-    def tau(self) -> list:
-        return [self._identity_map(c) for c in self.tau_copies]
-
-    @cached_property
-    def sigma(self) -> list:
-        return [self._identity_map(c) for c in self.sigma_copies]
-
-    def _identity_map(self, copies: CopyMap) -> GradedMap:
-        a = self.big.monoid
-        ident = {None: (0, {cell: Matrix.identity(a.field, dim)
-                            for cell, dim in a.carrier.dims.items()})}
-        return summand_map(a.field, copies.src, copies.tgt,
-                           [(s, t, 1, None) for s, t in copies.pairs], ident)
 
 
 def summand_copies(src: Term, tgt: Term, relabel) -> CopyMap:
@@ -348,7 +324,7 @@ def pascal_split(kc: KoszulComplex) -> SplitWitness:
     report.add_certificate("connecting-map-formula", bad.isdisjoint(window),
                            detail="%d lifted cycles checked" % checked,
                            witness={"cycles_checked": checked})
-    return SplitWitness(kc, small, iota, tau, sigma, report)
+    return SplitWitness(small, iota, tau, sigma, report)
 
 
 def _differing_blocks(a: GradedMap, b: GradedMap) -> list:

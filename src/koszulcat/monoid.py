@@ -123,7 +123,7 @@ class GradedCarrier:
             m = Matrix.zeros(self.field, self.dim(y, deg), self.dim(x, deg))
         return m
 
-    def slice_rep(self, deg: int, name="F") -> Representation:
+    def slice_rep(self, deg: int) -> Representation:
         dims = {x: self.dim(x, deg) for x in self.cat.objects}
         actions = {}
         for (x, y, i) in self.cat.all_basis_mors():
@@ -132,7 +132,7 @@ class GradedCarrier:
                 actions[(x, y, i)] = self.actions[key]
             else:
                 actions[(x, y, i)] = Matrix.zeros(self.field, dims[y], dims[x])
-        return Representation(self.cat, dims, actions, name="%s_%d" % (name, deg))
+        return Representation(self.cat, dims, actions, name="F_%d" % deg)
 
 
 @dataclass(frozen=True)
@@ -212,18 +212,22 @@ class Monoid:
 
 
 class Module:
-    __slots__ = ("monoid", "carrier", "side", "left", "right", "name")
+    __slots__ = ("monoid", "carrier", "left", "right", "name")
 
-    def __init__(self, monoid: Monoid, carrier: GradedCarrier, side: str,
+    def __init__(self, monoid: Monoid, carrier: GradedCarrier,
                  left: Optional[dict], right: Optional[dict], name="M"):
-        if side not in ("left", "right", "bi"):
-            raise StructuralError("side must be left, right or bi")
+        if left is None and right is None:
+            raise StructuralError("module %s has neither a left nor a right action" % name)
         self.monoid = monoid
         self.carrier = carrier
-        self.side = side
         self.left = left    # (x, d1, y, d2): A(x)_{d1} (x) M(y)_{d2} -> M(x<>y)
         self.right = right  # (x, d1, y, d2): M(x)_{d1} (x) A(y)_{d2} -> M(x<>y)
         self.name = name
+
+    @property
+    def side(self) -> str:
+        """Which actions the module has: "bi", "left" or "right"."""
+        return "right" if self.left is None else "left" if self.right is None else "bi"
 
     @property
     def cat(self):
@@ -253,7 +257,7 @@ class Module:
 
 def regular_bimodule(a: Monoid) -> Module:
     """The monoid as a bimodule over itself; actions are the pairing."""
-    return Module(a, a.carrier, "bi", dict(a.pairing), dict(a.pairing), name=a.name)
+    return Module(a, a.carrier, dict(a.pairing), dict(a.pairing), name=a.name)
 
 
 def degree_zero_carrier(rep: Representation, name="F") -> GradedCarrier:
@@ -322,13 +326,13 @@ def monoid_from_table(cat: CategoryPresentation, basis: dict, mul, unit,
     return Monoid(carrier, pairing, tuple(ucoords), name=name)
 
 
-def scalar_monoid(cat: CategoryPresentation, name="Q") -> Monoid:
+def scalar_monoid(cat: CategoryPresentation) -> Monoid:
     """The base field as a one-dimensional monoid on the trivial backend."""
     if not cat.is_trivial:
         raise PreconditionError("scalar_monoid needs the trivial backend")
     one = cat.field.one()
     return monoid_from_table(cat, {cat.unit: ("one",)},
-                             {("one", "one"): {"one": one}}, {"one": one}, name=name)
+                             {("one", "one"): {"one": one}}, {"one": one}, name="Q")
 
 
 def identity_monoid(cat: CategoryPresentation) -> Monoid:
@@ -543,9 +547,7 @@ def is_central(a: Monoid, elt: Element) -> bool:
 class MultOperator:
     """The family b -> elt x b (or b x elt) on a module, one matrix per cell."""
 
-    elt: Element
     shift: int
-    side: str
     cells: dict  # (obj, deg) -> Matrix from M(obj)_deg to M(obj)_{deg+shift}
 
 
@@ -562,7 +564,7 @@ def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperat
             continue
         cell = m.left_cell(u, e, x, d) if side == "left" else m.right_cell(x, d, u, e)
         cells[(x, d)] = fix_slot(cell, elt.coords, car.dim(x, d), side)
-    return MultOperator(elt, e, side, cells)
+    return MultOperator(e, cells)
 
 
 # -- generated submodules and quotients ----------------------------------------
@@ -657,7 +659,7 @@ def quotient_module(m: Module, sub: dict) -> QuotientModule:
                 q.sub.basis.kron(ident), q.section.kron(ident),
                 "right action of (%s,%d) at (%s,%d)", (y, d2, x, d1))
     carrier = GradedCarrier(cat, car.cap, car.truncated, dims, actions)
-    mod = Module(a, carrier, m.side, left, right, name="%s/sub" % m.name)
+    mod = Module(a, carrier, left, right, name="%s/sub" % m.name)
     return QuotientModule(mod, {c: q.projection for c, q in quots.items()})
 
 
@@ -666,7 +668,6 @@ def quotient_module(m: Module, sub: dict) -> QuotientModule:
 
 @dataclass
 class RegularityCertificate:
-    element: Element
     regular: bool
     witness: Optional[Element]
     cells_checked: int
@@ -723,9 +724,9 @@ def is_regular(a: Monoid, elt: Element, m: Module,
             checked += 1
             vecs = kernel_basis(mat)
             if vecs:
-                return RegularityCertificate(elt, False, Element(x, d, vecs[0]),
-                                             checked, window, m.carrier.truncated)
-    return RegularityCertificate(elt, True, None, checked, window, m.carrier.truncated)
+                return RegularityCertificate(False, Element(x, d, vecs[0]), checked,
+                                             window, m.carrier.truncated)
+    return RegularityCertificate(True, None, checked, window, m.carrier.truncated)
 
 
 @dataclass
@@ -778,7 +779,7 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
         cells = [(x, d) for (x, d) in car.cells() if d + e <= car.cap]
         if all(prefix[(x, d + e)][i + 1] - prefix[(x, d + e)][i]
                == car.dim(x, d) - prefix[(x, d)][i] for (x, d) in cells):
-            stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
+            stages.append(RegularityCertificate(True, None, len(cells), car.cap - e,
                                                 car.truncated))
             continue
         stages.append(is_regular(a, g, regular_bimodule(a), lambda cell: (

@@ -67,7 +67,7 @@ from .poly import element_from_name, polynomial_monoid
 
 
 # task-line keys: those that take an integer, those that name data, bare flags
-TASK_INT_KEYS = ("max-degree", "n", "nvars", "p", "codegree")
+TASK_INT_KEYS = ("max-degree", "n", "p")
 TASK_NAME_KEYS = ("alpha", "module")
 TASK_FLAGS = ("check-resolution",)
 

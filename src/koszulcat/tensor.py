@@ -32,8 +32,7 @@ class OuterStructure:
     """Action of a second monoid on one side of a module, for bimodule data."""
 
     monoid: Monoid
-    side: str    # "left": D (x) M -> M cells; "right": M (x) E -> M cells
-    cells: dict
+    cells: dict  # as m_outer: D (x) M -> M cells; as n_outer: M (x) E -> M cells
 
 
 @dataclass
@@ -205,7 +204,7 @@ def module_over_identity(carrier, ident: Monoid, name="F") -> Module:
             for z in cat.objects:
                 left[(y, 0, z, d2)] = unit_action(cat, rep, y, z, "left")
                 right[(z, d2, y, 0)] = unit_action(cat, rep, z, y, "right")
-    return Module(ident, carrier, "bi", left, right, name="%s-as-I-module" % name)
+    return Module(ident, carrier, left, right, name="%s-as-I-module" % name)
 
 
 # -- the relative syzygy resolution ------------------------------------------------
@@ -213,7 +212,6 @@ def module_over_identity(carrier, ident: Monoid, name="F") -> Module:
 
 @dataclass
 class SyzygyResolution:
-    module: Module
     complex: ChainComplex
     tensor: GradedTensor
     report: GradedReport
@@ -288,4 +286,4 @@ def syzygy_resolution(a_n: Monoid, m: Module) -> SyzygyResolution:
         window={"cap": cap, "truncated": True},
     )
     certify_split(report, cx, "d-compose-d-zero")
-    return SyzygyResolution(m, cx, gt, report)
+    return SyzygyResolution(cx, gt, report)

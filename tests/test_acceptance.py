@@ -361,8 +361,8 @@ def _crit7(pmap):
     # has the oracle's dims
     q = scalar_monoid(CAT)
     reg = regular_bimodule(dn)
-    scalars_l = OuterStructure(q, "left", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
-    scalars_r = OuterStructure(q, "right", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
+    scalars_l = OuterStructure(q, {(U, 0, U, 0): Matrix.identity(QQ, 2)})
+    scalars_r = OuterStructure(q, {(U, 0, U, 0): Matrix.identity(QQ, 2)})
     coeq = tensor_over_monoid(reg, reg, m_outer=scalars_l, n_outer=scalars_r)
     got = {d: coeq.dim(U, d) for d in range(coeq.gt.cap + 1)}
     agree = got == _oracle_tensor_dims(dn, reg, reg)

@@ -1,5 +1,7 @@
 """CLI: exit codes, shipped corpus, report round-trips, witness replay."""
 
+import json
+import math
 import os
 
 import pytest
@@ -118,6 +120,27 @@ def test_hh_verb(tmp_path):
     rep = GradedReport.from_json(report_path.read_text())
     dims = {e.degree: e.dim for e in rep.entries}
     assert dims[0] == 2 and dims[1] == 4
+
+
+HH_MODULE_CASES = [("poly_xy.kz", "M", [], 2, p) for p in range(4)] + \
+    [("trivial_q.kz", "Mt", ["-n", "1"], 1, p) for p in range(3)]
+
+
+@pytest.mark.parametrize("name, module, flags, n, p", HH_MODULE_CASES,
+                         ids=["%s-p%d" % (c[0][:-3], c[4]) for c in HH_MODULE_CASES])
+def test_hh_with_a_coefficient_module(tmp_path, name, module, flags, n, p):
+    """M = A_n/(t_1..t_n): every t_i acts by zero on both sides of M, so the
+    cochain differential is zero, and HH^p has dim C(n, p) at degree 0 and 0
+    at degrees 1..cap-1 (C(n, p) = 0 for p > n)."""
+    report_path = tmp_path / "hh.json"
+    code = main(["hh", pfile(name), "--module", module, "-p", str(p), "--max-degree", "3",
+                 "--report", str(report_path)] + flags)
+    assert code == 0
+    rep = json.loads(report_path.read_text())
+    assert (rep["task"]["op"], rep["task"]["n"], rep["task"]["p"]) == ("hochschild", n, p)
+    assert [(e["p"], e["degree"], e["dim"]) for e in rep["entries"]] == \
+        [(p, d, math.comb(n, p) if d == 0 else 0) for d in range(3)]
+    assert rep["certificates"] and all(c["passed"] for c in rep["certificates"])
 
 
 def test_hh_refuses_nonidempotent():

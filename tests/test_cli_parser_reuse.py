@@ -44,7 +44,7 @@ CORPUS = (
 USAGE_ERRORS = (["hh"], ["frob"])
 # (flag, namespace attribute) pairs whose value must not leak between calls
 FLAGS = (("--alpha", "alpha"), ("--check-resolution", "check_resolution"),
-         ("-n", "nvars"), ("--module", "module"))
+         ("-n", "n"), ("--module", "module"))
 
 
 @pytest.fixture(autouse=True)

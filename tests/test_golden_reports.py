@@ -47,6 +47,7 @@ from koszulcat.poly import element_from_name, multi_indices, polynomial_monoid, 
 from koszulcat.problemfile import parse_problem_file
 from koszulcat.sample import c2_convolution_category, c2_regular_representation
 from koszulcat.tensor import build_syzygy_resolution, module_over_identity, tensor_over_monoid
+from test_copy_maps import identity_map
 from test_homology_rank import linear_form
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -118,7 +119,7 @@ def _twisted_bimodule(a):
     right = {}
     for (x, d1, y, d2), mat in a.pairing.items():
         right[(x, d1, y, d2)] = mat * Matrix.identity(field, a.carrier.dim(x, d1)).kron(twist[d2])
-    return Module(a, a.carrier, "bi", dict(a.pairing), right, name="twisted")
+    return Module(a, a.carrier, dict(a.pairing), right, name="twisted")
 
 
 def _digest(blocks) -> str:
@@ -164,9 +165,12 @@ def _pascal_lines(field, n, cap, alphas_of):
     kc = build_koszul(a, alphas_of(a))
     sw = pascal_split(kc)
     lines = ["report " + sw.report.to_json_str()] + _complex_lines(kc.complex)
-    for name, maps in (("iota", sw.iota), ("tau", sw.tau), ("sigma", sw.sigma)):
-        for p, gmap in enumerate(maps):
-            lines.append("map %s%d %s" % (name, p, _digest(gmap.blocks)))
+    carrier = kc.monoid.carrier
+    for name, maps in (("iota", sw.iota_copies), ("tau", sw.tau_copies),
+                       ("sigma", sw.sigma_copies)):
+        for p, copies in enumerate(maps):
+            lines.append("map %s%d %s" % (name, p,
+                                          _digest(identity_map(field, carrier, copies).blocks)))
     return lines
 
 

@@ -187,7 +187,7 @@ def _skew_module(a_n):
                 for j in range(width):
                     entries[(tgt[(p + half, q + half)], i * width + j)] = fld.one()
             right[(U, d1, U, d2)] = Matrix.from_entries(fld, len(tgt), len(src) * width, entries)
-    return Module(a_n, a_n.carrier, "bi", dict(a_n.pairing), right, name="skew")
+    return Module(a_n, a_n.carrier, dict(a_n.pairing), right, name="skew")
 
 
 def test_hh_of_a_non_bimodule_raises_instead_of_counting():

@@ -120,7 +120,7 @@ def test_bimodule_failing_every_law_on_dual_numbers():
     a = dual_numbers(QQ)
     cell = (U, 0, U, 0)
     # left: xbar.xbar = xbar; right: xbar.xbar = one and xbar.one = 2 xbar
-    m = Module(a, a.carrier, "bi", perturbed(a.pairing, [(cell, 1, 3, 1)]),
+    m = Module(a, a.carrier, perturbed(a.pairing, [(cell, 1, 3, 1)]),
                perturbed(a.pairing, [(cell, 0, 3, 1), (cell, 1, 2, 2)]))
     assert summary(validate_module(m)) == (5, [
         "unit-acts-as-identity-right at (1, 0)",
@@ -132,7 +132,7 @@ def test_bimodule_failing_every_law_on_dual_numbers():
 
 def test_bimodule_failing_every_law_on_c2conv():
     ident = identity_monoid(c2_convolution_category(QQ))
-    m = Module(ident, ident.carrier, "bi",
+    m = Module(ident, ident.carrier,
                perturbed(ident.pairing, [(("g", 0, "g", 0), 0, 0, 2)]),
                perturbed(ident.pairing, [(("g", 0, "e", 0), 0, 0, 3)]))
     assert summary(validate_module(m)) == (28, [
@@ -152,7 +152,7 @@ def test_bimodule_failing_every_law_on_c2conv():
 
 def test_graded_left_module_violation_and_count():
     p = polynomial_monoid(dual_numbers(QQ), 1, 2)
-    m = Module(p, p.carrier, "left", perturbed(p.pairing, [((U, 1, U, 1), 1, 0, 1)]), None)
+    m = Module(p, p.carrier, perturbed(p.pairing, [((U, 1, U, 1), 1, 0, 1)]), None)
     assert summary(validate_module(m)) == (
         13, ["left-action-associativity at cells (1,1)(1,1)(1,0)"])
 

@@ -159,7 +159,7 @@ def prefix_route(a, gens):
         cells = [(x, d) for (x, d) in car.cells() if d + e <= car.cap]
         if all(grown[(x, d + e)].dim - ideal[(x, d + e)].dim == car.dim(x, d) - ideal[(x, d)].dim
                for (x, d) in cells):
-            stages.append(RegularityCertificate(g, True, None, len(cells), car.cap - e,
+            stages.append(RegularityCertificate(True, None, len(cells), car.cap - e,
                                                 car.truncated))
             ideal = grown
             continue

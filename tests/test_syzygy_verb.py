@@ -164,7 +164,7 @@ def test_a_base_only_a_quotient_of_the_unit_is_refused_as_the_merge_refuses_it(
                    "(refused: unit law fails: unit-left at (1, 0))\n"}
     a = parse_problem_file(problem).build_subject(0)
     mu = GradedTensor(a.carrier, a.carrier).induced_map_cells(a.carrier, a.pairing_cell)
-    quotient_only = TensorIdempotentCertificate(a.name, False, True, "quotient-of-I", "", mu)
+    quotient_only = TensorIdempotentCertificate(False, True, "quotient-of-I", "", mu)
     a_u = polynomial_monoid(a, 1, 2, var_names=("u",))
     a_v = polynomial_monoid(a, 1, 2, var_names=("v",))
     merge_refusal = _refusal(lambda: merge_variables(a_u, a_v, a, {"1": mu[("1", 0)]}))

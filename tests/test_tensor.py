@@ -73,7 +73,7 @@ def test_unit_law_rejects_an_action_that_does_not_kill_the_relations():
     a = dual_numbers(QQ)
     twisted = {key: mat * Matrix.identity(QQ, 2).kron(_twist_dual_numbers(QQ))
                for key, mat in a.pairing.items()}
-    m = Module(a, a.carrier, "right", None, twisted, name="A-twisted")
+    m = Module(a, a.carrier, None, twisted, name="A-twisted")
     coeq = tensor_over_monoid(m, regular_bimodule(a))
     with pytest.raises(StabilityError, match="action map does not kill the relations"):
         unit_law_maps(coeq, "left")
@@ -84,7 +84,7 @@ def test_outer_action_that_breaks_the_relations_is_a_stability_failure(side):
     # the scalars acting on one factor of A (x)_A A through a map that is not A-linear
     a = dual_numbers(QQ)
     reg = regular_bimodule(a)
-    outer = OuterStructure(scalar_monoid(CAT), side, {(U, 0, U, 0): _twist_dual_numbers(QQ)})
+    outer = OuterStructure(scalar_monoid(CAT), {(U, 0, U, 0): _twist_dual_numbers(QQ)})
     kwargs = {"m_outer": outer} if side == "left" else {"n_outer": outer}
     with pytest.raises(StabilityError,
                        match="outer %s action does not preserve the relations" % side):
@@ -97,7 +97,7 @@ def test_outer_multiplication_descends_to_the_multiplication(side):
     # the unit-law iso A (x)_A A -> A the induced action is A's multiplication
     a = polynomial_monoid(scalar_monoid(CAT), 2, 3)
     reg = regular_bimodule(a)
-    outer = OuterStructure(a, side, dict(a.pairing))
+    outer = OuterStructure(a, dict(a.pairing))
     coeq = tensor_over_monoid(reg, reg, **{("m_outer" if side == "left" else "n_outer"): outer})
     iso = unit_law_maps(coeq, "right")
     acts = coeq.outer_left if side == "left" else coeq.outer_right
@@ -162,8 +162,8 @@ def test_outer_actions_match_the_hand_placed_oracle(field, n, kinds):
     reg = regular_bimodule(a)
     cyc = cyclic_quotient(a, [variable_element(a, 1)])
     m, nm = (reg if kind == "regular" else cyc for kind in kinds)
-    m_outer = OuterStructure(a, "left", dict(m.left))
-    n_outer = OuterStructure(a, "right", dict(nm.right))
+    m_outer = OuterStructure(a, dict(m.left))
+    n_outer = OuterStructure(a, dict(nm.right))
     coeq = tensor_over_monoid(m, nm, m_outer=m_outer, n_outer=n_outer)
     assert coeq.outer_left == _hand_placed_outer(coeq, m_outer, True)
     assert coeq.outer_right == _hand_placed_outer(coeq, n_outer, False)
@@ -177,10 +177,10 @@ def test_outer_cells_of_the_wrong_shape_are_refused(side):
     reg = regular_bimodule(a)
     cyc = cyclic_quotient(a, [variable_element(a, 1)])
     if side == "left":
-        kwargs = {"m_outer": OuterStructure(a, "left", dict(reg.left))}
+        kwargs = {"m_outer": OuterStructure(a, dict(reg.left))}
         m, nm = cyc, reg
     else:
-        kwargs = {"n_outer": OuterStructure(a, "right", dict(reg.right))}
+        kwargs = {"n_outer": OuterStructure(a, dict(reg.right))}
         m, nm = reg, cyc
     with pytest.raises(KoszulcatError):
         tensor_over_monoid(m, nm, **kwargs)
@@ -261,8 +261,8 @@ def test_restriction_compatibility_dual_numbers():
     a = dual_numbers(QQ)
     q = scalar_monoid(CAT)
     reg = regular_bimodule(a)
-    scalar_left = OuterStructure(q, "left", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
-    scalar_right = OuterStructure(q, "right", {(U, 0, U, 0): Matrix.identity(QQ, 2)})
+    scalar_left = OuterStructure(q, {(U, 0, U, 0): Matrix.identity(QQ, 2)})
+    scalar_right = OuterStructure(q, {(U, 0, U, 0): Matrix.identity(QQ, 2)})
     coeq = tensor_over_monoid(reg, reg, m_outer=scalar_left, n_outer=scalar_right)
     assert coeq.dims() == {(U, 0): 2}
     assert coeq.outer_left == coeq.outer_right == {(U, 0, U, 0): Matrix.identity(QQ, 2)}
@@ -302,8 +302,8 @@ def test_three_monoid_associativity_cross_check():
             # right action of D on the D-part
             dmat = d_mon.pairing_cell(U, d2, U, d1)
             right[(U, d2, U, d1)] = Matrix.identity(QQ, 2).kron(dmat)
-    n_mod = Module(a, carrier, "left", left, None, name="A(x)D")
-    n_right = OuterStructure(d_mon, "right", right)
+    n_mod = Module(a, carrier, left, None, name="A(x)D")
+    n_right = OuterStructure(d_mon, right)
 
     t1 = tensor_over_monoid(reg_a, n_mod, n_outer=n_right)
     # side one: (M (x)_A N) (x)_D D == dims of M (x)_A N
@@ -313,10 +313,10 @@ def test_three_monoid_associativity_cross_check():
 
     car2 = GC(CAT, 2, True, {c: q.dim for c, q in t1.quots.items()},
               {((U, U, 0), k): Matrix.identity(QQ, t1.dim(U, k)) for k in range(3)})
-    m2 = Module(d_mon, car2, "right", None, t1.outer_right, name="(MxN)")
+    m2 = Module(d_mon, car2, None, t1.outer_right, name="(MxN)")
     t_left = tensor_over_monoid(m2, regular_bimodule(d_mon))
     # side two: N (x)_D D == N, then M (x)_A N
-    n_as_right_d = Module(d_mon, carrier, "right", None, right, name="N-right-D")
+    n_as_right_d = Module(d_mon, carrier, None, right, name="N-right-D")
     t_nd = tensor_over_monoid(n_as_right_d, regular_bimodule(d_mon))
     assert {c: q.dim for c, q in t_nd.quots.items()} == dict(carrier.dims)
     assert t_left.dims() == inner_dims
