@@ -28,6 +28,7 @@ from koszulcat.field import QQ, Field
 from koszulcat.hochschild import (
     _cochain_phi,
     build_enveloping,
+    certify_tensor_idempotent,
     hochschild_cohomology,
     koszul_bimodule_resolution,
 )
@@ -43,7 +44,15 @@ from koszulcat.monoid import (
     regular_bimodule,
     scalar_monoid,
 )
-from koszulcat.poly import element_from_name, multi_indices, polynomial_monoid, variable_element
+from koszulcat.poly import (
+    default_var_names,
+    element_from_name,
+    merge_variables,
+    multi_indices,
+    polynomial_monoid,
+    rename_variables,
+    variable_element,
+)
 from koszulcat.problemfile import parse_problem_file
 from koszulcat.sample import c2_convolution_category, c2_regular_representation
 from koszulcat.tensor import build_syzygy_resolution, module_over_identity, tensor_over_monoid
@@ -190,6 +199,17 @@ def _bimodule_lines(base, n, cap):
     return ["report " + res.report.to_json_str()] + _complex_lines(res.complex)
 
 
+def _enveloping_lines(base, n, cap):
+    """The `build_enveloping` report, the merge Phi of A_u and A_v, and the collapse pi."""
+    e = build_enveloping(base, n, cap)
+    mu = certify_tensor_idempotent(base).mu_cells
+    merge = merge_variables(rename_variables(e.a_n, default_var_names(n, "u")),
+                            rename_variables(e.a_n, default_var_names(n, "v")), base,
+                            {x: mu[(x, 0)] for x in base.cat.objects})
+    return ["report " + e.report.to_json_str(), "map phi %s" % _digest(merge.phi),
+            "map pi %s" % _digest(e.pi)]
+
+
 def _hochschild_lines(field, n, cap, coeffs_of):
     e = build_enveloping(_base(field), n, cap)
     m = coeffs_of(e.a_n)
@@ -290,6 +310,8 @@ LIB_CASES = {
     "bimodule_resolution_q": lambda: _bimodule_lines(_base(QQ), 2, 3),
     "bimodule_resolution_f101": lambda: _bimodule_lines(_base(F101), 1, 4),
     "bimodule_resolution_c2_f101": lambda: _bimodule_lines(_c2_base(F101), 2, 3),
+    "enveloping_scalar_f101": lambda: _enveloping_lines(_base(F101), 2, 4),
+    "enveloping_c2_f101": lambda: _enveloping_lines(_c2_base(F101), 2, 4),
     "hochschild_regular_q": lambda: _hochschild_lines(QQ, 2, 3, regular_bimodule),
     "hochschild_twisted_q": lambda: _hochschild_lines(QQ, 2, 3, _twisted_bimodule),
     "hochschild_twisted_f101": lambda: _hochschild_lines(F101, 2, 3,
