@@ -16,9 +16,9 @@ hom basis elements, with induced functorial actions.  Every Day tensor of a
 graded tensor goes through `day_tensor_copies`: each factor is some number
 of copies of a base representation (a polynomial slice is #monomials copies
 of its base slice, any other slice one copy of itself), and the result is
-placed copies of the base pair's Day convolution, eliminated once.  It
-records where each copy's quotient coordinates went (`DayTensor.coords`),
-so maps out of the copies are placed by the same rule.
+placed copies of the base pair's Day convolution, eliminated once.  Where
+each copy's coordinates went is one rule, `copy_coordinates`, so maps out
+of the copies (the merge of `koszulcat.poly`) are placed by the same rule.
 
 The basis order is decided once.  Kronecker products put the left factor
 slowest (`Matrix.kron`).  The Day ambient at x lists the summands by object
@@ -389,21 +389,17 @@ class DayTensor:
 
     layout[x] maps each object pair (y, z) to its `DaySummand` in the
     ambient at x; quot[x] is the quotient of that ambient by the relations.
-    coords[x][c][j] is where quotient coordinate j of the base Day tensor
-    sits in copy c (see `day_tensor_copies`); an eliminated Day tensor is
-    its own one copy.  `day_tensor` hands one instance to every caller with
-    the same representation data, so rep.name is the first caller's; no
-    report reads it.
+    `day_tensor` hands one instance to every caller with the same
+    representation data, so rep.name is the first caller's; no report reads it.
     """
 
-    __slots__ = ("cat", "layout", "quot", "rep", "coords")
+    __slots__ = ("cat", "layout", "quot", "rep")
 
-    def __init__(self, cat, layout, quot, rep, coords):
+    def __init__(self, cat, layout, quot, rep):
         self.cat = cat
         self.layout = layout  # x -> {(y, z): DaySummand}
         self.quot = quot      # x -> QuotientPresentation
         self.rep = rep
-        self.coords = coords  # x -> [copy -> [base quotient coordinate -> coordinate]]
 
     def pure_map(self, x, y, z, h: Mor) -> Matrix:
         """F(y) (x) G(z) -> (F (x) G)(x), a (x) b |-> the class of h (x) a (x) b.
@@ -533,8 +529,7 @@ def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) 
         actions[(x, xp, k)] = quot[xp].projection * amb * quot[x].section
     rep = Representation(cat, dims, actions,
                          name="(%s(x)%s)" % (f.name, g.name))
-    cat.day_memo[key] = DayTensor(cat, layout, quot, rep,
-                                  {x: [range(q.dim)] for x, q in quot.items()})
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
     return cat.day_memo[key]
 
 
@@ -556,6 +551,28 @@ def _placed_copies(m: Matrix, nrows: int, ncols: int, row_maps, col_maps) -> Mat
     return Matrix(m.field, nrows, ncols, rows)
 
 
+def copy_coordinates(base: DayTensor, x, kf: int, kg: int) -> tuple:
+    """(amb, coords) at x of Day(F^kf, G^kg), the copies of base = Day(F, G).
+
+    Coordinate (h, a, b) of summand (y, z) in copy c = v kg + w sits at local
+    (h kf dim F(y) + v dim F(y) + a) kg dim G(z) + w dim G(z) + b; that is
+    amb[c][i] for base ambient coordinate i.  coords[c][j] is where base
+    quotient coordinate j lands: the complements of all copies, in ambient order.
+    """
+    copies = [(v, w) for v in range(kf) for w in range(kg)]
+    amb = [[] for _ in copies]
+    for s in base.layout[x].values():
+        off = kf * kg * s.offset  # every summand before this one has kf kg copies
+        for h in range(s.hom_dim):
+            for a in range(s.dim_f):
+                for b in range(s.dim_g):
+                    for c, (v, w) in enumerate(copies):
+                        amb[c].append(off + ((h * kf + v) * s.dim_f + a) * kg * s.dim_g
+                                      + w * s.dim_g + b)
+    comp = [i for i, r in enumerate(base.quot[x].section.rows) if r]  # the base complement
+    return amb, _copy_ranks(amb, comp)
+
+
 def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Representation,
                       kf: int, kg: int) -> DayTensor:
     """Day(F^kf, G^kg), placed from `day_tensor(cat, f, g)` with no elimination.
@@ -563,42 +580,26 @@ def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Represent
     F^kf is kf copies of F, copy index slowest (arrows act by I_kf (x) F(phi)),
     as in a polynomial slice.  One side may be a single copy, as for a
     polynomial slice against a module slice; kf = kg = 1 is `day_tensor`
-    itself.  Base coordinate (h, a, b) of summand (y, z), in copy (v, w),
-    sits at local (h kf dim F(y) + v dim F(y) + a) kg dim G(z) + w dim G(z) + b.
-    The relations are copies of Day(F, G)'s on disjoint coordinates, each in
-    ambient order, and the RREF of a span is unique; so pivots, canonical
-    basis, projection, section and actions are Day(F, G)'s, relabelled, with
-    the quotient coordinates in ambient order.  Copy (v, w) is copy
-    c = v kg + w, and `coords[x][c][j]` is where base quotient coordinate j
-    lands in it.  `cat.day_memo` keys the result by the data of f and g plus
-    kf and kg.
+    itself.  The relations are copies of Day(F, G)'s on disjoint coordinates
+    (`copy_coordinates`), each in ambient order, and the RREF of a span is
+    unique; so pivots, canonical basis, projection, section and actions are
+    Day(F, G)'s, relabelled.  `cat.day_memo` keys the result by the base
+    `DayTensor`, one per data of f and g (`day_tensor`), and kf and kg.
     """
+    base = day_tensor(cat, f, g)
     if kf == kg == 1:
-        return day_tensor(cat, f, g)
-    key = (_rep_key(f), _rep_key(g), kf, kg)
+        return base
+    key = (base, kf, kg)
     if key in cat.day_memo:
         return cat.day_memo[key]
-    base = day_tensor(cat, f, g)
-    copies = [(v, w) for v in range(kf) for w in range(kg)]
     layout, quot, coords = {}, {}, {}
     for x in cat.objects:
-        layout[x] = {}
-        amb = [[] for _ in copies]  # amb[c][i]: where base coordinate i sits in copy c
-        off = 0
-        for (y, z), s in base.layout[x].items():
-            layout[x][(y, z)] = DaySummand(s.hom_dim, kf * s.dim_f, kg * s.dim_g, off)
-            for h in range(s.hom_dim):
-                for a in range(s.dim_f):
-                    for b in range(s.dim_g):
-                        for c, (v, w) in enumerate(copies):
-                            amb[c].append(off + ((h * kf + v) * s.dim_f + a) * kg * s.dim_g
-                                          + w * s.dim_g + b)
-            off += kf * kg * s.size
-        q = base.quot[x]
-        pivots = q.sub.pivots
-        comp = [i for i, r in enumerate(q.section.rows) if r]  # the base complement
-        coords[x], dim = _copy_ranks(amb, comp), len(copies) * q.dim
-        sub = Subspace(cat.field, off, _placed_copies(q.sub.basis, off, len(copies) * len(pivots),
+        layout[x] = {yz: DaySummand(s.hom_dim, kf * s.dim_f, kg * s.dim_g, kf * kg * s.offset)
+                     for yz, s in base.layout[x].items()}
+        amb, coords[x] = copy_coordinates(base, x, kf, kg)
+        q, k = base.quot[x], kf * kg
+        pivots, off, dim = q.sub.pivots, k * q.ambient, k * q.dim
+        sub = Subspace(cat.field, off, _placed_copies(q.sub.basis, off, k * len(pivots),
                                                       amb, _copy_ranks(amb, pivots)),
                        sorted(ac[p] for ac in amb for p in pivots))
         quot[x] = checked_quotient(sub, _placed_copies(q.projection, dim, off, coords[x], amb),
@@ -607,7 +608,7 @@ def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Represent
                for (x, xp, k), m in base.rep.actions.items()}
     rep = Representation(cat, {x: quot[x].dim for x in cat.objects}, actions,
                          name="(%s^%d(x)%s^%d)" % (f.name, kf, g.name, kg))
-    cat.day_memo[key] = DayTensor(cat, layout, quot, rep, coords)
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
     return cat.day_memo[key]
 
 

@@ -44,23 +44,32 @@ class TensorBlock:
     offset: int
 
 
+def tensor_cap(left: GradedCarrier, right: GradedCarrier) -> int:
+    """The certified window of left (x) right: an untruncated carrier is
+    genuinely zero above its cap, so only truncated factors limit it."""
+    return min([left.cap + right.cap] + [car.cap for car in (left, right) if car.truncated])
+
+
+def block_layout(objects, cap: int, block_dim) -> tuple:
+    """(layout, dims) of the cells up to cap: block_dim(d1, d2, x) per split, ascending d1."""
+    layout, dims = {}, {}
+    for d in range(cap + 1):
+        for x in objects:
+            blocks, off = [], 0
+            for d1 in range(d + 1):
+                blocks.append(TensorBlock(d1, d - d1, block_dim(d1, d - d1, x), off))
+                off += blocks[-1].dim
+            layout[(x, d)], dims[(x, d)] = blocks, off
+    return layout, dims
+
+
 class GradedTensor:
-    __slots__ = ("left", "right", "cat", "field", "cap", "day", "layout", "dims")
+    __slots__ = ("cat", "field", "cap", "day", "layout", "dims")
 
     def __init__(self, left: GradedCarrier, right: GradedCarrier, cap=None):
-        self.left = left
-        self.right = right
         self.cat = left.cat
         self.field = left.field
-        if cap is None:
-            # an untruncated carrier is genuinely zero above its cap, so only
-            # truncated factors limit the certified window of the tensor
-            cap = left.cap + right.cap
-            if left.truncated:
-                cap = min(cap, left.cap)
-            if right.truncated:
-                cap = min(cap, right.cap)
-        self.cap = cap
+        self.cap = tensor_cap(left, right) if cap is None else cap
         self.day = {}
         rights = [_slice_copies(right, d2) for d2 in range(self.cap + 1)]
         for d1 in range(self.cap + 1):
@@ -68,18 +77,8 @@ class GradedTensor:
             for d2 in range(self.cap + 1 - d1):
                 g, kg = rights[d2]
                 self.day[(d1, d2)] = day_tensor_copies(self.cat, f, g, kf, kg)
-        self.layout = {}
-        self.dims = {}
-        for d in range(self.cap + 1):
-            for x in self.cat.objects:
-                blocks = []
-                off = 0
-                for d1 in range(d + 1):
-                    dim = self.day[(d1, d - d1)].rep.dims[x]
-                    blocks.append(TensorBlock(d1, d - d1, dim, off))
-                    off += dim
-                self.layout[(x, d)] = blocks
-                self.dims[(x, d)] = off
+        self.layout, self.dims = block_layout(self.cat.objects, self.cap,
+                                              lambda d1, d2, x: self.day[(d1, d2)].rep.dims[x])
 
     def dim(self, x, d) -> int:
         return self.dims.get((x, d), 0)

@@ -422,24 +422,28 @@ def koszul_bimodule_resolution(e: EnvelopingData) -> BimoduleResolution:
 # -- Hochschild cohomology ---------------------------------------------------------
 
 
-def _cochain_phi(e: EnvelopingData, m: Module, p: int):
+def _cochain_differences(e: EnvelopingData, m: Module) -> dict:
+    """i -> (1, cells): the left minus the right multiplication by t_i on m."""
+    diffs = {}
+    for i in range(1, e.n + 1):
+        t_i = variable_element(e.a_n, i)
+        left, right = (mult_operator(e.a_n, t_i, m, side=side).cells for side in ("left", "right"))
+        diffs[i] = (1, {cell: mat - right[cell] for cell, mat in left.items()})
+    return diffs
+
+
+def _cochain_phi(e: EnvelopingData, m: Module, p: int, diffs: dict):
     """Phi_p: Hom(K_p, M) -> Hom(K_{p+1}, M) under the free identification.
 
     The block from the summand of S to the summand of S + {i} is the signed
-    difference of the two one-sided multiplications by the i-th variable:
+    difference diffs[i] of the two multiplications by t_i (`_cochain_differences`):
     the faces of the (p+1)-th Koszul differential, read from target to source.
     """
-    a_n, n = e.a_n, e.n
-    diffs = {}
-    for i in range(1, n + 1):
-        t_i = variable_element(a_n, i)
-        left = mult_operator(a_n, t_i, m, side="left")
-        right = mult_operator(a_n, t_i, m, side="right")
-        diffs[i] = (1, {cell: mat - right.cells[cell] for cell, mat in left.cells.items()})
+    n = e.n
     src_term, tgt_term = (Term.copies("Hom(K_%d,M)" % q, m.carrier, subsets_lex(n, q))
                           for q in (p, p + 1))
     faces = [(t, s, sign, i) for s, t, sign, i in koszul_faces(n, p + 1)]
-    return summand_map(a_n.field, src_term, tgt_term, faces, diffs)
+    return summand_map(e.a_n.field, src_term, tgt_term, faces, diffs)
 
 
 def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
@@ -453,7 +457,7 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
     if p < 0:
         raise PreconditionError("cohomological degree must be nonnegative")
     a_n, n = e.a_n, e.n
-    if m.monoid is not a_n and m.monoid.carrier.dims != a_n.carrier.dims:
+    if not m.is_over(a_n):
         raise StructuralError("coefficients are not a module over the polynomial monoid")
     report = GradedReport(
         task={"op": "hochschild", "monoid": e.base.name, "n": n, "p": p},
@@ -466,8 +470,9 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
                 report.add_entry(p, x, d, 0)
         return report
 
-    phi_out = _cochain_phi(e, m, p) if p <= n - 1 else None
-    phi_in = _cochain_phi(e, m, p - 1) if p >= 1 else None
+    diffs = _cochain_differences(e, m)
+    phi_out = _cochain_phi(e, m, p, diffs) if p <= n - 1 else None
+    phi_in = _cochain_phi(e, m, p - 1, diffs) if p >= 1 else None
 
     coeffs_are_monoid = m.carrier.dims == a_n.carrier.dims and \
         m.left == a_n.pairing and m.right == a_n.pairing

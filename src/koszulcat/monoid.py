@@ -241,6 +241,11 @@ class Module:
     def cap(self):
         return self.carrier.cap
 
+    def is_over(self, a: Monoid) -> bool:
+        """Whether the actions are over a: a itself, or its cell dims and pairing."""
+        return self.monoid is a or (self.monoid.carrier.dims == a.carrier.dims
+                                    and self.monoid.pairing == a.pairing)
+
     def left_cell(self, x, d1, y, d2) -> Matrix:
         if self.left is None:
             raise StructuralError("module %s has no left action" % self.name)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import IsoFailureError, PreconditionError, StructuralError
-from .gtensor import GradedTensor
+from .category import copy_coordinates, day_tensor
+from .gtensor import block_layout, tensor_cap
 from .matrix import Matrix, rank
 from .monoid import Element, GradedCarrier, Monoid, is_central, morphism_law
 
@@ -252,7 +253,6 @@ def element_from_name(g: Monoid, name: str) -> Element:
 class MergeResult:
     monoid: Monoid
     phi: dict          # (obj, deg) -> Matrix from (C_n (x) D_m)(obj)_deg
-    tensor: GradedTensor
     unit_preserved: bool
     hom_checked: bool
     hom_ok: bool
@@ -267,9 +267,9 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     The witnessed pure-tensor map descends once, on the base Day tensor
     (`base_merge`); every split of C[u] (x) D[v] is copies of that Day
     tensor, one per monomial pair, so Phi places the descended map per pair
-    (`_place_merge`).  Phi is verified invertible degreewise and
-    unit-preserving; on the trivial backend the monoid-morphism property of
-    Phi is verified once per pair of degrees as well.
+    (`_place_merge`) in `GradedTensor`'s window and layout, without the
+    tensor.  Phi is verified invertible degreewise and unit-preserving; on
+    the trivial backend, multiplicative once per pair of degrees as well.
     """
     info_c = c.poly_info
     info_d = d.poly_info
@@ -277,18 +277,21 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     m = info_d.nvars if info_d else 0
     cat = c.cat
 
-    gt = GradedTensor(c.carrier, d.carrier)
-    day0 = gt.day[(0, 0)]
+    cap = tensor_cap(c.carrier, d.carrier)
+    (base_c, kc), (base_d, kd) = (_merge_copies(car, cap) for car in (c.carrier, d.carrier))
+    day0 = day_tensor(cat, base_c, base_d)
+    layout, dims = block_layout(cat.objects, cap, lambda d1, d2, x:
+                                kc.get(d1, 0) * kd.get(d2, 0) * day0.rep.dims[x])
     base_phi = base_merge(day0, e_base, witness)
     names = (info_c.var_names if info_c else ()) + (info_d.var_names if info_d else ())
-    merged = polynomial_monoid(e_base, n + m, gt.cap, var_names=names) if n + m else e_base
-    phi = _place_merge(gt, merged.carrier, base_phi, n, m)
+    merged = polynomial_monoid(e_base, n + m, cap, var_names=names) if n + m else e_base
+    phi = _place_merge(day0, kc, kd, layout, merged.carrier, base_phi, n, m)
     for (x, deg), mat in sorted(phi.items()):
         if mat.nrows != mat.ncols or (mat.nrows and rank(mat) != mat.nrows):
             raise IsoFailureError("Phi fails to be invertible at (%s, %d)" % (x, deg))
 
     # identity of the tensor maps to the identity of the merged monoid; the
-    # degree-0 cell of gt is the single block (0, 0) of day0, at offset 0
+    # degree-0 cell is the single block (0, 0), one copy of day0 at offset 0
     u, mul = cat.unit, cat.field.mul
     unit_tensor = day0.pure_map(u, u, u, cat.identity_mor(u)).apply(
         [mul(a, b) for a in c.unit for b in d.unit])
@@ -297,8 +300,16 @@ def merge_variables(c: Monoid, d: Monoid, e_base: Monoid, witness: dict) -> Merg
     hom_checked = cat.is_trivial
     hom_ok = True
     if hom_checked:
-        hom_ok = _check_phi_multiplicative(c, d, merged, gt, phi)
-    return MergeResult(merged, phi, gt, unit_preserved, hom_checked, hom_ok)
+        hom_ok = _check_phi_multiplicative(c, d, merged, layout, dims, phi)
+    return MergeResult(merged, phi, unit_preserved, hom_checked, hom_ok)
+
+
+def _merge_copies(car: GradedCarrier, cap: int) -> tuple:
+    """(degree-0 slice, copies per degree) of a merge factor: a polynomial
+    carrier's `copies`, else one copy in each degree with a nonzero cell,
+    which `_place_merge` refuses above degree 0."""
+    return car.copies or (car.slice_rep(0), {k: 1 for k in range(cap + 1)
+                                             if any(car.dim(x, k) for x in car.cat.objects)})
 
 
 def base_merge(day0, e_base: Monoid, witness: dict) -> dict:
@@ -321,43 +332,45 @@ def base_merge(day0, e_base: Monoid, witness: dict) -> dict:
     return day0.induced_map(e_base.carrier.slice_rep(0), pure)
 
 
-def _place_merge(gt: GradedTensor, target: GradedCarrier, base_phi: dict, n: int, m: int) -> dict:
+def _place_merge(day0, kc, kd, layout, target: GradedCarrier, base_phi: dict, n, m) -> dict:
     """Phi per cell (x, d): copy (u^i, v^j) of base_phi[x] at rows of block u^i v^j.
 
-    Block (d1, d2) of a cell of gt is one copy of the base Day tensor per
-    pair of monomials of degrees d1 (n variables) and d2 (m variables), pairs
-    in Kronecker order; `DayTensor.coords` gives the columns of each copy and
-    `monomial_product_table` the merged monomial, whose block of target rows
-    holds E(x) coordinates.  A factor that is not polynomial over its base
-    has no copies above degree 0, so a nonzero block there is refused.
+    Block (d1, d2) of a cell is kc[d1] kd[d2] copies of the base Day tensor
+    day0, one per pair of monomials of degrees d1 (n variables) and d2 (m
+    variables), pairs in Kronecker order; `copy_coordinates` gives the
+    columns of each copy and `monomial_product_table` the merged monomial,
+    whose block of target rows holds E(x) coordinates.  A block whose copies
+    are not one per monomial pair, as of a nonzero cell above degree 0 of a
+    factor that is not polynomial (`_merge_copies`), is refused.
     """
     out = {}
-    for d in range(min(gt.cap, target.cap) + 1):
-        for x in gt.cat.objects:
-            bp = base_phi[x]
-            dim_e = bp.nrows
-            rows = [dict() for _ in range(target.dim(x, d))]
-            for b in gt.layout[(x, d)]:
-                if not b.dim:
-                    continue
-                _, table = monomial_product_table(n, b.d1, m, b.d2, "concat")
-                targets = [t for row in table for t in row]
-                coords = gt.day[(b.d1, b.d2)].coords[x]
-                if len(coords) != len(targets):
-                    raise StructuralError("merge factors are not polynomial over their bases "
-                                          "at degrees (%d, %d)" % (b.d1, b.d2))
-                for t, at in zip(targets, coords):
-                    t *= dim_e
-                    for r, row in enumerate(bp.rows):
-                        tgt_row = rows[t + r]
-                        for j, v in row.items():
-                            tgt_row[b.offset + at[j]] = v
-            out[(x, d)] = Matrix(gt.field, len(rows), gt.dim(x, d), rows)
+    for (x, d), blocks in layout.items():
+        if d > target.cap:
+            continue
+        bp = base_phi[x]
+        dim_e = bp.nrows
+        rows = [dict() for _ in range(target.dim(x, d))]
+        for b in blocks:
+            if not b.dim:
+                continue
+            _, table = monomial_product_table(n, b.d1, m, b.d2, "concat")
+            targets = [t for row in table for t in row]
+            _, coords = copy_coordinates(day0, x, kc[b.d1], kd[b.d2])
+            if len(coords) != len(targets):
+                raise StructuralError("merge factors are not polynomial over their bases "
+                                      "at degrees (%d, %d)" % (b.d1, b.d2))
+            for t, at in zip(targets, coords):
+                t *= dim_e
+                for r, row in enumerate(bp.rows):
+                    tgt_row = rows[t + r]
+                    for j, v in row.items():
+                        tgt_row[b.offset + at[j]] = v
+        out[(x, d)] = Matrix(target.field, len(rows), sum(b.dim for b in blocks), rows)
     return out
 
 
-def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
-                              gt: GradedTensor, phi: dict) -> bool:
+def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid, layout: dict,
+                              dims: dict, phi: dict) -> bool:
     """Trivial backend: Phi of a product equals the product of the Phi images.
 
     `morphism_law` once per pair of tensor cells (k1, k2) with k1 + k2 <= cap.
@@ -369,13 +382,13 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
     of that law is the law of the two blocks alone, so the verdict is the
     conjunction of the per-block laws.
     """
-    u, cap = c.cat.unit, gt.cap
-    offset = {(b.d1, b.d2): b.offset for k in range(cap + 1) for b in gt.layout[(u, k)]}
-    blocks = {k: [b for b in gt.layout[(u, k)] if b.dim] for k in range(cap + 1)}
+    u, cap = c.cat.unit, max(k for _, k in dims)
+    offset = {(b.d1, b.d2): b.offset for k in range(cap + 1) for b in layout[(u, k)]}
+    blocks = {k: [b for b in layout[(u, k)] if b.dim] for k in range(cap + 1)}
 
     def mu_tensor(k1, k2):
-        width = gt.dim(u, k2)
-        rows = [dict() for _ in range(gt.dim(u, k1 + k2))]
+        width = dims[(u, k2)]
+        rows = [dict() for _ in range(dims[(u, k1 + k2)])]
         for a in blocks[k1]:
             dc1, dd1 = c.carrier.dim(u, a.d1), d.carrier.dim(u, a.d2)
             for b in blocks[k2]:
@@ -391,7 +404,7 @@ def _check_phi_multiplicative(c: Monoid, d: Monoid, merged: Monoid,
                     tgt = rows[top + r]
                     for j, v in row.items():
                         tgt[cols[j]] = v
-        return Matrix(gt.field, len(rows), gt.dim(u, k1) * width, rows)
+        return Matrix(c.field, len(rows), dims[(u, k1)] * width, rows)
 
     return morphism_law({k: phi[(u, k)] for k in range(cap + 1)}, mu_tensor,
                         lambda k1, k2: merged.pairing_cell(u, k1, u, k2),

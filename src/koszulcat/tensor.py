@@ -247,7 +247,7 @@ def syzygy_resolution(a_n: Monoid, m: Module) -> SyzygyResolution:
     cat = a_n.cat
     if m.left is None:
         raise StructuralError("the module needs a left action")
-    if m.monoid is not a_n and m.monoid.carrier.dims != a_n.carrier.dims:
+    if not m.is_over(a_n):
         raise StructuralError("module is not over the polynomial monoid")
     cap = min(a_n.cap, m.cap)
     if cap < 1:

@@ -9,7 +9,7 @@ eliminates.
 
 import pytest
 
-from koszulcat import category
+from koszulcat import category, gtensor
 from koszulcat.category import (
     CategoryPresentation,
     Representation,
@@ -177,6 +177,30 @@ def test_module_tensor_eliminates_only_base_pairs(monkeypatch, kind):
     assert len(slices) == res.tensor.cap + 1
     assert len(calls) == len(cat.objects) * len(slices) < \
         len(cat.objects) * (res.tensor.cap + 1) * (res.tensor.cap + 2) // 2
+
+
+@pytest.mark.parametrize("kind", ["scalar", "c2unit"])
+def test_copies_lookup_hashes_each_factor_once(monkeypatch, kind):
+    """A_n (x) M: each `day_tensor_copies` lookup computes `_rep_key` of f and of g once.
+
+    The copies entry is keyed by the base `DayTensor` that `day_tensor`
+    returns, so a placed split costs the two keys of its base lookup, on a
+    cold memo and on a warm one alike.
+    """
+    env, cyclic = _cyclic(F101, kind)
+    env.a_n.cat.day_memo.clear()
+    lookups, keys = [], []
+    real_copies, real_key = gtensor.day_tensor_copies, category._rep_key
+    monkeypatch.setattr(gtensor, "day_tensor_copies",
+                        lambda *args: lookups.append(args) or real_copies(*args))
+    monkeypatch.setattr(category, "_rep_key", lambda f: keys.append(f) or real_key(f))
+    for _ in range(2):
+        lookups.clear()
+        keys.clear()
+        gt = GradedTensor(env.a_n.carrier, cyclic.carrier)
+        assert len(lookups) == (gt.cap + 1) * (gt.cap + 2) // 2
+        assert any(kf > 1 for _, _, _, kf, _ in lookups)
+        assert len(keys) == 2 * len(lookups)
 
 
 def test_graded_descent_rejects_a_nonnatural_family():

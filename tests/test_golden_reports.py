@@ -26,6 +26,7 @@ from koszulcat.category import CategoryPresentation
 from koszulcat.cli import main
 from koszulcat.field import QQ, Field
 from koszulcat.hochschild import (
+    _cochain_differences,
     _cochain_phi,
     build_enveloping,
     certify_tensor_idempotent,
@@ -214,7 +215,9 @@ def _hochschild_lines(field, n, cap, coeffs_of):
     e = build_enveloping(_base(field), n, cap)
     m = coeffs_of(e.a_n)
     lines = ["report " + hochschild_cohomology(e, m, p).to_json_str() for p in range(n + 2)]
-    return lines + ["map phi%d %s" % (p, _digest(_cochain_phi(e, m, p).blocks)) for p in range(n)]
+    diffs = _cochain_differences(e, m)
+    return lines + ["map phi%d %s" % (p, _digest(_cochain_phi(e, m, p, diffs).blocks))
+                    for p in range(n)]
 
 
 def _syzygy_lines(base, n, cap, module_of):

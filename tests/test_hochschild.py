@@ -247,3 +247,21 @@ def test_a_u_and_a_v_are_a_n_renamed(monkeypatch, base, var_names):
         assert g.poly_info.var_names == fresh.poly_info.var_names == default_var_names(2, letter)
         assert g.poly_info.base is base
         assert g.pairing == fresh.pairing and g.carrier.actions == fresh.carrier.actions
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("base", [scalar_monoid(CategoryPresentation.trivial(Field(101))),
+                                  identity_monoid(c2_convolution_category(Field(101)))],
+                         ids=["scalar", "c2unit"])
+def test_cochain_differences_are_built_once_per_call(monkeypatch, base, n):
+    """Both cochain maps of one call share its n differences: 2n multiplications, not 4n."""
+    env = build_enveloping(base, n, 3)
+    coeffs = regular_bimodule(env.a_n)
+    calls = []
+    real = koszulcat.hochschild.mult_operator
+    monkeypatch.setattr(koszulcat.hochschild, "mult_operator",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for p in range(n + 1):
+        calls.clear()
+        assert hochschild_cohomology(env, coeffs, p).all_passed
+        assert len(calls) == 2 * n

@@ -46,10 +46,12 @@ def _witness(base):
 
 
 def _reference_phi(res, c, d, base, witness):
-    """Phi by the function-family route: one descent per degree split."""
+    """Phi by the function-family route: one descent per degree split of C (x) D."""
     cat, field = base.cat, base.field
-    n, m = c.poly_info.nvars, d.poly_info.nvars
-    day0 = res.tensor.day[(0, 0)]
+    n = c.poly_info.nvars if c.poly_info else 0
+    m = d.poly_info.nvars if d.poly_info else 0
+    gt = GradedTensor(c.carrier, d.carrier)
+    day0 = gt.day[(0, 0)]
 
     def family(y, d1, z, d2):
         yz = cat.dobj(y, z)
@@ -69,7 +71,7 @@ def _reference_phi(res, c, d, base, witness):
         return Matrix.from_entries(field, len(tgt) * de, len(mons1) * dy * len(mons2) * dz,
                                    entries)
 
-    return res.tensor.induced_map_cells(res.monoid.carrier, family)
+    return gt.induced_map_cells(res.monoid.carrier, family)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -106,27 +108,71 @@ def test_merge_descends_once(monkeypatch, kind, cap):
 
     monkeypatch.setattr(category.DayTensor, "induced_map", counted)
     res = merge_variables(c, d, base, witness)
-    assert len(calls) == 1 and calls[0] is res.tensor.day[(0, 0)]
+    s = base.carrier.slice_rep(0)
+    assert len(calls) == 1 and calls[0] is category.day_tensor(base.cat, s, s)
     assert res.unit_preserved
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_merge_builds_one_graded_tensor(monkeypatch, kind):
-    """The base Day tensor and the window are read off the one tensor of the merge."""
+def test_merge_builds_no_graded_tensor(monkeypatch, kind):
+    """Phi is placed from the base Day tensor: no graded tensor, no placed Day quotient."""
     base = _base(F101, kind)
     c, d = _factors(base, 1, 2, 3)
     witness = _witness(base)
-    calls = []
-    real = GradedTensor.__init__
+    s = base.carrier.slice_rep(0)
+    category.day_tensor(base.cat, s, s)  # the base pair, eliminated before counting
+    tensors, quotients = [], []
+    real_init, real_quotient = GradedTensor.__init__, category.checked_quotient
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        real(self, *args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        tensors.append(args)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(GradedTensor, "__init__", counted)
+    def counted_quotient(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
+    monkeypatch.setattr(GradedTensor, "__init__", counted_init)
+    monkeypatch.setattr(category, "checked_quotient", counted_quotient)
     res = merge_variables(c, d, base, witness)
-    assert calls == [(c.carrier, d.carrier)]
-    assert res.tensor.cap == res.monoid.cap == 3
+    assert tensors == [] and quotients == []
+    assert res.monoid.cap == 3
+    assert res.hom_checked == base.cat.is_trivial and res.hom_ok and res.unit_preserved
+
+
+def _untruncated(f):
+    """f with its carrier flagged untruncated: genuinely zero above its cap."""
+    g = copy.copy(f)
+    g.carrier = copy.copy(f.carrier)
+    g.carrier.truncated = False
+    return g
+
+
+# name -> (factors of a base, the window of their tensor)
+WINDOWS = {
+    "caps-3-and-4": (lambda base: (_factors(base, 1, 2, 3)[0], _factors(base, 1, 2, 4)[1]), 3),
+    "untruncated": (lambda base: (_factors(base, 2, 1, 3)[0],
+                                  _untruncated(_factors(base, 2, 1, 4)[1])), 3),
+    "zero-variables": (lambda base: (polynomial_monoid(base, 2, 2), base), 2),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_merge_window_is_the_graded_tensor_window(field, kind, name):
+    """Phi's window is `GradedTensor`'s, and every cell is the per-split descent."""
+    base = _base(field, kind)
+    factors, cap = WINDOWS[name]
+    c, d = factors(base)
+    witness = _witness(base)
+    res = merge_variables(c, d, base, witness)
+    assert res.monoid.cap == GradedTensor(c.carrier, d.carrier).cap == cap
+    ref = _reference_phi(res, c, d, base, witness)
+    assert sorted(res.phi) == sorted(ref) and len(ref) == (cap + 1) * len(base.cat.objects)
+    for cell, mat in ref.items():
+        got = res.phi[cell]
+        assert (got.nrows, got.ncols, got.rows) == (mat.nrows, mat.ncols, mat.rows), cell
 
 
 @pytest.mark.parametrize("field", FIELDS)

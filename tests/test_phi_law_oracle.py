@@ -19,6 +19,7 @@ import pytest
 
 from koszulcat.category import CategoryPresentation
 from koszulcat.field import QQ, Field
+from koszulcat.gtensor import GradedTensor
 from koszulcat.hochschild import certify_tensor_idempotent
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import morphism_law, scalar_monoid
@@ -99,11 +100,11 @@ SHAPES = [(n, m, cap) for n, m in ((1, 1), (2, 2), (1, 2), (2, 1)) for cap in (1
 @pytest.mark.parametrize("n,m,cap", SHAPES, ids=["n%d-m%d-cap%d" % s for s in SHAPES])
 def test_whole_cell_law_matches_the_per_block_law(field, n, m, cap):
     c, d, res = merge(field, n, m, cap)
-    merged, gt, phi = res.monoid, res.tensor, res.phi
+    merged, gt, phi = res.monoid, GradedTensor(c.carrier, d.carrier), res.phi
     u = c.cat.unit
     rng = random.Random(n * 100 + m * 10 + cap)
 
-    assert _check_phi_multiplicative(c, d, merged, gt, phi)
+    assert _check_phi_multiplicative(c, d, merged, gt.layout, gt.dims, phi)
     assert oracle_phi_multiplicative(c, d, merged, gt, phi)
 
     verdicts = []
@@ -112,7 +113,7 @@ def test_whole_cell_law_matches_the_per_block_law(field, n, m, cap):
         for i, j in positions(cell, rng):
             faulty = dict(phi)
             faulty[(u, k)] = bump(cell, i, j)
-            verdicts.append((_check_phi_multiplicative(c, d, merged, gt, faulty),
+            verdicts.append((_check_phi_multiplicative(c, d, merged, gt.layout, gt.dims, faulty),
                              oracle_phi_multiplicative(c, d, merged, gt, faulty)))
     for k1 in range(cap + 1):
         for k2 in range(cap + 1 - k1):
@@ -120,7 +121,7 @@ def test_whole_cell_law_matches_the_per_block_law(field, n, m, cap):
             cell = merged.pairing_cell(*key)
             for i, j in positions(cell, rng):
                 faulty = FaultedPairing(merged, key, bump(cell, i, j))
-                verdicts.append((_check_phi_multiplicative(c, d, faulty, gt, phi),
+                verdicts.append((_check_phi_multiplicative(c, d, faulty, gt.layout, gt.dims, phi),
                                  oracle_phi_multiplicative(c, d, faulty, gt, phi)))
     assert all(new == old for new, old in verdicts)
     assert not all(new for new, _ in verdicts)  # the law is not vacuous

@@ -8,6 +8,7 @@ import pytest
 from koszulcat.category import CategoryPresentation
 from koszulcat.errors import IsoFailureError, PreconditionError, StructuralError
 from koszulcat.field import QQ, Field
+from koszulcat.gtensor import GradedTensor
 from koszulcat.matrix import Matrix, place
 from koszulcat.monoid import (
     Element,
@@ -227,7 +228,8 @@ def test_phi_multiplicative_matches_embedding_reference(field, n, m):
     verdicts = []
     for scale in (1, 2, -1):
         res = merge_variables(c, d, q, {u: Matrix.identity(field, 1).scale(field.from_int(scale))})
-        want = _phi_multiplicative_by_embedding(c, d, res.monoid, res.tensor, res.phi)
+        want = _phi_multiplicative_by_embedding(c, d, res.monoid,
+                                                GradedTensor(c.carrier, d.carrier), res.phi)
         assert res.hom_ok is want
         verdicts.append(want)
     assert verdicts == [True, False, False]

@@ -14,6 +14,7 @@ from koszulcat.hochschild import build_enveloping, hochschild_cohomology
 from koszulcat.matrix import Matrix
 from koszulcat.monoid import (
     Module,
+    Monoid,
     degree_zero_carrier,
     identity_monoid,
     regular_bimodule,
@@ -40,6 +41,17 @@ def right_only(a):
     return Module(a, a.carrier, None, dict(a.pairing))
 
 
+def doubled(a):
+    """The regular bimodule of a monoid like a but with every pairing cell doubled.
+
+    Its cell dims are a's, so only the pairing tells the two monoids apart.
+    """
+    two = a.field.from_int(2)
+    other = Monoid(a.carrier, {key: cell.scale(two) for key, cell in a.pairing.items()}, a.unit,
+                   name=a.name, poly_info=a.poly_info)
+    return regular_bimodule(other)
+
+
 def outer_on_a_finite_backend():
     ident = identity_monoid(c2_convolution_category(QQ))
     reg = regular_bimodule(ident)
@@ -62,6 +74,10 @@ CASES = [
     ("hh-coefficients-elsewhere",
      lambda: hochschild_cohomology(build_enveloping(q(), 1, 2), regular_bimodule(poly()), 0),
      StructuralError, "coefficients are not a module over the polynomial monoid"),
+    ("hh-coefficients-over-another-pairing",
+     lambda: hochschild_cohomology(build_enveloping(q(), 1, 2),
+                                   doubled(build_enveloping(q(), 1, 2).a_n), 1),
+     StructuralError, "coefficients are not a module over the polynomial monoid"),
     ("tensor-different-monoids",
      lambda: tensor_over_monoid(regular_bimodule(q()), regular_bimodule(poly())),
      StructuralError, "modules live over different monoids"),
@@ -79,6 +95,9 @@ CASES = [
      StructuralError, "the module needs a left action"),
     ("syzygy-module-elsewhere",
      lambda: syzygy_resolution(poly(), regular_bimodule(poly(1, 2))),
+     StructuralError, "module is not over the polynomial monoid"),
+    ("syzygy-module-over-another-pairing",
+     lambda: syzygy_resolution(poly(), doubled(poly())),
      StructuralError, "module is not over the polynomial monoid"),
     ("syzygy-cap-zero-module", syzygy_of_a_cap_zero_module,
      WindowError, "cap 0 cannot certify any differential action"),
