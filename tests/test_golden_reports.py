@@ -289,6 +289,11 @@ def _first_variable_quotient(a):
     return _cyclic_quotient(a, _variables(a)[:1])
 
 
+def _dense_form_quotient(a):
+    """A / (3 t1 - 7 t2): a cyclic module by a form with every coefficient nonzero."""
+    return _cyclic_quotient(a, [linear_form(a.field, _variables(a), [3, -7])])
+
+
 # name -> zero-argument callable returning the golden lines
 LIB_CASES = {
     "check_resolution_q": lambda: _check_resolution_lines(QQ, 2, 4, _variables),
@@ -313,6 +318,7 @@ LIB_CASES = {
     "bimodule_resolution_q": lambda: _bimodule_lines(_base(QQ), 2, 3),
     "bimodule_resolution_f101": lambda: _bimodule_lines(_base(F101), 1, 4),
     "bimodule_resolution_c2_f101": lambda: _bimodule_lines(_c2_base(F101), 2, 3),
+    "bimodule_resolution_c2_cap4_f101": lambda: _bimodule_lines(_c2_base(F101), 2, 4),
     "enveloping_scalar_f101": lambda: _enveloping_lines(_base(F101), 2, 4),
     "enveloping_c2_f101": lambda: _enveloping_lines(_c2_base(F101), 2, 4),
     "hochschild_regular_q": lambda: _hochschild_lines(QQ, 2, 3, regular_bimodule),
@@ -324,6 +330,8 @@ LIB_CASES = {
                                                 _first_variable_quotient),
     "syzygy_cyclic_c2_f101": lambda: _syzygy_lines(_c2_base(F101), 2, 3,
                                                    _first_variable_quotient),
+    "syzygy_dense_form_c2_f101": lambda: _syzygy_lines(_c2_base(F101), 2, 4,
+                                                       _dense_form_quotient),
     "tensor_over_identity_c2_f101": lambda: _tensor_over_identity_lines(F101),
     "tensor_over_poly_c2_f101": lambda: _tensor_over_poly_lines(_c2_base(F101), 2, 3),
 }
