@@ -18,7 +18,9 @@ of copies of a base representation (a polynomial slice is #monomials copies
 of its base slice, any other slice one copy of itself), and the result is
 placed copies of the base pair's Day convolution, eliminated once.  Where
 each copy's coordinates went is one rule, `copy_coordinates`, so maps out
-of the copies (the merge of `koszulcat.poly`) are placed by the same rule.
+of the copies (the merge of `koszulcat.poly`) and between them (the copy
+moves of `GradedTensor.map_factor`, through `DayTensor.coords`) are placed
+by the same rule.
 
 The basis order is decided once.  Kronecker products put the left factor
 slowest (`Matrix.kron`).  The Day ambient at x lists the summands by object
@@ -389,17 +391,21 @@ class DayTensor:
 
     layout[x] maps each object pair (y, z) to its `DaySummand` in the
     ambient at x; quot[x] is the quotient of that ambient by the relations.
-    `day_tensor` hands one instance to every caller with the same
-    representation data, so rep.name is the first caller's; no report reads it.
+    coords[x][c][j] is where quotient coordinate j of copy c of the base Day
+    tensor sits (`copy_coordinates`); a tensor `day_tensor` eliminated is its
+    own one copy.  `day_tensor` hands one instance to every caller with the
+    same representation data, so rep.name is the first caller's; no report
+    reads it.
     """
 
-    __slots__ = ("cat", "layout", "quot", "rep")
+    __slots__ = ("cat", "layout", "quot", "rep", "coords")
 
-    def __init__(self, cat, layout, quot, rep):
+    def __init__(self, cat, layout, quot, rep, coords):
         self.cat = cat
         self.layout = layout  # x -> {(y, z): DaySummand}
         self.quot = quot      # x -> QuotientPresentation
         self.rep = rep
+        self.coords = coords  # x -> per copy, the quotient coordinates of the base's
 
     def pure_map(self, x, y, z, h: Mor) -> Matrix:
         """F(y) (x) G(z) -> (F (x) G)(x), a (x) b |-> the class of h (x) a (x) b.
@@ -529,17 +535,9 @@ def day_tensor(cat: CategoryPresentation, f: Representation, g: Representation) 
         actions[(x, xp, k)] = quot[xp].projection * amb * quot[x].section
     rep = Representation(cat, dims, actions,
                          name="(%s(x)%s)" % (f.name, g.name))
-    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep,
+                                  {x: [range(q.dim)] for x, q in quot.items()})
     return cat.day_memo[key]
-
-
-def _copy_ranks(amb, idx) -> list:
-    """ranks[c][j]: the rank of amb[c][idx[j]] among all these positions."""
-    order = sorted((ac[i], c, j) for c, ac in enumerate(amb) for j, i in enumerate(idx))
-    ranks = [[0] * len(idx) for _ in amb]
-    for r, (_, c, j) in enumerate(order):
-        ranks[c][j] = r
-    return ranks
 
 
 def _placed_copies(m: Matrix, nrows: int, ncols: int, row_maps, col_maps) -> Matrix:
@@ -551,26 +549,68 @@ def _placed_copies(m: Matrix, nrows: int, ncols: int, row_maps, col_maps) -> Mat
     return Matrix(m.field, nrows, ncols, rows)
 
 
-def copy_coordinates(base: DayTensor, x, kf: int, kg: int) -> tuple:
-    """(amb, coords) at x of Day(F^kf, G^kg), the copies of base = Day(F, G).
+def _copy_terms(base: DayTensor, x, kf: int, kg: int) -> tuple:
+    """The copy rule at x of Day(F^kf, G^kg), the copies of base = Day(F, G), as affine terms.
 
     Coordinate (h, a, b) of summand (y, z) in copy c = v kg + w sits at local
-    (h kf dim F(y) + v dim F(y) + a) kg dim G(z) + w dim G(z) + b; that is
-    amb[c][i] for base ambient coordinate i.  coords[c][j] is where base
-    quotient coordinate j lands: the complements of all copies, in ambient order.
+    (h kf dim F(y) + v dim F(y) + a) kg dim G(z) + w dim G(z) + b.  Each local
+    position is numbered among the positions of its kind (pivot or not) in
+    ambient order: summands by offset, then h, v, a, w, b.  One walk over the
+    base ambient in that order counts the pivots before each coordinate in
+    the blocks the order nests (summand and h, then a, then b), so a position
+    and its number are t0 + v tv + w tw.  Returns the terms (t0, tv, tw) of
+    (the position of every base coordinate, the number of every base
+    coordinate that is not a pivot, the number of every base pivot), each in
+    base order; `_per_copy` reads them off, with no sort.
     """
-    copies = [(v, w) for v in range(kf) for w in range(kg)]
-    amb = [[] for _ in copies]
-    for s in base.layout[x].values():
-        off = kf * kg * s.offset  # every summand before this one has kf kg copies
+    q = base.quot[x]
+    before = [0] * (q.ambient + 1)  # before[i]: the base pivots among coordinates < i
+    for p in q.sub.pivots:
+        before[p + 1] = 1
+    for i in range(q.ambient):
+        before[i + 1] += before[i]
+    copies = kf * kg
+    at, comp, piv = [], [], []
+    for s in base.layout[x].values():  # in offset order
+        f, g = s.dim_f, s.dim_g
         for h in range(s.hom_dim):
-            for a in range(s.dim_f):
-                for b in range(s.dim_g):
-                    for c, (v, w) in enumerate(copies):
-                        amb[c].append(off + ((h * kf + v) * s.dim_f + a) * kg * s.dim_g
-                                      + w * s.dim_g + b)
-    comp = [i for i, r in enumerate(base.quot[x].section.rows) if r]  # the base complement
-    return amb, _copy_ranks(amb, comp)
+            start_h = s.offset + h * f * g
+            in_h = before[start_h + f * g] - before[start_h]
+            for a in range(f):
+                start_a = start_h + a * g
+                in_a = before[start_a + g] - before[start_a]
+                for b in range(g):
+                    i = start_a + b
+                    pos = copies * s.offset + (h * kf * f + a) * kg * g + b
+                    rank = copies * before[start_h] + kg * (before[start_a] - before[start_h]) \
+                        + before[i] - before[start_a]  # the pivot positions before pos
+                    at.append((pos, f * kg * g, g))
+                    if before[i + 1] > before[i]:
+                        piv.append((rank, kg * in_h, in_a))
+                    else:
+                        comp.append((pos - rank, f * kg * g - kg * in_h, g - in_a))
+    return at, comp, piv
+
+
+def _per_copy(terms, kf: int, kg: int) -> list:
+    """For each copy c = v kg + w, the values t0 + v tv + w tw of the terms."""
+    if not terms:
+        return [()] * (kf * kg)
+    vs = [v for v in range(kf) for _ in range(kg)]
+    ws = list(range(kg)) * kf
+    return list(zip(*[[t0 + v * tv + w * tw for v, w in zip(vs, ws)] for t0, tv, tw in terms]))
+
+
+def copy_coordinates(base: DayTensor, x, kf: int, kg: int) -> list:
+    """coords[c][j]: where quotient coordinate j of base = Day(F, G) lands in copy c at x.
+
+    The copies are those of Day(F^kf, G^kg), whose quotient coordinates are
+    the complements of all copies, in ambient order (`_copy_terms`); one
+    copy sits where the base does.
+    """
+    if kf == kg == 1:
+        return [range(base.quot[x].dim)]
+    return _per_copy(_copy_terms(base, x, kf, kg)[1], kf, kg)
 
 
 def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Representation,
@@ -596,19 +636,23 @@ def day_tensor_copies(cat: CategoryPresentation, f: Representation, g: Represent
     for x in cat.objects:
         layout[x] = {yz: DaySummand(s.hom_dim, kf * s.dim_f, kg * s.dim_g, kf * kg * s.offset)
                      for yz, s in base.layout[x].items()}
-        amb, coords[x] = copy_coordinates(base, x, kf, kg)
+        amb, coords[x], pivot_coords = (_per_copy(t, kf, kg)
+                                        for t in _copy_terms(base, x, kf, kg))
         q, k = base.quot[x], kf * kg
-        pivots, off, dim = q.sub.pivots, k * q.ambient, k * q.dim
-        sub = Subspace(cat.field, off, _placed_copies(q.sub.basis, off, k * len(pivots),
-                                                      amb, _copy_ranks(amb, pivots)),
-                       sorted(ac[p] for ac in amb for p in pivots))
+        off, dim = k * q.ambient, k * q.dim
+        pivots = [0] * (k * len(q.sub.pivots))  # the local pivot positions, in ambient order
+        for p, numbers in zip(q.sub.pivots, zip(*pivot_coords)):
+            for r, ac in zip(numbers, amb):
+                pivots[r] = ac[p]
+        sub = Subspace(cat.field, off, _placed_copies(q.sub.basis, off, len(pivots),
+                                                      amb, pivot_coords), pivots)
         quot[x] = checked_quotient(sub, _placed_copies(q.projection, dim, off, coords[x], amb),
                                    _placed_copies(q.section, off, dim, amb, coords[x]))
     actions = {(x, xp, k): _placed_copies(m, quot[xp].dim, quot[x].dim, coords[xp], coords[x])
                for (x, xp, k), m in base.rep.actions.items()}
     rep = Representation(cat, {x: quot[x].dim for x in cat.objects}, actions,
                          name="(%s^%d(x)%s^%d)" % (f.name, kf, g.name, kg))
-    cat.day_memo[key] = DayTensor(cat, layout, quot, rep)
+    cat.day_memo[key] = DayTensor(cat, layout, quot, rep, coords)
     return cat.day_memo[key]
 
 

@@ -123,6 +123,7 @@ class EnvelopingData:
     alphas: list       # the variable differences u_i - v_i
     ideal: dict        # (obj, deg) -> Subspace, the generated ideal
     report: GradedReport
+    cochains: Optional[tuple] = None  # (module, its cochain differences): `hochschild_cohomology`
 
     @property
     def cap(self) -> int:
@@ -452,7 +453,10 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
 
     Above the variable count the groups vanish because the resolution stops;
     with coefficients the monoid itself, every cochain differential is the
-    zero matrix, which the report certifies entry by entry.
+    zero matrix, which the report certifies entry by entry.  The n cochain
+    differences of the last module are kept on e (`EnvelopingData.cochains`)
+    and reused by every p while the call is given that same module object,
+    so one module's HH^0..HH^n build them once.
     """
     if p < 0:
         raise PreconditionError("cohomological degree must be nonnegative")
@@ -470,7 +474,9 @@ def hochschild_cohomology(e: EnvelopingData, m: Module, p: int,
                 report.add_entry(p, x, d, 0)
         return report
 
-    diffs = _cochain_differences(e, m)
+    if e.cochains is None or e.cochains[0] is not m:
+        e.cochains = (m, _cochain_differences(e, m))
+    diffs = e.cochains[1]
     phi_out = _cochain_phi(e, m, p, diffs) if p <= n - 1 else None
     phi_in = _cochain_phi(e, m, p - 1, diffs) if p >= 1 else None
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .category import CategoryPresentation, Representation, identity_representation
@@ -148,7 +149,7 @@ class Element:
 
 
 class Monoid:
-    __slots__ = ("carrier", "pairing", "unit", "name", "poly_info", "central_memo")
+    __slots__ = ("carrier", "pairing", "unit", "name", "poly_info", "central_memo", "copy_memo")
 
     def __init__(self, carrier: GradedCarrier, pairing: dict, unit: tuple,
                  name="A", poly_info=None):
@@ -158,6 +159,7 @@ class Monoid:
         self.name = name
         self.poly_info = poly_info  # (base Monoid, var names) for polynomial monoids
         self.central_memo = {}      # (obj, deg) -> commutant cell, see `commutant`
+        self.copy_memo = {}         # (side, obj, deg) -> (action cell, verdict), see `_times`
         u = carrier.cat.unit
         if len(unit) != carrier.dim(u, 0):
             raise StructuralError("unit has %d coordinates, expected %d"
@@ -557,36 +559,151 @@ class MultOperator:
 
 
 def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperator:
-    """L_elt (or the right-hand analogue) for an element supported at the unit."""
+    """L_elt (or the right-hand analogue) for an element supported at the unit.
+
+    Each cell fixes elt in m's action cell (`fix_slot`), unless elt is a
+    linear form sum c_i t_i of a polynomial monoid (`_form_coefficients`) and
+    the action cell obeys the copy rule of the regular module (`_copy_rule`,
+    an O(nnz) comparison of its entries, kept per cell object on a): then the
+    cell is written by copy moves, block w to block t_i w times c_i, with no
+    scan of the action cell and no arithmetic (`_copy_moves`).  Any other
+    element, module or cell takes `fix_slot`; both give the same matrix.
+    """
     u = a.cat.unit
     if elt.obj != u:
         raise WrongObjectError("element lives at %s, expected the unit object" % elt.obj)
     car = m.carrier
     e = elt.degree
+    coeffs = _form_coefficients(a, elt)
     cells = {}
     for (x, d) in car.cells():
         if d + e > car.cap:
             continue
         cell = m.left_cell(u, e, x, d) if side == "left" else m.right_cell(x, d, u, e)
-        cells[(x, d)] = fix_slot(cell, elt.coords, car.dim(x, d), side)
+        cells[(x, d)] = _times(a, elt, coeffs, cell, x, d, car.dim(x, d), side)
     return MultOperator(e, cells)
+
+
+def _times(a: Monoid, elt: Element, coeffs, cell: Matrix, x, d: int, dim: int,
+           side: str) -> Matrix:
+    """b -> cell(elt (x) b) ("left") or cell(b (x) elt) on a cell of dim coordinates.
+
+    By copy moves when coeffs, elt's form coefficients, are known and the
+    cell obeys the copy rule at (x, d); else by `fix_slot`.  The rule is
+    checked once per cell object: the verdict is kept in `a.copy_memo` under
+    (side, x, d) beside the cell, and trusted only while the caller holds
+    that same cell object.  A cell of another shape than the regular one (a
+    module that is not regular) takes `fix_slot` before the memo.
+    """
+    if coeffs is not None:
+        held = a.copy_memo.get((side, x, d))
+        if held is None or held[0] is not cell:
+            car = a.carrier
+            if dim != car.dim(x, d) or \
+                    (cell.nrows, cell.ncols) != (car.dim(x, d + 1), len(elt.coords) * dim):
+                return fix_slot(cell, elt.coords, dim, side)
+            held = a.copy_memo[(side, x, d)] = (cell, _copy_rule(a, cell, x, d, side))
+        if held[1]:
+            return _copy_moves(a, coeffs, x, d)
+    return fix_slot(cell, elt.coords, dim, side)
+
+
+def _unit_slot(a: Monoid):
+    """j when the unit of a is the basis vector e_j with coordinate one, else None."""
+    support = [j for j, v in enumerate(a.unit) if v]
+    return support[0] if len(support) == 1 and a.unit[support[0]] == a.field.one() else None
+
+
+def _form_coefficients(a: Monoid, elt: Element):
+    """[c_1, ..., c_n] when elt = sum c_i t_i in the polynomial monoid a, else None.
+
+    t_i is the i-th degree-one monomial times the unit, so elt is such a form
+    exactly when, with the unit the basis vector e_j (`_unit_slot`), every
+    coordinate of monomial block i off slot j is zero; c_i is the one on it.
+    """
+    if a.poly_info is None or elt.degree != 1 or elt.obj != a.cat.unit:
+        return None
+    j, du, coords = _unit_slot(a), len(a.unit), elt.coords
+    if j is None or len(coords) != a.poly_info.nvars * du or \
+            (du > 1 and any(v for k, v in enumerate(coords) if k % du != j)):
+        return None
+    mul, one = a.field.mul, a.field.one()
+    return [mul(one, v) for v in coords[j::du]]
+
+
+@lru_cache(maxsize=None)
+def _copy_positions(n: int, d: int, bx: int) -> tuple:
+    """The copy rule: per variable t_i, the (row, column) of each entry of t_i on a regular cell.
+
+    A regular cell of degree d lists the degree-d monomials w, each a block of
+    bx base coordinates b; t_i sends (w, b) to (t_i w, b), one entry each.
+    Returns (rows, columns, positions) of the map from degree d to d + 1.
+    """
+    from .poly import monomial_product_table  # poly builds on this module
+    ntgt, table = monomial_product_table(n, 1, n, d, "add")
+    return ntgt * bx, len(table[0]) * bx, tuple(
+        tuple((t * bx + b, w * bx + b) for w, t in enumerate(targets) for b in range(bx))
+        for targets in table)
+
+
+@lru_cache(maxsize=None)
+def _copy_rule_rows(n: int, d: int, bx: int, du: int, j: int, side: str) -> dict:
+    """Column -> row of the entry one the copy rule puts in column (i, j, w, b); read only."""
+    _, width, positions = _copy_positions(n, d, bx)
+    return {(i * du + j) * width + col if side == "left" else col * n * du + i * du + j: row
+            for i, moves in enumerate(positions) for row, col in moves}
+
+
+def _copy_rule(a: Monoid, cell: Matrix, x, d: int, side: str) -> bool:
+    """Whether a regular action cell at (x, d) moves copies: t_i (w b) = (t_i w) b.
+
+    cell is A(u)_1 (x) A(x)_d -> A(x)_{d+1} ("left") or A(x)_d (x) A(u)_1
+    on Kronecker columns, A(u)_1 of n blocks of du coordinates.  Column
+    (i, j, w, b), j the unit's slot (`_unit_slot`), must hold exactly one
+    entry, one, at the row (t_i w, b) of `_copy_positions`; columns of other
+    slots are not read.  One pass over the entries, comparisons only.
+    """
+    j = _unit_slot(a)
+    if j is None:
+        return False
+    expect = _copy_rule_rows(a.poly_info.nvars, d, a.poly_info.base.carrier.dim(x, 0),
+                             len(a.unit), j, side)
+    one = a.field.one()
+    read = [t == r and v == one for r, row in enumerate(cell.rows)
+            for col, v in row.items() if (t := expect.get(col)) is not None]
+    return len(read) == len(expect) and all(read)
+
+
+def _copy_moves(a: Monoid, coeffs, x, d: int) -> Matrix:
+    """sum_i c_i t_i on the regular cell (x, d): c_i at each position of t_i (`_copy_positions`)."""
+    nrows, ncols, positions = _copy_positions(len(coeffs), d, a.poly_info.base.carrier.dim(x, 0))
+    rows = [{} for _ in range(nrows)]
+    for c, moves in zip(coeffs, positions):
+        if c:
+            for r, col in moves:
+                rows[r][col] = c
+    return Matrix(a.field, nrows, ncols, rows)
 
 
 # -- generated submodules and quotients ----------------------------------------
 
 
-def _ideal_columns(a: Monoid, gens: Sequence[Element], x, d):
+def _ideal_columns(a: Monoid, gens: Sequence[Element], forms: list, x, d):
     """Cell (x, d) of A<gens> as columns b -> b g, one block per generator.
 
     Returns the hstack and ends: ends[i] counts the columns of the first i.
+    A block is right multiplication by g on the regular module: by copy
+    moves where g is a linear form, forms[i] its coefficients
+    (`_form_coefficients`), and the pairing cell obeys the copy rule, as in
+    `mult_operator`; by `fix_slot` otherwise.
     """
     field, car, u = a.field, a.carrier, a.cat.unit
     blocks, ends = [Matrix.zeros(field, car.dim(x, d), 0)], [0]
-    for g in gens:
+    for g, coeffs in zip(gens, forms):
         width = car.dim(x, d - g.degree) if g.degree <= d else 0
         if width:
-            blocks.append(fix_slot(a.pairing_cell(x, d - g.degree, u, g.degree),
-                                   g.coords, width, "right"))
+            blocks.append(_times(a, g, coeffs, a.pairing_cell(x, d - g.degree, u, g.degree),
+                                 x, d - g.degree, width, "right"))
         ends.append(ends[-1] + width)
     return hstack(blocks), ends
 
@@ -600,7 +717,8 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
     for g in gens:
         if g.obj != a.cat.unit:
             raise WrongObjectError("generator lives at %s, expected the unit object" % g.obj)
-    return {(x, d): Subspace.from_matrix_columns(_ideal_columns(a, gens, x, d)[0])
+    forms = [_form_coefficients(a, g) for g in gens]
+    return {(x, d): Subspace.from_matrix_columns(_ideal_columns(a, gens, forms, x, d)[0])
             for (x, d) in a.carrier.cells()}
 
 
@@ -769,8 +887,9 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
     car, unit = a.carrier, a.cat.unit
     k = next((i for i, g in enumerate(gens) if g.obj != unit), len(gens))
     prefix = {}  # cell -> dim A<g_1..g_i> for i = 0..k; gens[k] is the first off the unit
+    forms = [_form_coefficients(a, g) for g in gens[:k]]
     for (x, d) in car.cells():
-        cols, ends = _ideal_columns(a, gens[:k], x, d)
+        cols, ends = _ideal_columns(a, gens[:k], forms, x, d)
         pivots = rref(a.field, cols.rows, cols.ncols)[0]
         prefix[(x, d)] = [bisect_left(pivots, end) for end in ends]
     stages, failed = [], None
@@ -788,7 +907,7 @@ def is_regular_sequence(a: Monoid, gens: Sequence[Element]) -> SequenceCertifica
                                                 car.truncated))
             continue
         stages.append(is_regular(a, g, regular_bimodule(a), lambda cell: (
-            Subspace.from_matrix_columns(_ideal_columns(a, gens[:i], *cell)[0]))))
+            Subspace.from_matrix_columns(_ideal_columns(a, gens[:i], forms, *cell)[0]))))
         if stages[-1].regular:
             raise StructuralError("stage %d: dimension count and kernel scan disagree" % i)
         failed = i

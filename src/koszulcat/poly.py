@@ -355,7 +355,7 @@ def _place_merge(day0, kc, kd, layout, target: GradedCarrier, base_phi: dict, n,
                 continue
             _, table = monomial_product_table(n, b.d1, m, b.d2, "concat")
             targets = [t for row in table for t in row]
-            _, coords = copy_coordinates(day0, x, kc[b.d1], kd[b.d2])
+            coords = copy_coordinates(day0, x, kc[b.d1], kd[b.d2])
             if len(coords) != len(targets):
                 raise StructuralError("merge factors are not polynomial over their bases "
                                       "at degrees (%d, %d)" % (b.d1, b.d2))

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -357,6 +358,22 @@ def test_cli_report_bytes(name, argv, code, tmp_path, monkeypatch):
     monkeypatch.chdir(REPO)
     assert _cli_outputs(argv, str(tmp_path)) == \
         (code, _golden(name + ".stdout"), _golden(name + ".json"))
+
+
+def test_optimized_interpreter_prints_the_same_reports(tmp_path):
+    """Under `python -O`, which drops assert statements, `hh` and `syzygy` on
+    the corpus print the same stdout and --report bytes as the goldens."""
+    argv_of = {name: argv for name, argv, _ in CLI_CASES}
+    script = "import sys\nfrom koszulcat.cli import main\n" \
+        "sys.exit(main(sys.argv[1:]) if sys.flags.optimize else 3)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"), PYTHONDONTWRITEBYTECODE="1")
+    for name in ("hh_trivial_q", "syzygy_trivial_q"):
+        report = tmp_path / (name + ".json")
+        run = subprocess.run([sys.executable, "-O", "-c", script] + argv_of[name] +
+                             ["--report", str(report)], cwd=REPO, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout, report.read_text(encoding="utf-8")) == \
+            (0, _golden(name + ".stdout"), _golden(name + ".json"))
 
 
 @pytest.mark.parametrize("name", sorted(LIB_CASES))

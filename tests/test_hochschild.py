@@ -254,14 +254,16 @@ def test_a_u_and_a_v_are_a_n_renamed(monkeypatch, base, var_names):
                                   identity_monoid(c2_convolution_category(Field(101)))],
                          ids=["scalar", "c2unit"])
 def test_cochain_differences_are_built_once_per_call(monkeypatch, base, n):
-    """Both cochain maps of one call share its n differences: 2n multiplications, not 4n."""
+    """Every p of one module shares its n differences: 2n multiplications in all,
+    not 2n per p; a new module object builds them again."""
     env = build_enveloping(base, n, 3)
     coeffs = regular_bimodule(env.a_n)
     calls = []
     real = koszulcat.hochschild.mult_operator
     monkeypatch.setattr(koszulcat.hochschild, "mult_operator",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-    for p in range(n + 1):
-        calls.clear()
+    for p in range(n + 2):
         assert hochschild_cohomology(env, coeffs, p).all_passed
-        assert len(calls) == 2 * n
+    assert len(calls) == 2 * n
+    assert hochschild_cohomology(env, regular_bimodule(env.a_n), 0).all_passed
+    assert len(calls) == 4 * n
