@@ -647,31 +647,40 @@ def _copy_positions(n: int, d: int, bx: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _copy_rule_rows(n: int, d: int, bx: int, du: int, j: int, side: str) -> dict:
-    """Column -> row of the entry one the copy rule puts in column (i, j, w, b); read only."""
-    _, width, positions = _copy_positions(n, d, bx)
-    return {(i * du + j) * width + col if side == "left" else col * n * du + i * du + j: row
-            for i, moves in enumerate(positions) for row, col in moves}
+def _copy_rule_rows(n: int, d: int, bx: int, du: int, j: int, side: str) -> list:
+    """The rows of unit slot j of an action cell that obeys the copy rule; read only.
+
+    Row (t_i w, b) holds the entry one (`Field.one`, 1 in every field) at
+    column (i, j, w, b) for every such pair, and nothing else in slot j.
+    """
+    nrows, width, positions = _copy_positions(n, d, bx)
+    rows = [{} for _ in range(nrows)]
+    for i, moves in enumerate(positions):
+        for row, col in moves:
+            rows[row][(i * du + j) * width + col if side == "left" else col * n * du + i * du + j] = 1
+    return rows
 
 
 def _copy_rule(a: Monoid, cell: Matrix, x, d: int, side: str) -> bool:
     """Whether a regular action cell at (x, d) moves copies: t_i (w b) = (t_i w) b.
 
     cell is A(u)_1 (x) A(x)_d -> A(x)_{d+1} ("left") or A(x)_d (x) A(u)_1
-    on Kronecker columns, A(u)_1 of n blocks of du coordinates.  Column
-    (i, j, w, b), j the unit's slot (`_unit_slot`), must hold exactly one
-    entry, one, at the row (t_i w, b) of `_copy_positions`; columns of other
-    slots are not read.  One pass over the entries, comparisons only.
+    on Kronecker columns, A(u)_1 of n blocks of du coordinates.  Its
+    columns (i, j, w, b), j the unit's slot (`_unit_slot`), must hold
+    exactly the entries one at rows (t_i w, b) of `_copy_positions`, and
+    nothing else; columns of other slots are not read.  One comparison of
+    the entries with `_copy_rule_rows`, no arithmetic.
     """
     j = _unit_slot(a)
     if j is None:
         return False
-    expect = _copy_rule_rows(a.poly_info.nvars, d, a.poly_info.base.carrier.dim(x, 0),
-                             len(a.unit), j, side)
-    one = a.field.one()
-    read = [t == r and v == one for r, row in enumerate(cell.rows)
-            for col, v in row.items() if (t := expect.get(col)) is not None]
-    return len(read) == len(expect) and all(read)
+    n, du = a.poly_info.nvars, len(a.unit)
+    rows = cell.rows
+    if du > 1:  # keep slot j only
+        width = a.carrier.dim(x, d)
+        rows = [{c: v for c, v in r.items() if (c // width if side == "left" else c) % du == j}
+                for r in rows]
+    return rows == _copy_rule_rows(n, d, a.poly_info.base.carrier.dim(x, 0), du, j, side)
 
 
 def _copy_moves(a: Monoid, coeffs, x, d: int) -> Matrix:
