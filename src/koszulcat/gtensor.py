@@ -124,7 +124,7 @@ class GradedTensor:
         (`_copy_factor`, read from the cells), the blocks of that degree are
         copy moves: A (x) I on the Day quotient coordinates of the placed
         copies (`DayTensor.coords`), with no Kronecker product and no
-        projection * ambient * section.  Every other degree takes the
+        projection * ambient * section.  Every other block takes the
         Kronecker route above; both give the same matrices.
         """
         fld = self.field
