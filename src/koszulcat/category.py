@@ -441,7 +441,7 @@ class DayTensor:
                     blocks.append((0, s.offset, hstack(
                         [target.action_basis((yz, x, h)) * b_cell for h in range(s.hom_dim)])))
             q = self.quot[x]
-            out[x] = descend(place(fld, target.dims[x], q.ambient, blocks), q.sub.basis, q.section)
+            out[x] = descend(place(fld, target.dims[x], q.ambient, blocks), q)
             if out[x] is None:
                 raise StructuralError("bilinear family is not natural; does not descend at %s" % x)
         return out

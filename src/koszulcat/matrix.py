@@ -273,6 +273,38 @@ def place(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
     return Matrix(field, nrows, ncols, rows)
 
 
+def times_bracket(outer: Matrix, inner: Matrix, left: int, right: int) -> Matrix:
+    """outer * (I_left (x) inner (x) I_right), with no Kronecker factor formed.
+
+    Column (i, c, k) of the factor is inner's column c at rows (i, r, k), so
+    each entry of outer at column (i, r, k) scales row r of inner into columns
+    (i, c, k).  Products are summed raw and normalised once per entry.
+    """
+    if left == right == 1:  # no identity factor: the plain product is faster
+        return outer * inner
+    nr, nc = inner.nrows, inner.ncols
+    if outer.ncols != left * nr * right:
+        raise DimensionError("cannot apply %d columns after I_%d (x) %dx%d (x) I_%d"
+                             % (outer.ncols, left, nr, nc, right))
+    f = outer.field
+    add, zero, rows, p = f.add, f.zero(), inner.rows, f.char
+    out = []
+    for row in outer.rows:
+        acc: dict = {}
+        for j, a in row.items():
+            i, rk = divmod(j, nr * right)
+            r, k = divmod(rk, right)
+            base = i * nc * right + k
+            for c, b in rows[r].items():
+                col = base + c * right
+                acc[col] = acc.get(col, 0) + a * b
+        if p:  # one reduction per entry; over Q, add(v, 0) restores an int
+            out.append({col: s for col, v in acc.items() if (s := v % p)})
+        else:
+            out.append({col: s for col, v in acc.items() if (s := add(v, zero))})
+    return Matrix(f, outer.nrows, left * nc * right, out)
+
+
 # -- elimination core --------------------------------------------------------
 
 
@@ -608,13 +640,13 @@ def checked_quotient(sub: Subspace, proj: Matrix, sec: Matrix) -> QuotientPresen
     return QuotientPresentation(sub.field, sub.ambient, proj.nrows, proj, sec, sub)
 
 
-def descend(m: Matrix, basis: Matrix, section: Matrix):
-    """The map m induces on a quotient of its source, or None if there is none.
+def descend(m: Matrix, q: QuotientPresentation, left: int = 1, right: int = 1):
+    """The map m induces on I_left (x) q (x) I_right, or None if there is none.
 
-    basis spans the kernel of the quotient and section splits its
-    projection.  m descends exactly when m * basis = 0, and the induced map
-    is then m * section; every checked descent goes through here.
+    m descends exactly when it kills I (x) q.sub.basis (x) I, and the induced
+    map is then m * (I (x) q.section (x) I), both taken by `times_bracket`;
+    every checked descent goes through here.
     """
-    if not (m * basis).is_zero():
+    if not times_bracket(m, q.sub.basis, left, right).is_zero():
         return None
-    return m * section
+    return times_bracket(m, q.section, left, right)

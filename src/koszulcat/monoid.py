@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 
 from .category import CategoryPresentation, Representation, identity_representation
 from .errors import (
-    DimensionError,
     NotCentralError,
     PreconditionError,
     StabilityError,
@@ -29,62 +28,27 @@ from .errors import (
     WrongObjectError,
 )
 from .field import Field
-from .matrix import Matrix, Subspace, descend, hstack, kernel, kernel_basis, quotient, rref
+from .matrix import (
+    Matrix,
+    Subspace,
+    descend,
+    hstack,
+    kernel,
+    kernel_basis,
+    quotient,
+    rref,
+    times_bracket,
+)
 from .report import ValidationReport
 
 
 def fix_slot(cell: Matrix, vec: Sequence, dim: int, side: str) -> Matrix:
     """b -> cell(vec (x) b) ("left") or cell(b (x) vec) ("right"), cell on Kronecker columns.
 
-    One pass over cell's entries adds vec[i] times each column whose fixed slot is i.
+    This is cell * (vec (x) I_dim) or cell * (I_dim (x) vec), vec one column.
     """
-    if cell.ncols != len(vec) * dim:
-        raise DimensionError("a cell with %d columns is not %d fixed (x) %d free coordinates"
-                             % (cell.ncols, len(vec), dim))
-    f = cell.field
-    out = []
-    for r in cell.rows:
-        acc: dict = {}
-        for j, v in r.items():
-            i, k = divmod(j, dim) if side == "left" else divmod(j, len(vec))[::-1]
-            if vec[i]:
-                s = f.add(acc.get(k, f.zero()), f.mul(v, vec[i]))
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
-        out.append(acc)
-    return Matrix(f, cell.nrows, dim, out)
-
-
-def times_bracket(outer: Matrix, inner: Matrix, left: int, right: int) -> Matrix:
-    """outer * (I_left (x) inner (x) I_right), with no Kronecker factor formed.
-
-    Column (i, c, k) of the factor is inner's column c at rows (i, r, k), so
-    each entry of outer at column (i, r, k) scales row r of inner into columns
-    (i, c, k).  Products are summed raw and normalised once per entry.
-    """
-    nr, nc = inner.nrows, inner.ncols
-    if outer.ncols != left * nr * right:
-        raise DimensionError("cannot apply %d columns after I_%d (x) %dx%d (x) I_%d"
-                             % (outer.ncols, left, nr, nc, right))
-    f = outer.field
-    add, zero, rows, p = f.add, f.zero(), inner.rows, f.char
-    out = []
-    for row in outer.rows:
-        acc: dict = {}
-        for j, a in row.items():
-            i, rk = divmod(j, nr * right)
-            r, k = divmod(rk, right)
-            base = i * nc * right + k
-            for c, b in rows[r].items():
-                col = base + c * right
-                acc[col] = acc.get(col, 0) + a * b
-        if p:  # one reduction per entry; over Q, add(v, 0) restores an int
-            out.append({col: s for col, v in acc.items() if (s := v % p)})
-        else:
-            out.append({col: s for col, v in acc.items() if (s := add(v, zero))})
-    return Matrix(f, outer.nrows, left * nc * right, out)
+    col = Matrix(cell.field, len(vec), 1, [{0: v} if v else {} for v in vec])
+    return times_bracket(cell, col, 1, dim) if side == "left" else times_bracket(cell, col, dim, 1)
 
 
 class GradedCarrier:
@@ -731,12 +695,12 @@ def generated_submodule(a: Monoid, gens: Sequence[Element]) -> dict:
             for (x, d) in a.carrier.cells()}
 
 
-def _induced(tgt, mat: Matrix, basis: Matrix, section: Matrix, what: str, args) -> Matrix:
-    """The map tgt.projection * mat induces on a source quotient (basis, section).
+def _induced(tgt, mat: Matrix, src, what: str, args, left: int = 1, right: int = 1) -> Matrix:
+    """The map tgt.projection * mat induces on I_left (x) src (x) I_right.
 
     Raises StabilityError naming what % args when it does not descend.
     """
-    out = descend(tgt.projection * mat, basis, section)
+    out = descend(tgt.projection * mat, src, left, right)
     if out is None:
         raise StabilityError(("submodule not stable under " + what) % args)
     return out
@@ -753,43 +717,31 @@ def quotient_module(m: Module, sub: dict) -> QuotientModule:
 
     Stability is read from the descent that builds each induced map: the
     target's projection after an arrow or action must kill sub at the
-    source (tensored with the monoid's identity for the actions), and the
-    induced map is that product on the source's section (`matrix.descend`).
+    source (I (x) sub or sub (x) I for the actions), and the induced map is
+    that product on the source's section (`matrix.descend`, bracketed).
     Arrows are checked first, then the left and right actions; the first map
     that does not descend is named in the StabilityError.
     """
     a = m.monoid
-    cat, field, car = m.cat, m.field, m.carrier
-    acar = a.carrier
+    cat, car, acar = m.cat, m.carrier, a.carrier
     quots = {cell: quotient(car.dim(*cell), sub[cell]) for cell in car.cells()}
     dims = {cell: q.dim for cell, q in quots.items()}
 
     actions = {}
     for (key, d), mat in car.actions.items():
         x, y, _ = key
-        q = quots[(x, d)]
-        actions[(key, d)] = _induced(quots[(y, d)], mat, q.sub.basis, q.section,
+        actions[(key, d)] = _induced(quots[(y, d)], mat, quots[(x, d)],
                                      "arrow %s at (%s,%d)", (cat.mor_name(key), x, d))
-    left = None
-    right = None
-    if m.left is not None:
-        left = {}
-        for (x, d1, y, d2), mat in m.left.items():
-            ident = Matrix.identity(field, acar.dim(x, d1))
-            q = quots[(y, d2)]
-            left[(x, d1, y, d2)] = _induced(
-                quots[(cat.dobj(x, y), d1 + d2)], mat,
-                ident.kron(q.sub.basis), ident.kron(q.section),
-                "left action of (%s,%d) at (%s,%d)", (x, d1, y, d2))
-    if m.right is not None:
-        right = {}
-        for (x, d1, y, d2), mat in m.right.items():
-            ident = Matrix.identity(field, acar.dim(y, d2))
-            q = quots[(x, d1)]
-            right[(x, d1, y, d2)] = _induced(
-                quots[(cat.dobj(x, y), d1 + d2)], mat,
-                q.sub.basis.kron(ident), q.section.kron(ident),
-                "right action of (%s,%d) at (%s,%d)", (y, d2, x, d1))
+    left = None if m.left is None else {
+        (x, d1, y, d2): _induced(quots[(cat.dobj(x, y), d1 + d2)], mat, quots[(y, d2)],
+                                 "left action of (%s,%d) at (%s,%d)", (x, d1, y, d2),
+                                 left=acar.dim(x, d1))
+        for (x, d1, y, d2), mat in m.left.items()}
+    right = None if m.right is None else {
+        (x, d1, y, d2): _induced(quots[(cat.dobj(x, y), d1 + d2)], mat, quots[(x, d1)],
+                                 "right action of (%s,%d) at (%s,%d)", (y, d2, x, d1),
+                                 right=acar.dim(y, d2))
+        for (x, d1, y, d2), mat in m.right.items()}
     carrier = GradedCarrier(cat, car.cap, car.truncated, dims, actions)
     mod = Module(a, carrier, left, right, name="%s/sub" % m.name)
     return QuotientModule(mod, {c: q.projection for c, q in quots.items()})
@@ -849,8 +801,7 @@ def is_regular(a: Monoid, elt: Element, m: Module,
                 for cell in ((x, d), (x, d + op.shift)):
                     if cell not in quots:
                         quots[cell] = quotient(m.carrier.dim(*cell), sub(cell))
-                q = quots[(x, d)]
-                mat = _induced(quots[(x, d + op.shift)], mat, q.sub.basis, q.section,
+                mat = _induced(quots[(x, d + op.shift)], mat, quots[(x, d)],
                                "multiplication by (%s,%d) at (%s,%d)",
                                (elt.obj, elt.degree, x, d))
             checked += 1

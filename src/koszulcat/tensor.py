@@ -102,8 +102,7 @@ def tensor_over_monoid(m: Module, n: Module,
                        n_outer: Optional[OuterStructure] = None) -> CoequalizerPresentation:
     """Cokernel of the action difference, with optional outer bimodule structure."""
     a = m.monoid
-    if n.monoid is not a and (n.monoid.carrier.dims != a.carrier.dims
-                              or n.monoid.pairing != a.pairing):
+    if not n.is_over(a):
         raise StructuralError("modules live over different monoids")
     if m.right is None:
         raise StructuralError("left factor must carry a right action")
@@ -131,7 +130,8 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
     family raising the degree by d2 (`fix_slot`), which
     `GradedTensor.map_factor` places on the tensor.  The raw action on
     outer (x) tensor (left) is these maps side by side; on tensor (x) outer
-    (right) it is the same columns interleaved, the outer index fastest.
+    (right) it is the same columns interleaved, the outer index fastest, and
+    it descends along I (x) q or q (x) I, q the source's quotient (`descend`).
     Raises when the raw action fails to preserve the relation subspace, which
     would mean the supplied outer action does not commute with the inner one.
     """
@@ -157,10 +157,8 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
             if not on_left_factor:  # the same columns, outer index fastest
                 raw = raw.select_columns([k * q_src.ambient + t for t in range(q_src.ambient)
                                           for k in range(len(maps))])
-            # the source's relations and section, beside the identity on the outer columns
-            wide = [ident_o.kron(m) if on_left_factor else m.kron(ident_o)
-                    for m in (q_src.sub.basis, q_src.section)]
-            desc = descend(coeq.quots[(u, d + d2)].projection * raw, *wide)
+            bracket = (len(maps), 1) if on_left_factor else (1, len(maps))
+            desc = descend(coeq.quots[(u, d + d2)].projection * raw, q_src, *bracket)
             if desc is None:
                 raise StabilityError("outer %s action does not preserve the relations" % side)
             out[(u, d2, u, d) if on_left_factor else (u, d, u, d2)] = desc
@@ -183,8 +181,7 @@ def unit_law_maps(coeq: CoequalizerPresentation, side: str) -> dict:
     pre = coeq.gt.induced_map_cells(mod.carrier, family)
     out = {}
     for cell, mat in sorted(pre.items()):
-        q = coeq.quots[cell]
-        desc = descend(mat, q.sub.basis, q.section)
+        desc = descend(mat, coeq.quots[cell])
         if desc is None:
             raise StabilityError("action map does not kill the relations at %s" % (cell,))
         if desc.nrows != desc.ncols or (desc.nrows and rank(desc) != desc.nrows):

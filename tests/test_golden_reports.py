@@ -361,13 +361,14 @@ def test_cli_report_bytes(name, argv, code, tmp_path, monkeypatch):
 
 
 def test_optimized_interpreter_prints_the_same_reports(tmp_path):
-    """Under `python -O`, which drops assert statements, `hh` and `syzygy` on
-    the corpus print the same stdout and --report bytes as the goldens."""
+    """Under `python -O`, which drops assert statements, `hh`, `syzygy` and
+    `tensor` (its quotient modules take the bracketed descent) on the corpus
+    print the same stdout and --report bytes as the goldens."""
     argv_of = {name: argv for name, argv, _ in CLI_CASES}
     script = "import sys\nfrom koszulcat.cli import main\n" \
         "sys.exit(main(sys.argv[1:]) if sys.flags.optimize else 3)"
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"), PYTHONDONTWRITEBYTECODE="1")
-    for name in ("hh_trivial_q", "syzygy_trivial_q"):
+    for name in ("hh_trivial_q", "syzygy_trivial_q", "tensor_over_poly_xy"):
         report = tmp_path / (name + ".json")
         run = subprocess.run([sys.executable, "-O", "-c", script] + argv_of[name] +
                              ["--report", str(report)], cwd=REPO, env=env,

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from koszulcat.category import CategoryPresentation
-from koszulcat.errors import NotCentralError, StabilityError, WrongObjectError
+from koszulcat.errors import DimensionError, NotCentralError, StabilityError, WrongObjectError
 from koszulcat.field import QQ, Field
-from koszulcat.matrix import Matrix
+from koszulcat.matrix import Matrix, times_bracket
 from koszulcat.monoid import (
     Element,
     Module,
@@ -26,7 +26,6 @@ from koszulcat.monoid import (
     quotient_module,
     regular_bimodule,
     scalar_monoid,
-    times_bracket,
     validate_module,
     validate_monoid,
 )
@@ -253,12 +252,24 @@ def test_fix_slot_is_the_product_with_the_fixed_vector(field):
         assert fix_slot(cell, vec, dim, "right") == cell * fix_right(field, dim, vec)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fix_slot_refuses_a_cell_of_the_wrong_width(side, dim):
+    """A cell whose column count is not len(vec) * dim is refused on both sides,
+    also at dim = 1, where the bracket has no identity factor."""
+    vec = [QQ.from_int(v) for v in (1, 0, 2)]
+    cell = Matrix.zeros(QQ, 2, len(vec) * dim + 1)
+    with pytest.raises(DimensionError):
+        fix_slot(cell, vec, dim, side)
+
+
 @pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
 def test_times_bracket_is_the_product_with_the_kronecker_factor(field):
     rng = random.Random(23)
     values = [field.parse(t) for t in ("0", "0", "1", "-1", "3", "1/2", "-3/2")]
-    for _ in range(80):
-        left, right = rng.randint(1, 3), rng.randint(1, 3)
+    for trial in range(90):
+        # the seeded draw, then ten more with no identity factor (left = right = 1)
+        left, right = (1, 1) if trial >= 80 else (rng.randint(1, 3), rng.randint(1, 3))
         nr, nc, nrows = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4)
         inner = Matrix.from_entries(field, nr, nc, {(i, j): rng.choice(values)
                                                     for i in range(nr) for j in range(nc)})

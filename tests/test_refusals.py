@@ -81,6 +81,9 @@ CASES = [
     ("tensor-different-monoids",
      lambda: tensor_over_monoid(regular_bimodule(q()), regular_bimodule(poly())),
      StructuralError, "modules live over different monoids"),
+    ("tensor-over-another-pairing",
+     lambda: tensor_over_monoid(regular_bimodule(poly()), doubled(poly())),
+     StructuralError, "modules live over different monoids"),
     ("tensor-left-factor-without-right-action",
      lambda: tensor_over_monoid(left_only(q()), regular_bimodule(q())),
      StructuralError, "left factor must carry a right action"),

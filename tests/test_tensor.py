@@ -10,7 +10,7 @@ from koszulcat.category import CategoryPresentation, DayTensor
 from koszulcat.errors import KoszulcatError, StabilityError, StructuralError, WindowError
 from koszulcat.field import QQ, Field
 from koszulcat.hochschild import build_enveloping
-from koszulcat.matrix import Matrix, Subspace, descend, place, quotient
+from koszulcat.matrix import Matrix, Subspace, place, quotient
 from koszulcat.monoid import (
     Module,
     degree_zero_carrier,
@@ -142,10 +142,12 @@ def _hand_placed_outer(coeq, outer, on_left_factor):
             raw = place(field, gt.dim(U, d + d2), dim_o * src_dim, blocks)
             ident_o = Matrix.identity(field, dim_o)
             q_src = coeq.quots[(U, d)]
-            wide = [ident_o.kron(m) if on_left_factor else m.kron(ident_o)
-                    for m in (q_src.sub.basis, q_src.section)]
+            basis, section = [ident_o.kron(m) if on_left_factor else m.kron(ident_o)
+                              for m in (q_src.sub.basis, q_src.section)]
+            # the former descent along the formed wide factors, kept inline
+            image = coeq.quots[(U, d + d2)].projection * raw
             out[(U, d2, U, d) if on_left_factor else (U, d, U, d2)] = \
-                descend(coeq.quots[(U, d + d2)].projection * raw, *wide)
+                image * section if (image * basis).is_zero() else None
     return out
 
 
