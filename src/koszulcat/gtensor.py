@@ -7,8 +7,8 @@ block the coordinates are those of the Day quotient (see `DayTensor`).  On
 the trivial backend every Day quotient is the identity, so a block is the
 plain Kronecker product L_{d1} (x) R_{d2}, left factor slowest.  Maps are
 assembled from Kronecker products placed at these offsets (`matrix.place`),
-or, for an operator A (x) I_base on a factor of copies, by moving the placed
-copies' coordinates (`GradedTensor.map_factor`).
+or, for a linear form declared by the operator (`MultOperator.form`) on a
+factor of copies, by moving the placed copies' coordinates (`map_factor`).
 A degree-0 cell is the one block (0, 0) at offset 0: its vectors are those
 of `day[(0, 0)]`, whose `pure_map` embeds a pure tensor there.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .category import day_tensor_copies
 from .matrix import Matrix, place
-from .monoid import GradedCarrier
+from .monoid import GradedCarrier, MultOperator, form_moves
 
 
 def _slice_copies(car: GradedCarrier, d: int) -> tuple:
@@ -36,26 +36,6 @@ def _slice_copies(car: GradedCarrier, d: int) -> tuple:
 def _count(copies, d: int) -> int:
     """#copies of the degree-d slice of a carrier whose `GradedCarrier.copies` are copies."""
     return copies[1].get(d, 0) if copies else 1
-
-
-def _copy_factor(op, k_tgt: int, k_src: int, f: int):
-    """A as {(target copy, source copy): value} when op = A (x) I_f, A k_tgt x k_src, else None.
-
-    One pass over op's entries, with comparisons only: entry (v' f + a',
-    v f + a) needs a' = a and the value of every other entry of (v', v), and
-    each pair (v', v) met needs all f of its entries.
-    """
-    if op is None or (op.nrows, op.ncols) != (k_tgt * f, k_src * f):
-        return None
-    a, seen = {}, 0
-    for r, row in enumerate(op.rows):
-        vt, at = divmod(r, f)
-        for col, val in row.items():
-            vs, ats = divmod(col, f)
-            if ats != at or a.setdefault((vt, vs), val) != val:
-                return None
-            seen += 1
-    return a if seen == f * len(a) else None
 
 
 @dataclass
@@ -108,20 +88,20 @@ class GradedTensor:
     def dim(self, x, d) -> int:
         return self.dims.get((x, d), 0)
 
-    def map_factor(self, op_cells: dict, shift: int, factor: str) -> dict:
+    def map_factor(self, op: MultOperator, factor: str) -> dict:
         """Apply a natural degree-raising family to one tensor factor.
 
-        op_cells maps (obj, deg) to a matrix raising the factor degree by
-        `shift`; returns cell blocks (x, d) -> Matrix into (x, d + shift) of
+        op.cells maps (obj, deg) to a matrix raising the factor degree by
+        op.shift; returns cell blocks (x, d) -> Matrix into (x, d + shift) of
         this tensor, which is right when the factor carrier is closed under
         the shift.  On the Day summand (y, z) the ambient map is
         I_hom (x) op (x) I_R (left) or I_hom (x) I_L (x) op (right);
         naturality of the family is what makes it descend through the Day
         quotients.
 
-        When the factor is a carrier of copies and every op cell of a factor
-        degree is A (x) I_base for one matrix A on the copies
-        (`_copy_factor`, read from the cells), the blocks of that degree are
+        When the factor is a carrier of copies and op declares its linear
+        form, every op cell is A (x) I_base (`MultOperator.form`); the blocks
+        of a factor degree whose op cells have that shape on this factor are
         copy moves: A (x) I on the Day quotient coordinates of the placed
         copies (`DayTensor.coords`), with no Kronecker product and no
         projection * ambient * section.  Every other block takes the
@@ -129,17 +109,17 @@ class GradedTensor:
         """
         fld = self.field
         left = factor == "left"
-        moves = self._copy_moves(op_cells, shift, left)
+        moves = self._copy_moves(op, left)
         acts = {}  # (d1, d2, y, z) -> op (x) I or I (x) op, the same at every x
         out = {}
-        for d in range(self.cap + 1 - shift):
+        for d in range(self.cap + 1 - op.shift):
             for x in self.cat.objects:
                 cell, moved = [], []
                 for b in self.layout[(x, d)]:
-                    tb_d1 = b.d1 + shift if left else b.d1
+                    tb_d1 = b.d1 + op.shift if left else b.d1
                     src_day = self.day[(b.d1, b.d2)]
-                    tgt_day = self.day[(tb_d1, d + shift - tb_d1)]
-                    tgt_offset = self.layout[(x, d + shift)][tb_d1].offset
+                    tgt_day = self.day[(tb_d1, d + op.shift - tb_d1)]
+                    tgt_offset = self.layout[(x, d + op.shift)][tb_d1].offset
                     if (b.d1, b.d2) in moves:
                         moved.append((tgt_offset, b.offset, moves[(b.d1, b.d2)],
                                       src_day.coords[x], tgt_day.coords[x]))
@@ -151,16 +131,16 @@ class GradedTensor:
                             continue
                         key = (b.d1, b.d2, y, z)
                         if key not in acts:
-                            op = op_cells.get((y, b.d1) if left else (z, b.d2))
-                            acts[key] = op if op is None else \
-                                op.kron(Matrix.identity(fld, s.dim_g)) if left \
-                                else Matrix.identity(fld, s.dim_f).kron(op)
+                            m = op.cells.get((y, b.d1) if left else (z, b.d2))
+                            acts[key] = m if m is None else \
+                                m.kron(Matrix.identity(fld, s.dim_g)) if left \
+                                else Matrix.identity(fld, s.dim_f).kron(m)
                         if acts[key] is not None:
                             amb.append(ts.block(acts[key], s.offset))
                     amb = place(fld, tgt_day.quot[x].ambient, src_day.quot[x].ambient, amb)
                     cell.append((tgt_offset, b.offset,
                                  tgt_day.quot[x].projection * amb * src_day.quot[x].section))
-                out[(x, d)] = place(fld, self.dim(x, d + shift), self.dim(x, d), cell)
+                out[(x, d)] = place(fld, self.dim(x, d + op.shift), self.dim(x, d), cell)
                 rows = out[(x, d)].rows
                 for r0, c0, copy_pairs, src, tgt in moved:
                     for cs, ct, val in copy_pairs:
@@ -168,42 +148,37 @@ class GradedTensor:
                             rows[r0 + i][c0 + j] = val
         return out
 
-    def _copy_moves(self, op_cells: dict, shift: int, left: bool) -> dict:
+    def _copy_moves(self, op: MultOperator, left: bool) -> dict:
         """(d1, d2) -> the (source copy, target copy, value) of A (x) I on that split.
 
-        A is the matrix with op cell = A (x) I_base at every object of the
-        factor's base at the factor degree of the split (`_copy_factor`);
-        splits where the factor is not a carrier of copies, or its cells are
-        not of that form for one A, are left out.  Copy v kg + w of a split
-        is copy v of its left slice and w of its right; A moves v (left) or
-        w (right), and the other index stays.
+        A is op's declared form from the factor degree (`form_moves`); a split
+        is left out unless the factor is a carrier of copies and op's cell at
+        every object of its base has the shape of A (x) I_base there.  Copy
+        v kg + w of a split is copy v of its left slice and w of its right;
+        A moves v (left) or w (right), and the other index stays.
         """
         copies = self.copies[0 if left else 1]
-        if copies is None:
+        if copies is None or op.form is None:
             return {}
         base, counts = copies
-        mul, one = self.field.mul, self.field.one()
-        found, out = {}, {}
+        out = {}
         for d1, d2 in self.day:
             deg = d1 if left else d2
-            if d1 + d2 + shift > self.cap:
+            if d1 + d2 + op.shift > self.cap:
                 continue
-            if deg not in found:
-                a = [_copy_factor(op_cells.get((y, deg)), counts.get(deg + shift, 0),
-                                  counts.get(deg, 0), base.dims[y])
-                     for y in self.cat.objects if base.dims[y]]
-                found[deg] = [(key, s) for key, v in a[0].items() if (s := mul(one, v))] \
-                    if a and None not in a and all(m == a[0] for m in a) else None
-            if found[deg] is None:
+            ntgt, nsrc, a = form_moves(op.form, deg)
+            cells = [(op.cells.get((y, deg)), f) for y, f in base.dims.items() if f]
+            if (ntgt, nsrc) != (counts.get(deg + op.shift), counts.get(deg)) or any(
+                    c is None or (c.nrows, c.ncols) != (ntgt * f, nsrc * f) for c, f in cells):
                 continue
             kf, kg = _count(self.copies[0], d1), _count(self.copies[1], d2)
             if left:
                 out[(d1, d2)] = [(vs * kg + w, vt * kg + w, val)
-                                 for (vt, vs), val in found[deg] for w in range(kg)]
+                                 for val, pairs in a if val for vs, vt in pairs for w in range(kg)]
             else:
-                kg_t = _count(self.copies[1], d2 + shift)
+                kg_t = _count(self.copies[1], d2 + op.shift)
                 out[(d1, d2)] = [(v * kg + ws, v * kg_t + wt, val)
-                                 for (wt, ws), val in found[deg] for v in range(kf)]
+                                 for val, pairs in a if val for ws, wt in pairs for v in range(kf)]
         return out
 
     def induced_map_cells(self, target: GradedCarrier, family) -> dict:

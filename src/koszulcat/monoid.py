@@ -516,10 +516,16 @@ def is_central(a: Monoid, elt: Element) -> bool:
 
 @dataclass
 class MultOperator:
-    """The family b -> elt x b (or b x elt) on a module, one matrix per cell."""
+    """The family b -> elt x b (or b x elt) on a module, one matrix per cell.
+
+    form is [c_1, ..., c_n] when every cell is A_d (x) I_base, written by copy
+    moves for elt = sum c_i t_i (A_d: `form_moves(form, d)`), else None.
+    Editing `cells` means building a new operator with no form.
+    """
 
     shift: int
     cells: dict  # (obj, deg) -> Matrix from M(obj)_deg to M(obj)_{deg+shift}
+    form: Optional[list]
 
 
 def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperator:
@@ -532,25 +538,28 @@ def mult_operator(a: Monoid, elt: Element, m: Module, side="left") -> MultOperat
     cell is written by copy moves, block w to block t_i w times c_i, with no
     scan of the action cell and no arithmetic (`_copy_moves`).  Any other
     element, module or cell takes `fix_slot`; both give the same matrix.
+    The operator declares the form when every cell took copy moves.
     """
     u = a.cat.unit
     if elt.obj != u:
         raise WrongObjectError("element lives at %s, expected the unit object" % elt.obj)
     car = m.carrier
     e = elt.degree
-    coeffs = _form_coefficients(a, elt)
+    form = coeffs = _form_coefficients(a, elt)
     cells = {}
     for (x, d) in car.cells():
         if d + e > car.cap:
             continue
         cell = m.left_cell(u, e, x, d) if side == "left" else m.right_cell(x, d, u, e)
-        cells[(x, d)] = _times(a, elt, coeffs, cell, x, d, car.dim(x, d), side)
-    return MultOperator(e, cells)
+        cells[(x, d)], moved = _times(a, elt, coeffs, cell, x, d, car.dim(x, d), side)
+        if not moved:
+            form = None
+    return MultOperator(e, cells, form)
 
 
 def _times(a: Monoid, elt: Element, coeffs, cell: Matrix, x, d: int, dim: int,
-           side: str) -> Matrix:
-    """b -> cell(elt (x) b) ("left") or cell(b (x) elt) on a cell of dim coordinates.
+           side: str) -> tuple:
+    """(b -> cell(elt (x) b) ("left") or cell(b (x) elt), whether by copy moves), dim coordinates.
 
     By copy moves when coeffs, elt's form coefficients, are known and the
     cell obeys the copy rule at (x, d); else by `fix_slot`.  The rule is
@@ -565,11 +574,11 @@ def _times(a: Monoid, elt: Element, coeffs, cell: Matrix, x, d: int, dim: int,
             car = a.carrier
             if dim != car.dim(x, d) or \
                     (cell.nrows, cell.ncols) != (car.dim(x, d + 1), len(elt.coords) * dim):
-                return fix_slot(cell, elt.coords, dim, side)
+                return fix_slot(cell, elt.coords, dim, side), False
             held = a.copy_memo[(side, x, d)] = (cell, _copy_rule(a, cell, x, d, side))
         if held[1]:
-            return _copy_moves(a, coeffs, x, d)
-    return fix_slot(cell, elt.coords, dim, side)
+            return _copy_moves(a, coeffs, x, d), True
+    return fix_slot(cell, elt.coords, dim, side), False
 
 
 def _unit_slot(a: Monoid):
@@ -596,18 +605,23 @@ def _form_coefficients(a: Monoid, elt: Element):
 
 
 @lru_cache(maxsize=None)
-def _copy_positions(n: int, d: int, bx: int) -> tuple:
-    """The copy rule: per variable t_i, the (row, column) of each entry of t_i on a regular cell.
-
-    A regular cell of degree d lists the degree-d monomials w, each a block of
-    bx base coordinates b; t_i sends (w, b) to (t_i w, b), one entry each.
-    Returns (rows, columns, positions) of the map from degree d to d + 1.
-    """
+def _copy_positions(n: int, d: int) -> tuple:
+    """(#degree-(d+1) monomials, #degree-d monomials, per t_i the pairs (w, t_i w)), n variables."""
     from .poly import monomial_product_table  # poly builds on this module
     ntgt, table = monomial_product_table(n, 1, n, d, "add")
-    return ntgt * bx, len(table[0]) * bx, tuple(
-        tuple((t * bx + b, w * bx + b) for w, t in enumerate(targets) for b in range(bx))
-        for targets in table)
+    return ntgt, len(table[0]), tuple(tuple(enumerate(targets)) for targets in table)
+
+
+def form_moves(form, d: int) -> tuple:
+    """(rows, columns, moves) of A_d, the linear form sum c_i t_i from degree d to d + 1.
+
+    form is [c_1, ..., c_n]; A_d sends monomial w to t_i w times c_i, and
+    moves yields (c_i, the pairs (w, t_i w)) in variable order, once; a zero
+    c_i moves nothing.  For one w the t_i w are distinct, so no two entries
+    share a place.  On a regular cell of copies the form acts as A_d (x) I_base.
+    """
+    ntgt, nsrc, pairs = _copy_positions(len(form), d)
+    return ntgt, nsrc, zip(form, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -615,13 +629,17 @@ def _copy_rule_rows(n: int, d: int, bx: int, du: int, j: int, side: str) -> list
     """The rows of unit slot j of an action cell that obeys the copy rule; read only.
 
     Row (t_i w, b) holds the entry one (`Field.one`, 1 in every field) at
-    column (i, j, w, b) for every such pair, and nothing else in slot j.
+    column (i, j, w, b), the moves of t_i (`form_moves` of the form with
+    every c_i one), and nothing else in slot j.
     """
-    nrows, width, positions = _copy_positions(n, d, bx)
-    rows = [{} for _ in range(nrows)]
-    for i, moves in enumerate(positions):
-        for row, col in moves:
-            rows[row][(i * du + j) * width + col if side == "left" else col * n * du + i * du + j] = 1
+    ntgt, nsrc, moves = form_moves([1] * n, d)
+    rows, width = [{} for _ in range(ntgt * bx)], nsrc * bx
+    for i, (one, pairs) in enumerate(moves):
+        for w, t in pairs:
+            for b in range(bx):
+                col = w * bx + b
+                rows[t * bx + b][(i * du + j) * width + col if side == "left"
+                                 else col * n * du + i * du + j] = one
     return rows
 
 
@@ -631,9 +649,9 @@ def _copy_rule(a: Monoid, cell: Matrix, x, d: int, side: str) -> bool:
     cell is A(u)_1 (x) A(x)_d -> A(x)_{d+1} ("left") or A(x)_d (x) A(u)_1
     on Kronecker columns, A(u)_1 of n blocks of du coordinates.  Its
     columns (i, j, w, b), j the unit's slot (`_unit_slot`), must hold
-    exactly the entries one at rows (t_i w, b) of `_copy_positions`, and
-    nothing else; columns of other slots are not read.  One comparison of
-    the entries with `_copy_rule_rows`, no arithmetic.
+    exactly the entries one at rows (t_i w, b), and nothing else; columns
+    of other slots are not read.  One comparison of the entries with
+    `_copy_rule_rows`, no arithmetic.
     """
     j = _unit_slot(a)
     if j is None:
@@ -648,14 +666,17 @@ def _copy_rule(a: Monoid, cell: Matrix, x, d: int, side: str) -> bool:
 
 
 def _copy_moves(a: Monoid, coeffs, x, d: int) -> Matrix:
-    """sum_i c_i t_i on the regular cell (x, d): c_i at each position of t_i (`_copy_positions`)."""
-    nrows, ncols, positions = _copy_positions(len(coeffs), d, a.poly_info.base.carrier.dim(x, 0))
-    rows = [{} for _ in range(nrows)]
-    for c, moves in zip(coeffs, positions):
+    """sum_i c_i t_i on the regular cell (x, d): A_d of `form_moves`, then A_d (x) I_base."""
+    bx = a.poly_info.base.carrier.dim(x, 0)
+    ntgt, nsrc, moves = form_moves(coeffs, d)
+    rows = [{} for _ in range(ntgt)]
+    for c, pairs in moves:
         if c:
-            for r, col in moves:
-                rows[r][col] = c
-    return Matrix(a.field, nrows, ncols, rows)
+            for w, t in pairs:
+                rows[t][w] = c
+    if bx != 1:
+        rows = [{w * bx + b: c for w, c in row.items()} for row in rows for b in range(bx)]
+    return Matrix(a.field, ntgt * bx, nsrc * bx, rows)
 
 
 # -- generated submodules and quotients ----------------------------------------
@@ -676,7 +697,7 @@ def _ideal_columns(a: Monoid, gens: Sequence[Element], forms: list, x, d):
         width = car.dim(x, d - g.degree) if g.degree <= d else 0
         if width:
             blocks.append(_times(a, g, coeffs, a.pairing_cell(x, d - g.degree, u, g.degree),
-                                 x, d - g.degree, width, "right"))
+                                 x, d - g.degree, width, "right")[0])
         ends.append(ends[-1] + width)
     return hstack(blocks), ends
 

@@ -22,7 +22,7 @@ from .gtensor import GradedTensor
 from .hochschild import EnvelopingData
 from .koszul import koszul_faces, subsets_lex, summand_map
 from .matrix import Matrix, Subspace, descend, hstack, place, quotient, rank
-from .monoid import Module, Monoid, fix_slot, mult_operator, regular_bimodule
+from .monoid import Module, Monoid, MultOperator, fix_slot, mult_operator, regular_bimodule
 from .poly import variable_element
 from .report import GradedReport
 
@@ -127,11 +127,12 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
     """Descend an outer one-sided action to the coequalizer (trivial backend).
 
     Basis vector e_k of an outer cell of degree d2 acts on its factor as a
-    family raising the degree by d2 (`fix_slot`), which
-    `GradedTensor.map_factor` places on the tensor.  The raw action on
-    outer (x) tensor (left) is these maps side by side; on tensor (x) outer
-    (right) it is the same columns interleaved, the outer index fastest, and
-    it descends along I (x) q or q (x) I, q the source's quotient (`descend`).
+    family raising the degree by d2 (`fix_slot`), an operator with no form,
+    which `GradedTensor.map_factor` places by the Kronecker route.  The raw
+    action on outer (x) tensor (left) is these maps side by side; on tensor
+    (x) outer (right) it is the same columns interleaved, the outer index
+    fastest, and it descends along I (x) q or q (x) I, q the source's
+    quotient (`descend`).
     Raises when the raw action fails to preserve the relation subspace, which
     would mean the supplied outer action does not commute with the inner one.
     """
@@ -147,10 +148,10 @@ def _induced_outer(coeq: CoequalizerPresentation, outer: OuterStructure,
         ident_o = Matrix.identity(field, dcar.dim(u, d2))
         if not ident_o.nrows:
             continue
-        maps = [gt.map_factor(
-            {(u, d1): fix_slot(outer.cells[(u, d2, u, d1) if on_left_factor else (u, d1, u, d2)],
-                               ident_o.column(k), factor.dim(u, d1), side)
-             for d1 in range(gt.cap + 1 - d2)}, d2, side) for k in range(ident_o.nrows)]
+        maps = [gt.map_factor(MultOperator(d2, {
+            (u, d1): fix_slot(outer.cells[(u, d2, u, d1) if on_left_factor else (u, d1, u, d2)],
+                              ident_o.column(k), factor.dim(u, d1), side)
+            for d1 in range(gt.cap + 1 - d2)}, None), side) for k in range(ident_o.nrows)]
         for d in range(gt.cap + 1 - d2):
             q_src = coeq.quots[(u, d)]
             raw = hstack([mp[(u, d)] for mp in maps])
@@ -259,9 +260,9 @@ def syzygy_resolution(a_n: Monoid, m: Module) -> SyzygyResolution:
         t_i = variable_element(a_n, i)
         op_a = mult_operator(a_n, t_i, regular_bimodule(a_n), side="left")
         op_m = mult_operator(a_n, t_i, m, side="left")
-        rmap = gt.map_factor(op_m.cells, 1, "right")
+        rmap = gt.map_factor(op_m, "right")
         diff_cells[i] = (1, {cell: mat - rmap[cell]
-                             for cell, mat in gt.map_factor(op_a.cells, 1, "left").items()})
+                             for cell, mat in gt.map_factor(op_a, "left").items()})
 
     terms = [Term("M", dict(m.carrier.dims))] + \
         [Term.copies("K_%d(x)M" % p, gt, subsets_lex(n, p)) for p in range(n + 1)]

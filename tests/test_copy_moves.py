@@ -2,15 +2,16 @@
 
 `monoid.mult_operator` and `monoid._ideal_columns` write the cells of a
 linear form on the regular module of a polynomial monoid from the monomial
-shift tables once the action cell passes the copy rule, and
+shift tables once the action cell passes the copy rule, the operator
+declares the form when every cell was written so, and
 `GradedTensor.map_factor` moves the Day quotient coordinates of the placed
-copies when an operator cell is A (x) I_base.  The oracle is the route
+copies for a declared form whose cells fit the factor.  The oracle is the route
 every such matrix took before: `fix_slot` on the action cell, and the
 Kronecker product descended through the Day quotients, both copied here.
 Every cell must be equal entry for entry, over Q and F_101, on the scalar
 and the C2 Day-unit bases, for variables, the differences u_i - v_i and a
 seeded dense form, on both sides.  A pairing entry bumped off the copy rule
-takes the fallback and still matches the oracle.
+takes the fallback, declares no form and still matches the oracle.
 """
 
 import random
@@ -34,8 +35,10 @@ from koszulcat.monoid import (
     Element,
     Module,
     Monoid,
+    MultOperator,
     _form_coefficients,
     _ideal_columns,
+    form_moves,
     generated_submodule,
     identity_monoid,
     mult_operator,
@@ -43,7 +46,13 @@ from koszulcat.monoid import (
     regular_bimodule,
     scalar_monoid,
 )
-from koszulcat.poly import polynomial_monoid, variable_element
+from koszulcat.poly import (
+    add_exponents,
+    mono_index,
+    multi_indices,
+    polynomial_monoid,
+    variable_element,
+)
 from koszulcat.sample import c2_convolution_category, dual_numbers, s3_group_algebra
 from koszulcat.tensor import syzygy_resolution
 from test_homology_rank import linear_form
@@ -139,6 +148,18 @@ def oracle_map_factor(gt, op_cells, shift, factor):
     return out
 
 
+def oracle_form_matrix(field, form, d):
+    """A_d of sum c_i t_i, degree-d monomials to degree d + 1, from the exponent tuples."""
+    n = len(form)
+    src, tgt = multi_indices(n, d), mono_index(n, d + 1)
+    rows = [{} for _ in tgt]
+    for w, mono in enumerate(src):
+        for i, c in enumerate(form):
+            if c:
+                rows[tgt[add_exponents(mono, tuple(int(k == i) for k in range(n)))]][w] = c
+    return Matrix(field, len(tgt), len(src), rows)
+
+
 # -- the elements ----------------------------------------------------------------
 
 
@@ -207,6 +228,64 @@ def test_differences_match_the_oracle(field, kind, n, cap):
 
 
 @pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n, cap", [(1, 3), (2, 4), (3, 3)])
+def test_a_declared_form_is_every_cell(field, kind, n, cap):
+    """Cell (x, d) of an operator that declares its form is A_d (x) I_base, and
+    `form_moves` lists exactly the entries of A_d, each once."""
+    a = polynomial_monoid(_base(field, kind), n, cap)
+    reg = regular_bimodule(a)
+    for elt in _elements(a):
+        for side in SIDES:
+            op = mult_operator(a, elt, reg, side)
+            assert op.form is not None and op.form == _form_coefficients(a, elt)
+            for (x, d), cell in op.cells.items():
+                a_d = oracle_form_matrix(field, op.form, d)
+                bx = a.poly_info.base.carrier.dim(x, 0)
+                assert cell == a_d.kron(Matrix.identity(field, bx))
+                ntgt, nsrc, moves = form_moves(op.form, d)
+                assert (ntgt, nsrc) == (a_d.nrows, a_d.ncols)
+                moves = [(c, pairs) for c, pairs in moves if c]
+                entries = {(t, w): c for c, pairs in moves for w, t in pairs}
+                assert len(entries) == sum(len(pairs) for _, pairs in moves)
+                assert entries == {(r, w): c for r, row in enumerate(a_d.rows)
+                                   for w, c in row.items()}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_the_form_is_declared_exactly_when_every_cell_was_copy_moved(monkeypatch, kind):
+    """Regular operators of forms declare them; a degree-two element, a cyclic
+    module, a coordinate off the unit's slot and a bumped or dropped pairing
+    entry (some cells moved, one not) declare none."""
+    a = polynomial_monoid(_base(F101, kind), 2, 3)
+    t1, t2 = (variable_element(a, i) for i in (1, 2))
+    cases = [(a, elt, regular_bimodule(a), side)
+             for elt in _elements(a) + [a.multiply(t1, t2)] for side in SIDES]
+    cases.append((a, t2, _cyclic(a, 3), "left"))
+    if kind == "dual":
+        xbar = a.basis_element("xbar")
+        off = Element(t1.obj, 1, tuple(map(a.field.add, t1.coords,
+                                           a.multiply(t2, xbar).coords)))
+        cases += [(a, off, regular_bimodule(a), side) for side in SIDES]
+    for side in SIDES:
+        for drop in (False, True):
+            bad = _bumped(a, *_unit_slot_entry(a, a.cat.objects[-1], 1, side), drop)
+            cases += [(bad, elt, regular_bimodule(bad), side) for elt in _elements(a)]
+    moved = []
+    real = monoid._copy_moves
+    monkeypatch.setattr(monoid, "_copy_moves", lambda *args: moved.append(args) or real(*args))
+    declared = 0
+    for mon, elt, m, side in cases:
+        moved.clear()
+        op = mult_operator(mon, elt, m, side)
+        assert (op.form is not None) == (len(moved) == len(op.cells))
+        if op.form is not None:
+            declared += 1
+            assert op.form == _form_coefficients(mon, elt)
+    assert declared == 2 * len(_elements(a))  # the regular forms of a, and nothing else
+
+
+@pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_other_elements_and_modules_take_fix_slot(field, kind):
     """A degree-two element and a cyclic module are not copy moves."""
@@ -217,9 +296,12 @@ def test_other_elements_and_modules_take_fix_slot(field, kind):
     cyclic = _cyclic(a, 3)
     memo = dict(a.copy_memo)
     for side in SIDES:
-        assert mult_operator(a, square, regular_bimodule(a), side).cells == \
-            oracle_mult_operator(a, square, regular_bimodule(a), side)
-    assert mult_operator(a, t2, cyclic).cells == oracle_mult_operator(a, t2, cyclic, "left")
+        op = mult_operator(a, square, regular_bimodule(a), side)
+        assert op.form is None
+        assert op.cells == oracle_mult_operator(a, square, regular_bimodule(a), side)
+    op = mult_operator(a, t2, cyclic)
+    assert op.form is None
+    assert op.cells == oracle_mult_operator(a, t2, cyclic, "left")
     assert a.copy_memo == memo  # the cyclic cells fail on their shape, before the memo
 
 
@@ -233,8 +315,18 @@ def test_an_element_off_the_units_slot_takes_fix_slot(field):
     elt = Element(t1.obj, 1, tuple(map(field.add, t1.coords, a.multiply(t2, xbar).coords)))
     assert _form_coefficients(a, elt) is None
     for side in SIDES:
-        assert mult_operator(a, elt, regular_bimodule(a), side).cells == \
-            oracle_mult_operator(a, elt, regular_bimodule(a), side)
+        op = mult_operator(a, elt, regular_bimodule(a), side)
+        assert op.form is None
+        assert op.cells == oracle_mult_operator(a, elt, regular_bimodule(a), side)
+
+
+def _unit_slot_entry(a, x, d, side):
+    """(key, row, column): the first entry in the unit's slot of the action cell at (x, d)."""
+    key = (a.cat.unit, 1, x, d) if side == "left" else (x, d, a.cat.unit, 1)
+    du, width = len(a.unit), a.carrier.dim(x, d)
+    unit_slot = next(j for j, v in enumerate(a.unit) if v)
+    return key, *next((r, j) for r, entries in enumerate(a.pairing[key].rows) for j in entries
+                      if (j // width if side == "left" else j) % du == unit_slot)
 
 
 def _bumped(a, key, row, col, drop=False):
@@ -257,16 +349,14 @@ def _bumped(a, key, row, col, drop=False):
 def test_a_bumped_pairing_entry_takes_the_fallback(field, kind, side, drop):
     """An entry the copy rule reads (in the unit's slot) set to 2, or dropped."""
     a = polynomial_monoid(_base(field, kind), 2, 3)
-    u, x, d = a.cat.unit, a.cat.objects[-1], 1
-    key = (u, 1, x, d) if side == "left" else (x, d, u, 1)
-    du, width = len(a.unit), a.carrier.dim(x, d)
-    unit_slot = next(j for j, v in enumerate(a.unit) if v)
-    row, col = next((r, j) for r, entries in enumerate(a.pairing[key].rows) for j in entries
-                    if (j // width if side == "left" else j) % du == unit_slot)
+    x, d = a.cat.objects[-1], 1
+    key, row, col = _unit_slot_entry(a, x, d, side)
     bad = _bumped(a, key, row, col, drop)
     reg = regular_bimodule(bad)
     for elt in _elements(a):
-        assert mult_operator(bad, elt, reg, side).cells == oracle_mult_operator(bad, elt, reg, side)
+        op = mult_operator(bad, elt, reg, side)
+        assert op.form is None
+        assert op.cells == oracle_mult_operator(bad, elt, reg, side)
     dense = _elements(a)[-1]  # every coefficient nonzero: the bumped column is read
     assert mult_operator(bad, dense, reg, side).cells != oracle_mult_operator(
         a, dense, regular_bimodule(a), side)
@@ -310,56 +400,78 @@ def test_map_factor_matches_the_oracle(field, kind, n, cap):
                (GradedTensor(cyclic.carrier, a.carrier), ["right"]),
                (GradedTensor(a.carrier, a.carrier, cap=min(cap, 3)), SIDES)]
     for elt in _elements(a):
-        ops = mult_operator(a, elt, reg).cells
+        op = mult_operator(a, elt, reg)
         for gt, factors in tensors:
             for factor in factors:
-                assert gt._copy_moves(ops, 1, factor == "left")
-                assert gt.map_factor(ops, 1, factor) == oracle_map_factor(gt, ops, 1, factor)
+                assert gt._copy_moves(op, factor == "left")
+                assert gt.map_factor(op, factor) == oracle_map_factor(gt, op.cells, 1, factor)
+
+
+def _edited(op, x, d, edit):
+    """The operator of op's cells with edit applied to the rows of cell (x, d): no form."""
+    cells = dict(op.cells)
+    rows = [dict(r) for r in cells[(x, d)].rows]
+    edit(rows)
+    cells[(x, d)] = Matrix(cells[(x, d)].field, cells[(x, d)].nrows, cells[(x, d)].ncols, rows)
+    return MultOperator(op.shift, cells, None)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_map_factor_cells_that_are_not_copies_take_the_kronecker_route(kind):
-    """A cyclic factor keeps today's route.  An operator entry bumped at one
-    object is still A (x) I on a one-object base, with the bumped A; on C2 the
-    two objects then disagree on A, and that degree keeps today's route."""
+    """A cyclic factor keeps today's route.  So does an operator built from
+    edited cells, which declares no form: the same cells as a declared
+    operator, or one entry bumped at one object."""
     a = polynomial_monoid(_base(F101, kind), 2, 3)
     cyclic = _cyclic(a, 5)
     gt = GradedTensor(a.carrier, cyclic.carrier)
     t1 = variable_element(a, 1)
-    op_m = mult_operator(a, t1, cyclic).cells
-    assert not gt._copy_moves(op_m, 1, False)
-    assert gt.map_factor(op_m, 1, "right") == oracle_map_factor(gt, op_m, 1, "right")
-    ops = dict(mult_operator(a, t1, regular_bimodule(a)).cells)
-    x = a.cat.objects[-1]
-    rows = [dict(r) for r in ops[(x, 1)].rows]
-    row = next(r for r, entries in enumerate(rows) if entries)
-    rows[row][next(iter(rows[row]))] = 2
-    ops[(x, 1)] = Matrix(F101, ops[(x, 1)].nrows, ops[(x, 1)].ncols, rows)
-    moved = {d1 for d1, _ in gt._copy_moves(ops, 1, True)}  # factor degrees by copy moves
-    assert 0 in moved and 2 in moved
-    assert (1 in moved) == (len(a.cat.objects) == 1)
-    assert gt.map_factor(ops, 1, "left") == oracle_map_factor(gt, ops, 1, "left")
+    op_m = mult_operator(a, t1, cyclic)
+    assert op_m.form is None and not gt._copy_moves(op_m, False)
+    assert gt.map_factor(op_m, "right") == oracle_map_factor(gt, op_m.cells, 1, "right")
+    op = mult_operator(a, t1, regular_bimodule(a))
+    copied = MultOperator(op.shift, dict(op.cells), None)
+    assert gt._copy_moves(op, True) and not gt._copy_moves(copied, True)
+    assert gt.map_factor(copied, "left") == gt.map_factor(op, "left")
+
+    def bump(rows):
+        row = next(r for r, entries in enumerate(rows) if entries)
+        rows[row][next(iter(rows[row]))] = 2
+    bumped = _edited(op, a.cat.objects[-1], 1, bump)
+    assert not gt._copy_moves(bumped, True)
+    assert gt.map_factor(bumped, "left") == oracle_map_factor(gt, bumped.cells, 1, "left")
 
 
 @pytest.mark.parametrize("moved", [True, False], ids=["moved", "dropped"])
 def test_an_operator_block_off_its_form_takes_the_kronecker_route(moved):
-    """Over the dual numbers an operator block is 2 x 2.  An entry moved off its
-    diagonal keeps the count of A (x) I_2 and its values, but not its form; a
-    dropped one keeps the form of every other entry, but not the count."""
+    """Over the dual numbers an operator block is 2 x 2: an entry moved off its
+    diagonal, or dropped, in an operator of edited cells."""
     a = polynomial_monoid(_base(F101, "dual"), 2, 3)
     gt = GradedTensor(a.carrier, _cyclic(a, 4).carrier)
-    ops = dict(mult_operator(a, variable_element(a, 1), regular_bimodule(a)).cells)
-    u = a.cat.unit
-    rows = [dict(r) for r in ops[(u, 1)].rows]
-    row = next(r for r, entries in enumerate(rows) if entries and r % 2 == 0)
-    col = next(iter(rows[row]))
-    value = rows[row].pop(col)
-    if moved:
-        rows[row][col + 1] = value
-    ops[(u, 1)] = Matrix(F101, ops[(u, 1)].nrows, ops[(u, 1)].ncols, rows)
-    moved = {d1 for d1, _ in gt._copy_moves(ops, 1, True)}
-    assert 0 in moved and 1 not in moved
-    assert gt.map_factor(ops, 1, "left") == oracle_map_factor(gt, ops, 1, "left")
+
+    def edit(rows):
+        row = next(r for r, entries in enumerate(rows) if entries and r % 2 == 0)
+        col = next(iter(rows[row]))
+        value = rows[row].pop(col)
+        if moved:
+            rows[row][col + 1] = value
+    op = _edited(mult_operator(a, variable_element(a, 1), regular_bimodule(a)),
+                 a.cat.unit, 1, edit)
+    assert not gt._copy_moves(op, True)
+    assert gt.map_factor(op, "left") == oracle_map_factor(gt, op.cells, 1, "left")
+
+
+@pytest.mark.parametrize("kind", KINDS + ["dual"])
+def test_an_operator_whose_cells_do_not_fit_the_factor_takes_the_kronecker_route(kind):
+    """A form declared at cap 3 acts on the copies of A_2 at cap 5 by copy moves
+    at factor degrees 0..2; at degrees 3 and 4 it has no cells, and those
+    blocks take the Kronecker route, which reads them as zero."""
+    base = _base(F101, kind)
+    small, big = polynomial_monoid(base, 2, 3), polynomial_monoid(base, 2, 5)
+    gt = GradedTensor(big.carrier, _cyclic(big, 6).carrier)
+    op = mult_operator(small, _dense_form(small, 2), regular_bimodule(small))
+    assert op.form is not None
+    assert {d1 for d1, _ in gt._copy_moves(op, True)} == {0, 1, 2}
+    assert gt.map_factor(op, "left") == oracle_map_factor(gt, op.cells, 1, "left")
 
 
 # -- the work saved ---------------------------------------------------------------
@@ -378,12 +490,12 @@ def _count(monkeypatch, cls, name, calls):
 def test_map_factor_by_copy_moves_forms_no_kron_and_no_product(monkeypatch, kind):
     a = polynomial_monoid(_base(F101, kind), 2, 4)
     gt = GradedTensor(a.carrier, _cyclic(a, 2).carrier)
-    ops = mult_operator(a, _dense_form(a, 1), regular_bimodule(a)).cells
-    expected = oracle_map_factor(gt, ops, 1, "left")
+    op = mult_operator(a, _dense_form(a, 1), regular_bimodule(a))
+    expected = oracle_map_factor(gt, op.cells, 1, "left")
     calls = []
     _count(monkeypatch, Matrix, "kron", calls)
     _count(monkeypatch, Matrix, "__mul__", calls)
-    assert gt.map_factor(ops, 1, "left") == expected
+    assert gt.map_factor(op, "left") == expected
     assert calls == []
 
 

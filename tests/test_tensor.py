@@ -481,7 +481,7 @@ def test_syzygy_differentials_are_module_maps():
     from koszulcat.monoid import mult_operator
 
     op_a = mult_operator(e.a_n, t1, regular_bimodule(e.a_n), side="left")
-    act = res.tensor.map_factor(op_a.cells, 1, "left")
+    act = res.tensor.map_factor(op_a, "left")
     d1 = res.complex.diffs[1]
     op_m = mult_operator(e.a_n, t1, m, side="left")
     for (x, d), mat in act.items():
