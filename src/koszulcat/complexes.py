@@ -8,14 +8,18 @@ cap.  A single-shift map ranks each of its blocks once: the block entering
 cell (x, d) is the block leaving (x, d - s), and both cells read the one
 rank; where `dd_certificate` has certified d o d on two such maps, out * in
 at a cell is a composite block it has checked, and the cell reads nothing
-else.  Contracting homotopies are built chainwise, one solve and one check
-per term of each distinct chain: h_p from d_{p+1} h_p = 1 - h_{p-1} d_p,
-checked as it is built, so a split certificate is an exact matrix identity
-dh + hd = id on every certified cell.  A chain whose spaces and blocks equal
-an earlier chain's within one call reuses that chain's certificate.
-`certify_split` is the one place a resolution is certified split exact.  A
-`CopyMap` sends copies of a base identically onto copies, so composing with
-one moves rows or renumbers columns and multiplies nothing.
+else.  Contracting homotopies are built chainwise and checked term by term,
+d_{p+1} h_p = 1 - h_{p-1} d_p, so a split certificate is an exact matrix
+identity dh + hd = id on every certified cell.  h_p is a closed form the
+caller hands in (the divided differences of `koszul_bimodule_resolution`),
+read only on a complex whose d o d is certified, or else solved for, one
+solve per term; a chain on which the closed form fails its check is solved
+from its first term, so the verdict is the solving route's.  A chain whose
+spaces and blocks equal an earlier chain's within one call reuses that
+chain's certificate.  `certify_split` is the one place a resolution is
+certified split exact.  A `CopyMap` sends copies of a base identically onto
+copies, so composing with one moves rows or renumbers columns and
+multiplies nothing.
 """
 
 from __future__ import annotations
@@ -308,7 +312,7 @@ class HomotopyCertificate:
     detail: str
 
 
-def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
+def contracting_homotopy(cx: ChainComplex, candidate=None) -> HomotopyCertificate:
     """Build h with dh + hd = id chainwise; certifies the complex splits.
 
     Works when every differential has a single degree shift.  Chains are
@@ -318,9 +322,18 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
     chain whose spaces and blocks equal those of a chain certified earlier in
     this call has the same homotopy, so it is counted without being solved
     again; the certified chains are kept only for the length of the call.
+
+    candidate(p, x, d), when given, is a closed-form h_p on the cell (x, d) of
+    term p, taken in place of a solve (`_chain_homotopy`).  It is read only
+    where `dd_certificate` has recorded d o d = 0 on every pair of these very
+    maps: there a candidate that passes every check proves the chain split
+    exact, so the solves would pass too, with the same counts.
     """
     field = cx.field
     shifts = [None] + [cx.diffs[p].single_shift() for p in range(1, len(cx.terms))]
+    if candidate is not None and not all(cx.certified.get(p) == (cx.diffs[p - 1], cx.diffs[p])
+                                         for p in range(2, len(cx.terms))):
+        candidate = None
     checked = 0
     certified = {}  # spaces -> the block lists of the chains certified with them
     for x in cx.cat.objects:
@@ -340,7 +353,8 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
             if mats in seen:
                 checked += sum(1 for v in spaces if v)
                 continue
-            hs, bad = _chain_homotopy(field, spaces, mats)
+            hs, bad = _chain_homotopy(field, spaces, mats, None if candidate is None else
+                                      lambda p, x=x, degs=degs: candidate(p, x, degs[p]))
             if hs is None:
                 return HomotopyCertificate(False, checked,
                                            "no contracting homotopy along chain (%s, %d)"
@@ -355,7 +369,7 @@ def contracting_homotopy(cx: ChainComplex) -> HomotopyCertificate:
     return HomotopyCertificate(True, checked, "dh + hd = id on all %d cells" % checked)
 
 
-def _chain_homotopy(field, spaces, mats):
+def _chain_homotopy(field, spaces, mats, candidate=None):
     """Homotopy for one chain 0 -> V_N -> ... -> V_0 -> 0, checked as it is built.
 
     mats[p]: V_p -> V_{p-1}.  Returns (hs, bad): hs = [h_0, ..., h_{N-1}]
@@ -368,6 +382,8 @@ def _chain_homotopy(field, spaces, mats):
     cycles Z_p; a solution exists exactly when every cycle of V_p is a
     boundary.  The identity at p < N is d_{p+1} h_p = e_p, checked against
     the solver's answer; at the top it is e_N = 0, which needs ker d_N = 0.
+    With candidate, h_p is candidate(p) and no solve runs; the same checks
+    apply, and at the first that fails the chain is solved from h_0 as above.
     """
     hs, bad = [], None
     top = len(spaces) - 1
@@ -378,25 +394,30 @@ def _chain_homotopy(field, spaces, mats):
         if p == top:
             ok = e.is_zero()
         else:
-            h = solve_matrix(mats[p + 1], e)
+            h = solve_matrix(mats[p + 1], e) if candidate is None else candidate(p)
             if h is None:
                 return None, None  # some cycle is not a boundary: not exact here
             hs.append(h)
             ok = mats[p + 1] * h == e
-        if not ok and bad is None:
-            bad = p
+        if not ok:
+            if candidate is not None:
+                return _chain_homotopy(field, spaces, mats)
+            if bad is None:
+                bad = p
     return hs, bad
 
 
-def certify_split(report, cx: ChainComplex, dd_name: str):
+def certify_split(report, cx: ChainComplex, dd_name: str, candidate=None):
     """Certify in `report` that cx is a complex with a contracting homotopy.
 
     Adds the d o d = 0 certificate under `dd_name`, the `contracting-homotopy`
     certificate with its `cells_checked` witness, and one entry per term cell.
+    candidate is a closed-form homotopy for `contracting_homotopy`, which
+    checks it where this d o d certificate passed and solves elsewhere.
     """
     ok, cells, _ = cx.dd_certificate()
     report.add_certificate(dd_name, ok, detail="%d composite blocks" % cells)
-    hcert = contracting_homotopy(cx)
+    hcert = contracting_homotopy(cx, candidate)
     report.add_certificate("contracting-homotopy", hcert.ok, detail=hcert.detail,
                            witness={"cells_checked": hcert.cells_checked})
     for p, term in enumerate(cx.terms):

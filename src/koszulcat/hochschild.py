@@ -11,6 +11,7 @@ is assembled from the two one-sided multiplications by each variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -36,7 +37,7 @@ from .poly import (
     default_var_names,
     merge_variables,
     mono_index,
-    monomial_block_product,
+    monomial_product_table,
     multi_indices,
     polynomial_monoid,
     rename_variables,
@@ -352,25 +353,38 @@ def psi_law(psi: dict, nvars: int, cap: int) -> bool:
     """psi[d1 + d2](a b) = psi[d1](a) psi[d2](b) for all monomials with d1 + d2 <= cap.
 
     psi[d] maps the degree-d monomials in nvars variables to themselves; the
-    product is the monomial one (`monomial_block_product` with a 1x1 inner),
-    which adds exponents, so it is associative and commutative.  The law is
-    checked on the degree pairs (0, d) and (1, d) alone, which imply every
-    other pair by induction on d1.  A monomial a of degree d1 >= 2 is x a',
-    x a variable and a' of degree d1 - 1, so for any monomial b of degree d2
+    product is the monomial one, which adds exponents, so it is associative
+    and commutative.  The law is checked on the degree pairs (0, d) and
+    (1, d) alone, which imply every other pair by induction on d1.  A
+    monomial a of degree d1 >= 2 is x a', x a variable and a' of degree
+    d1 - 1, so for any monomial b of degree d2
         psi(a b) = psi(x) psi(a' b)        the law at (1, d1 - 1 + d2)
                  = psi(x) (psi(a') psi(b)) the law at (d1 - 1, d2)
                  = (psi(x) psi(a')) psi(b) associativity
                  = psi(a) psi(b)           the law at (1, d1 - 1),
     and both sides are bilinear, so the law holds on the whole pair of
-    cells.  Only the product blocks of the checked pairs are built.
+    cells.  By bilinearity again each checked pair is read on generators:
+    (0, d) is psi[d] = psi[0][0, 0] psi[d], the degree-0 monomial being the
+    unit; (1, d) is, per variable x_k, psi[d+1] T_k = L_k psi[d], where T_k
+    sends w to x_k w and L_k multiplies by psi(x_k), the form in psi[1]'s
+    column k.  Both are moves of `monomial_product_table`: the left side
+    reads the columns of psi[d+1] at x_k w, the right side moves the
+    columns of psi[d] by that table, weighted by the form.  Columns are
+    compared as the rows of the transposes; no product cell is built.
     """
-    field = psi[0].field
-    one = Matrix.identity(field, 1)
-    pairs = [(d1, d2) for d1 in range(min(cap, 1) + 1) for d2 in range(cap + 1 - d1)]
-    conv = {(d1, d2): monomial_block_product(nvars, d1, nvars, d2, "add", one, 1, 1)
-            for d1, d2 in pairs}
-    return morphism_law(psi, lambda *split: conv[split], lambda *split: conv[split],
-                        [(d1, d2, d1 + d2) for d1, d2 in pairs])
+    unit = psi[0].entry(0, 0)
+    if unit != 1 and any(psi[d] != psi[d].scale(unit) for d in range(cap + 1)):
+        return False
+    cols = [psi[d].transpose() for d in range(cap + 1)]  # row w: column w of psi[d]
+    for d in range(cap):
+        ntgt, table = monomial_product_table(nvars, 1, nvars, d, "add")
+        for k, targets in enumerate(table):
+            form = cols[1].rows[k].items()
+            moves = Matrix(psi[0].field, len(targets), ntgt,  # row w: L_k^T at w
+                           [{table[j][w]: c for j, c in form} for w in range(len(targets))])
+            if [cols[d + 1].rows[t] for t in targets] != (cols[d] * moves).rows:
+                return False
+    return True
 
 
 # -- the bimodule resolution ------------------------------------------------------
@@ -387,13 +401,67 @@ class BimoduleResolution:
         return self.report.all_passed
 
 
+@lru_cache(maxsize=None)
+def _divided_differences(n: int, p: int, d: int) -> tuple:
+    """(#source monomials, per target its sources): the monomial layer of h_p in degree d.
+
+    Monomials of A_2n are u^a v^b, numbered summand-major on a term of
+    copies.  p = -1 is the augmentation A_n -> A_2n, t^m -> v^m.  On K_p the
+    summand e_S (x) u^a v^b goes, for every i < min S (every i when S is
+    empty) and every l < a_i, with coefficient one, to e_{i}uS (x) u^a' v^b':
+    factors j < i collapse onto v (u_j^0 v_j^(a_j + b_j)), factor i becomes
+    u_i^l v_i^(a_i + b_i - 1 - l), factors j > i stay.  These are the divided
+    differences of u_i - v_i, one variable after another; no two terms of
+    one source share a target.  Built on first use.
+    """
+    if p < 0:
+        idx, sources = mono_index(2 * n, d), multi_indices(n, d)
+        rows = [[] for _ in idx]
+        for s, m in enumerate(sources):
+            rows[idx[(0,) * n + m]].append(s)
+        return len(sources), tuple(map(tuple, rows))
+    mons = multi_indices(2 * n, d) if d >= 0 else ()
+    low = multi_indices(2 * n, d - 1) if d >= 1 else ()
+    idx = mono_index(2 * n, d - 1) if low else {}
+    subsets = subsets_lex(n, p)
+    upper = {sub: k for k, sub in enumerate(subsets_lex(n, p + 1))}
+    rows = [[] for _ in range(len(upper) * len(low))]
+    for k, sub in enumerate(subsets):
+        first = sub[0] if sub else n + 1
+        for w, m in enumerate(mons):
+            a, b = m[:n], m[n:]
+            for i in range(first - 1):  # variable i + 1 < min S
+                base = upper[(i + 1,) + sub] * len(low)
+                for l in range(a[i]):
+                    expo = (0,) * i + (l,) + a[i + 1:] + \
+                        tuple(a[j] + b[j] for j in range(i)) + (a[i] + b[i] - 1 - l,) + b[i + 1:]
+                    rows[base + idx[expo]].append(k * len(mons) + w)
+    return len(subsets) * len(mons), tuple(map(tuple, rows))
+
+
+def _divided_difference_homotopy(e: EnvelopingData):
+    """h_q on cell (x, d) of the augmented resolution, q = 0 for A_n and q = p + 1
+    for K_p: `_divided_differences(n, q - 1, d)` (x) I_B(x), B the base."""
+    field, base, one = e.c.field, e.base.carrier, e.c.field.one()
+
+    def block(q, x, d):
+        nsrc, rows = _divided_differences(e.n, q - 1, d)
+        bx = base.dim(x, 0)
+        return Matrix(field, len(rows) * bx, nsrc * bx,
+                      [{s * bx + j: one for s in srcs} for srcs in rows for j in range(bx)])
+    return block
+
+
 def koszul_bimodule_resolution(e: EnvelopingData) -> BimoduleResolution:
     """The augmented Koszul complex of the variable differences, with certificates.
 
     Certifies: the differences form a regular sequence in the window, the
     substitution mechanism holds, the augmented complex is a complex, and an
     explicit contracting homotopy exists (exactness and pointwise splitting
-    in one identity).
+    in one identity).  The homotopy is the closed form of divided
+    differences (`_divided_differences`, Shepler and Witherspoon 2011),
+    handed to `certify_split`, which checks dh + hd = id with it wherever
+    d o d = 0 passed and solves for h on any chain where it does not check.
     """
     c, a_n = e.c, e.a_n
     field = c.field
@@ -416,7 +484,7 @@ def koszul_bimodule_resolution(e: EnvelopingData) -> BimoduleResolution:
     diffs = [None, pi_map] + kc.complex.diffs[1:]
     aug = ChainComplex(c.cat, e.cap, terms, diffs)
 
-    certify_split(report, aug, "augmented-d-compose-d-zero")
+    certify_split(report, aug, "augmented-d-compose-d-zero", _divided_difference_homotopy(e))
     return BimoduleResolution(aug, kc, report)
 
 

@@ -379,6 +379,26 @@ def test_optimized_interpreter_prints_the_same_reports(tmp_path):
             (0, _golden(name + ".stdout"), _golden(name + ".json"))
 
 
+def test_optimized_interpreter_records_the_same_bimodule_resolutions(tmp_path):
+    """Under `python -O` the four `bimodule_resolution_*` library goldens,
+    whose homotopy is the divided-difference candidate that
+    `contracting_homotopy` checks, come out byte for byte."""
+    names = sorted(name for name in LIB_CASES if name.startswith("bimodule_resolution_"))
+    assert len(names) == 4
+    script = "import sys\nimport test_golden_reports as g\n" \
+        "if not sys.flags.optimize:\n    sys.exit(3)\n" \
+        "for name in sys.argv[2:]:\n" \
+        "    with open('%s/%s.txt' % (sys.argv[1], name), 'w', encoding='utf-8') as fh:\n" \
+        "        fh.write('\\n'.join(g.LIB_CASES[name]()) + '\\n')\n"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(REPO, "src"), os.path.dirname(os.path.abspath(__file__))]))
+    run = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)] + names,
+                         cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    for name in names:
+        assert (tmp_path / (name + ".txt")).read_text(encoding="utf-8") == _golden(name + ".txt")
+
+
 @pytest.mark.parametrize("name", sorted(LIB_CASES))
 def test_library_report_bytes(name):
     assert "\n".join(LIB_CASES[name]()) + "\n" == _golden(name + ".txt")
