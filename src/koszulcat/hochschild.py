@@ -37,7 +37,7 @@ from .poly import (
     default_var_names,
     merge_variables,
     mono_index,
-    monomial_product_table,
+    monomial_block_product,
     multi_indices,
     polynomial_monoid,
     rename_variables,
@@ -343,8 +343,9 @@ def substitution_matrices(field, n: int, cap: int) -> dict:
         mono_mat = Matrix.zeros(field, len(mons), len(mons))
         for s_idx, m in enumerate(mons):
             for mono, coef in expand(m).items():
-                if coef:
-                    mono_mat.rows[idx[mono]][s_idx] = field.from_int(coef)
+                v = field.from_int(coef)  # a binomial may vanish mod p; keep no zero entry
+                if v:
+                    mono_mat.rows[idx[mono]][s_idx] = v
         psi[d] = mono_mat
     return psi
 
@@ -353,38 +354,25 @@ def psi_law(psi: dict, nvars: int, cap: int) -> bool:
     """psi[d1 + d2](a b) = psi[d1](a) psi[d2](b) for all monomials with d1 + d2 <= cap.
 
     psi[d] maps the degree-d monomials in nvars variables to themselves; the
-    product is the monomial one, which adds exponents, so it is associative
-    and commutative.  The law is checked on the degree pairs (0, d) and
-    (1, d) alone, which imply every other pair by induction on d1.  A
-    monomial a of degree d1 >= 2 is x a', x a variable and a' of degree
-    d1 - 1, so for any monomial b of degree d2
+    product is the monomial one (`monomial_block_product` with a 1x1 inner),
+    which adds exponents, so it is associative and commutative.  The law is
+    checked on the degree pairs (0, d) and (1, d) alone, which imply every
+    other pair by induction on d1.  A monomial a of degree d1 >= 2 is x a',
+    x a variable and a' of degree d1 - 1, so for any monomial b of degree d2
         psi(a b) = psi(x) psi(a' b)        the law at (1, d1 - 1 + d2)
                  = psi(x) (psi(a') psi(b)) the law at (d1 - 1, d2)
                  = (psi(x) psi(a')) psi(b) associativity
                  = psi(a) psi(b)           the law at (1, d1 - 1),
     and both sides are bilinear, so the law holds on the whole pair of
-    cells.  By bilinearity again each checked pair is read on generators:
-    (0, d) is psi[d] = psi[0][0, 0] psi[d], the degree-0 monomial being the
-    unit; (1, d) is, per variable x_k, psi[d+1] T_k = L_k psi[d], where T_k
-    sends w to x_k w and L_k multiplies by psi(x_k), the form in psi[1]'s
-    column k.  Both are moves of `monomial_product_table`: the left side
-    reads the columns of psi[d+1] at x_k w, the right side moves the
-    columns of psi[d] by that table, weighted by the form.  Columns are
-    compared as the rows of the transposes; no product cell is built.
+    cells.  Only the product blocks of the checked pairs are built.
     """
-    unit = psi[0].entry(0, 0)
-    if unit != 1 and any(psi[d] != psi[d].scale(unit) for d in range(cap + 1)):
-        return False
-    cols = [psi[d].transpose() for d in range(cap + 1)]  # row w: column w of psi[d]
-    for d in range(cap):
-        ntgt, table = monomial_product_table(nvars, 1, nvars, d, "add")
-        for k, targets in enumerate(table):
-            form = cols[1].rows[k].items()
-            moves = Matrix(psi[0].field, len(targets), ntgt,  # row w: L_k^T at w
-                           [{table[j][w]: c for j, c in form} for w in range(len(targets))])
-            if [cols[d + 1].rows[t] for t in targets] != (cols[d] * moves).rows:
-                return False
-    return True
+    field = psi[0].field
+    one = Matrix.identity(field, 1)
+    pairs = [(d1, d2) for d1 in range(min(cap, 1) + 1) for d2 in range(cap + 1 - d1)]
+    conv = {(d1, d2): monomial_block_product(nvars, d1, nvars, d2, "add", one, 1, 1)
+            for d1, d2 in pairs}
+    return morphism_law(psi, lambda *split: conv[split], lambda *split: conv[split],
+                        [(d1, d2, d1 + d2) for d1, d2 in pairs])
 
 
 # -- the bimodule resolution ------------------------------------------------------

@@ -9,11 +9,11 @@ would exceed the cap are discarded and the carrier is flagged truncated.
 Where the product of two monomials goes is read from one table per
 (n1, d1, n2, d2, combine), `monomial_product_table`, built on first use.
 `monomial_block_product` builds every map u a (x) v b |-> combine(u, v)
-inner(a (x) b) from it, the pairing (exponents add, inner is the base
-pairing); `koszulcat.hochschild.psi_law` reads the table itself.  The merge
-map of `merge_variables` (exponents concatenate) is placed from the same
-table, with the witnessed pure-tensor map descended once on the base Day
-tensor.
+inner(a (x) b) from it: the pairing (exponents add, inner is the base
+pairing) and the monomial layer of the change of variables in
+`koszulcat.hochschild` (inner is 1x1).  The merge map of `merge_variables`
+(exponents concatenate) is placed from the same table, with the witnessed
+pure-tensor map descended once on the base Day tensor.
 """
 
 from __future__ import annotations

@@ -154,14 +154,13 @@ def test_a_degree_three_binomial_fault_fails_the_change_of_variables(monkeypatch
 
 
 def test_morphism_certificates_are_read_from_the_shared_law(monkeypatch):
-    """With the law answering False, exactly pi's and Phi's certificates fail;
-    psi's law is read on generators by monomial moves (`psi_law`), not through
-    the shared law, so the change of variables still passes."""
+    """With the law answering False, exactly pi's, psi's and Phi's certificates fail."""
     assert hochschild.morphism_law is poly.morphism_law is monoid.morphism_law
     for module in (hochschild, poly):
         monkeypatch.setattr(module, "morphism_law", lambda *args: False)
     failed = {name for name, ok in verdicts().items() if not ok}
-    assert failed == {"collapse-is-monoid-morphism", "merge-multiplicative"}
+    assert failed == {"collapse-is-monoid-morphism", "change-of-variables-iso",
+                      "merge-multiplicative"}
 
 
 def test_a_non_central_variable_is_refused(monkeypatch):
